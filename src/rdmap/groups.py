@@ -19,18 +19,28 @@ for free groups, tuple order for vectors, residue order for cyclic groups),
 so every downstream matrix and report is reproducible run to run.  Ball sizes
 grow exponentially in free groups; a configurable cap turns runaway requests
 into an explicit :class:`BallCapError` instead of silent truncation.
+
+Bulk work runs on integers, not on per-pair word arithmetic: each ball is
+built once per ``(group, radius)`` into a cached :class:`BallArena` of
+integer tables, and :meth:`Group.length_matrix` computes all pairwise lengths
+``l(x^-1 y)`` of a point list in closed form.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from math import comb
-from typing import ClassVar
+from types import MappingProxyType
+from typing import ClassVar, Mapping, Optional
+
+import numpy as np
 
 __all__ = [
     "DEFAULT_BALL_CAP",
     "BallCapError",
     "GroupMismatchError",
+    "BallArena",
     "Group",
     "FreeGroup",
     "FreeAbelianGroup",
@@ -38,6 +48,11 @@ __all__ = [
 ]
 
 DEFAULT_BALL_CAP = 200_000
+
+# Distinct (group, radius) arenas kept alive at once.  A pipeline touches a
+# handful (the bracket ball, the sampling ball, the sweep's balls); the bound
+# keeps a long session from holding every ball it ever built.
+ARENA_CACHE_SIZE = 8
 
 _ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 
@@ -48,6 +63,75 @@ class GroupMismatchError(ValueError):
 
 class BallCapError(RuntimeError):
     """A requested ball would exceed the configured element cap."""
+
+
+def _read_only(values) -> np.ndarray:
+    array = np.array(values, dtype=np.int64)
+    array.setflags(write=False)
+    return array
+
+
+@dataclass(frozen=True, eq=False)
+class BallArena:
+    """A ball as integer tables, built once per ``(group, radius)`` and shared.
+
+    ``elements`` lists the ball in canonical order and ``index`` maps each
+    element to its position; ``lengths`` holds the word lengths.  Free groups
+    carry ``moves``, one row per letter in :attr:`FreeGroup.letters` order:
+    ``moves[a, i]`` is the position of ``letter_a * elements[i]``, or -1 when
+    that product leaves the ball.  Free-abelian and cyclic groups carry
+    ``coords``, one row of integer coordinates (or the residue) per element,
+    and :meth:`locate` maps coordinate rows back to positions.  Every array is
+    read-only, because the arena is shared by all callers.
+    """
+
+    radius: int
+    elements: tuple
+    index: Mapping
+    lengths: np.ndarray
+    moves: Optional[np.ndarray] = None
+    coords: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "lengths", _read_only(self.lengths))
+        if self.moves is not None:
+            object.__setattr__(self, "moves", _read_only(self.moves))
+        if self.coords is not None:
+            self._build_locator()
+
+    def __len__(self) -> int:
+        return len(self.elements)
+
+    def _build_locator(self) -> None:
+        # Level k numbers the distinct coordinate prefixes (x_1..x_k) in sorted
+        # order.  A key ``prefix * base + (x_k - low)`` stays below
+        # ``len(self) * base``, so no key of a whole row is formed: a
+        # mixed-radix one overflows int64 already for Z^40 at radius 1.
+        coords = _read_only(self.coords)
+        low = int(coords.min())
+        base = int(coords.max()) - low + 1
+        prefix = np.zeros(len(coords), dtype=np.int64)
+        levels = []
+        for column in coords.T:
+            keys, prefix = np.unique(prefix * base + (column - low), return_inverse=True)
+            keys.setflags(write=False)
+            levels.append(keys)
+        position = np.empty(len(coords), dtype=np.int64)
+        position[prefix] = np.arange(len(coords))
+        position.setflags(write=False)
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "_locator", (low, base, tuple(levels), position))
+
+    def locate(self, rows: np.ndarray) -> np.ndarray:
+        """Positions of the coordinate ``rows`` in the ball, -1 for rows outside."""
+        low, base, levels, position = self._locator
+        found = ((rows >= low) & (rows < low + base)).all(axis=1)
+        prefix = np.zeros(len(rows), dtype=np.int64)
+        for column, keys in zip(rows.T, levels):
+            key = prefix * base + (column - low)
+            prefix = np.searchsorted(keys, key).clip(max=len(keys) - 1)
+            found &= keys[prefix] == key
+        return np.where(found, position[prefix], -1)
 
 
 class Group:
@@ -89,15 +173,26 @@ class Group:
         """Key realizing the canonical (length, lexicographic) element order."""
         raise NotImplementedError
 
+    def length_matrix(self, points: list) -> np.ndarray:
+        """Integer matrix of ``l(x_i^-1 x_j)`` over ``points``, in closed form."""
+        raise NotImplementedError
+
+    def left_translate(self, arena: BallArena, s) -> np.ndarray:
+        """Position of ``s * y`` for each ``y`` in the arena's ball, -1 outside it."""
+        raise NotImplementedError
+
     def _enumerate_ball(self, n: int) -> list:
         raise NotImplementedError
 
-    def ball(self, n: int, cap: int = DEFAULT_BALL_CAP) -> list:
-        """All elements of length <= ``n`` in canonical order.
+    def _arena_tables(self, elements: tuple, index: Mapping) -> dict:
+        """The family's integer tables for :class:`BallArena`, lengths included."""
+        raise NotImplementedError
 
-        The order is reproducible and prefix-compatible: ``ball(n)`` is an
-        ordered prefix of ``ball(n + 1)``.  Raises :class:`BallCapError` when
-        the ball would hold more than ``cap`` elements.
+    def arena(self, n: int, cap: int = DEFAULT_BALL_CAP) -> BallArena:
+        """The ball of radius ``n`` as a shared, cached :class:`BallArena`.
+
+        Raises :class:`BallCapError` when the ball would hold more than
+        ``cap`` elements, on every call, cached ball or not.
         """
         if n < 0:
             raise ValueError(f"ball radius must be nonnegative, got {n}")
@@ -107,7 +202,23 @@ class Group:
                 f"{self!r}: ball of radius {n} holds {size} elements, "
                 f"over the cap of {cap}"
             )
-        return self._enumerate_ball(n)
+        return self._cached_arena(n)
+
+    @functools.lru_cache(maxsize=ARENA_CACHE_SIZE)
+    def _cached_arena(self, n: int) -> BallArena:
+        elements = tuple(self._enumerate_ball(n))
+        index = MappingProxyType({x: i for i, x in enumerate(elements)})
+        return BallArena(n, elements, index, **self._arena_tables(elements, index))
+
+    def ball(self, n: int, cap: int = DEFAULT_BALL_CAP) -> list:
+        """All elements of length <= ``n`` in canonical order.
+
+        The order is reproducible and prefix-compatible: ``ball(n)`` is an
+        ordered prefix of ``ball(n + 1)``.  Raises :class:`BallCapError` when
+        the ball would hold more than ``cap`` elements.  The list is a fresh
+        copy; changing it changes no later result.
+        """
+        return list(self.arena(n, cap).elements)
 
 
 @dataclass(frozen=True)
@@ -201,6 +312,42 @@ class FreeGroup(Group):
             level = nxt
         return out
 
+    def _arena_tables(self, elements: tuple, index: Mapping) -> dict:
+        moves = [
+            [index[w[1:]] if w[:1] == c.swapcase() else index.get(c + w, -1) for w in elements]
+            for c in self.letters
+        ]
+        return {"lengths": [len(w) for w in elements], "moves": moves}
+
+    def left_translate(self, arena: BallArena, s: str) -> np.ndarray:
+        # s * y is built letter by letter from the right of s.  s and y are
+        # reduced, so the letters of s first cancel letters of y and then only
+        # grow the word: no intermediate word is longer than max(|y|, |s y|).
+        # An intermediate that leaves the ball therefore means s y lies
+        # outside it too, and -1 never hides a product that lands back inside.
+        position = np.arange(len(arena))
+        for c in reversed(s):
+            row = arena.moves[self.letters.index(c)]
+            position = np.where(position >= 0, row[position], -1)
+        return position
+
+    def length_matrix(self, points: list) -> np.ndarray:
+        # |x^-1 y| = |x| + |y| - 2 lcp(x, y) on the Cayley tree, with lcp the
+        # longest common prefix of the reduced words, accumulated one letter
+        # position at a time (no m x m x L temporary).
+        words = [self.parse(p) for p in points]
+        width = max(map(len, words), default=0)
+        codes = np.frombuffer(
+            "".join(w.ljust(width) for w in words).encode("ascii"), dtype=np.uint8
+        ).reshape(len(words), width)
+        sizes = np.array([len(w) for w in words], dtype=np.int64)
+        out = sizes[:, None] + sizes[None, :]
+        common = np.ones((len(words), len(words)), dtype=bool)
+        for column in codes.T:
+            common &= (column[:, None] == column[None, :]) & (column != ord(" "))[:, None]
+            out -= 2 * common
+        return out
+
 
 @dataclass(frozen=True)
 class FreeAbelianGroup(Group):
@@ -228,9 +375,18 @@ class FreeAbelianGroup(Group):
 
     def parse(self, obj) -> tuple:
         if isinstance(obj, (list, tuple)):
-            obj = tuple(int(v) for v in obj)
+            obj = tuple(self._coordinate(v) for v in obj)
         self._check(obj)
         return obj
+
+    @staticmethod
+    def _coordinate(v) -> int:
+        """An integer coordinate; integral floats such as 2.0 convert, nothing else does."""
+        if isinstance(v, int) and not isinstance(v, bool):
+            return v
+        if isinstance(v, float) and v.is_integer():
+            return int(v)
+        raise GroupMismatchError(f"coordinate must be an integer, got {v!r}")
 
     def encode(self, x) -> list:
         self._check(x)
@@ -270,6 +426,24 @@ class FreeAbelianGroup(Group):
                     yield (v,) + rest
 
         return sorted(gen(self.rank, n), key=self.sort_key)
+
+    def _arena_tables(self, elements: tuple, index: Mapping) -> dict:
+        coords = np.array(elements, dtype=np.int64).reshape(len(elements), self.rank)
+        return {"lengths": np.abs(coords).sum(axis=1), "coords": coords}
+
+    def left_translate(self, arena: BallArena, s: tuple) -> np.ndarray:
+        return arena.locate(arena.coords + np.array(s, dtype=np.int64))
+
+    def length_matrix(self, points: list) -> np.ndarray:
+        rows = [self.parse(p) for p in points]
+        # the l1 distance of two rows is at most 2 * rank * max|coordinate|
+        if max((abs(v) for row in rows for v in row), default=0) > (2**63 - 1) // (2 * self.rank):
+            raise ValueError("coordinates too large for int64 length arithmetic")
+        coords = np.array(rows, dtype=np.int64).reshape(len(rows), self.rank)
+        out = np.zeros((len(points), len(points)), dtype=np.int64)
+        for column in coords.T:
+            out += np.abs(column[:, None] - column[None, :])
+        return out
 
 
 @dataclass(frozen=True)
@@ -325,3 +499,18 @@ class CyclicGroup(Group):
     def _enumerate_ball(self, n: int) -> list[int]:
         members = [x for x in range(self.order) if self.length(x) <= n]
         return sorted(members, key=self.sort_key)
+
+    def _arena_tables(self, elements: tuple, index: Mapping) -> dict:
+        residues = np.array(elements, dtype=np.int64)
+        return {
+            "lengths": np.minimum(residues, self.order - residues),
+            "coords": residues[:, None],
+        }
+
+    def left_translate(self, arena: BallArena, s: int) -> np.ndarray:
+        return arena.locate((arena.coords + s) % self.order)
+
+    def length_matrix(self, points: list) -> np.ndarray:
+        residues = np.array([self.parse(p) for p in points], dtype=np.int64)
+        gap = np.abs(residues[:, None] - residues[None, :])
+        return np.minimum(gap, self.order - gap)

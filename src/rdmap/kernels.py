@@ -87,23 +87,9 @@ class PsdVerdict:
     min_eigenvalue: float
 
 
-def _pairwise(group: Group, points: list, fn) -> np.ndarray:
-    """Symmetric matrix fn(x_i^-1 x_j); computed once per pair and mirrored."""
-    pts = [group.parse(p) for p in points]
-    m = len(pts)
-    inv = [group.inverse(p) for p in pts]
-    out = np.zeros((m, m))
-    for i in range(m):
-        for j in range(i, m):
-            v = fn(group.multiply(inv[i], pts[j]))
-            out[i, j] = v
-            out[j, i] = v
-    return out
-
-
 def length_kernel(group: Group, points: list) -> KernelMatrix:
     """Kernel ``l(x_i^-1 x_j)`` of the group's word length on ``points``."""
-    entries = _pairwise(group, points, lambda g: float(group.length(g)))
+    entries = group.length_matrix(points).astype(float)
     return KernelMatrix(entries, points=list(points))
 
 
@@ -111,8 +97,11 @@ def schoenberg_kernel(group: Group, points: list, r: float) -> KernelMatrix:
     """Heat kernel ``exp(-r * l(x_i^-1 x_j))`` on ``points``; requires r > 0."""
     if r <= 0:
         raise ValueError(f"heat parameter r must be positive, got {r}")
-    entries = _pairwise(group, points, lambda g: math.exp(-r * group.length(g)))
-    return KernelMatrix(entries, points=list(points))
+    lengths = group.length_matrix(points)
+    # one math.exp per length value, so each entry is bit for bit the scalar
+    # exp(-r * l) (np.exp may round differently)
+    table = np.array([math.exp(-r * k) for k in range(int(lengths.max(initial=0)) + 1)])
+    return KernelMatrix(table[lengths], points=list(points))
 
 
 def _mean_zero_basis(m: int) -> np.ndarray:

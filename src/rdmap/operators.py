@@ -227,22 +227,24 @@ def compression_matrix(
     g: Group, f: GroupRingElement, radius: int, cap: int = DEFAULT_BALL_CAP
 ) -> CompressionMatrix:
     _require_same_group(g, f)
-    basis = g.ball(radius, cap=cap)
-    index = {x: i for i, x in enumerate(basis)}
-    rows, cols, data = [], [], []
-    for y, j in index.items():
-        for s_elem, c in f.terms.items():
-            x = g.multiply(s_elem, y)
-            i = index.get(x)
-            if i is not None:
-                rows.append(i)
-                cols.append(j)
-                data.append(c)
-    m = len(basis)
+    arena = g.arena(radius, cap=cap)
+    m = len(arena)
+    # |s y| >= |s| - |y|, so a support element longer than twice the radius
+    # sends no ball element back into the ball
+    support = [s for s in f.terms if g.length(s) <= 2 * radius]
+    targets = np.array(
+        [g.left_translate(arena, s) for s in support], dtype=np.int64
+    ).reshape(len(support), m)
+    coeffs = np.array([f.terms[s] for s in support], dtype=complex)
+    hit = targets >= 0
     entries = sp.csr_matrix(
-        (np.asarray(data, dtype=complex), (rows, cols)), shape=(m, m)
+        (
+            np.broadcast_to(coeffs[:, None], targets.shape)[hit],
+            (targets[hit], np.nonzero(hit)[1]),
+        ),
+        shape=(m, m),
     )
-    return CompressionMatrix(radius=radius, basis=basis, entries=entries)
+    return CompressionMatrix(radius=radius, basis=list(arena.elements), entries=entries)
 
 
 def _power_iteration(A: sp.csr_matrix, max_iters: int, tol: float, seed: int = 0):
@@ -363,7 +365,7 @@ def random_element(
     cap: int = DEFAULT_BALL_CAP,
 ) -> GroupRingElement:
     """Seeded random nonzero element supported in the given ball."""
-    ball = g.ball(radius, cap=cap)
+    ball = g.arena(radius, cap=cap).elements
     k = int(rng.integers(1, max_terms + 1))
     k = min(k, len(ball))
     picks = rng.choice(len(ball), size=k, replace=False)
