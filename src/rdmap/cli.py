@@ -1,8 +1,9 @@
 """Command-line surface: deterministic, machine-readable pipeline runs.
 
 Subcommands: check-cn, check-pd, norm, rd-sample, map-converge.
-Exit codes: 0 success/pass, 1 usage error, 2 mathematical failure (report
-includes the certificate), 3 resource cap exceeded.
+Exit codes: 0 success/pass, 1 usage error (including non-finite or
+overflowing input), 2 mathematical failure (report includes the certificate,
+or an unsound bound was detected), 3 resource cap exceeded.
 """
 
 from __future__ import annotations
@@ -24,7 +25,13 @@ from .harness import (
     select_epsilon,
 )
 from .kernels import KernelMatrix, cn_check_matrix, length_kernel, psd_check, schoenberg_kernel
-from .operators import GroupRingElement, RdParams, builtin_rd_params, opnorm_bracket
+from .operators import (
+    GroupRingElement,
+    RdParams,
+    UnsoundBoundError,
+    builtin_rd_params,
+    opnorm_bracket,
+)
 from .serialize import (
     bracket_to_json,
     canonical_json,
@@ -372,6 +379,12 @@ def main(argv=None) -> int:
     except BallCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except UnsoundBoundError as exc:
+        print(f"unsound bound: {exc}", file=sys.stderr)
+        return EXIT_MATH_FAIL
+    except OverflowError as exc:
+        print(f"overflow: {exc}; rescale the input", file=sys.stderr)
+        return EXIT_USAGE
     except (UsageError, ValueError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -23,6 +23,7 @@ from .operators import (
     GroupRingElement,
     NormBracket,
     RdParams,
+    _clamp_crossing,
     l1_norm,
     opnorm_bracket,
 )
@@ -248,16 +249,18 @@ def map_defect(
 
     The lower end comes from a ball compression of the difference, the
     upper end from the smaller of the l1/Sobolev bounds and the pointwise
-    bound sup |phi - 1| * l1(f) over the support of f.
+    bound sup |phi - 1| * l1(f) over the support of f.  The difference is
+    formed in floats, so a crossing of the two ends is judged against the
+    l1 masses of phi*f and f it was rounded from.
     """
-    difference = apply(phi, f) - f
+    product = apply(phi, f)
     bracket = opnorm_bracket(
-        g, difference, rd, radius, max_iters=max_iters, tol=tol, cap=cap, seed=seed
+        g, product - f, rd, radius, max_iters=max_iters, tol=tol, cap=cap, seed=seed
     )
     cheap = pointwise_defect_bound(phi, f)
     upper = min(bracket.upper, cheap)
     return NormBracket(
-        lower=min(bracket.lower, upper),
+        lower=_clamp_crossing(bracket.lower, upper, l1_norm(product) + l1_norm(f)),
         upper=upper,
         lower_ball_radius=bracket.lower_ball_radius,
         iterations=bracket.iterations,

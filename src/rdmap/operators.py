@@ -9,13 +9,14 @@ available, by C times a weighted Sobolev norm.
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.special import zeta
 
 from .groups import (
     DEFAULT_BALL_CAP,
@@ -26,8 +27,48 @@ from .groups import (
     GroupMismatchError,
 )
 
+if TYPE_CHECKING:
+    import scipy.sparse as sp
+
 DEFAULT_MAX_ITERS = 10_000
 DEFAULT_POWER_TOL = 1e-10
+
+# Both ends of a bracket are certified in exact arithmetic but come out of
+# different float computations, so a sound pair may cross by rounding.  A
+# crossing of at most this many ulps of the l1 mass the bounds were computed
+# from is clamped; a larger one means a wrong input and raises
+# UnsoundBoundError.
+BRACKET_ROUNDING_SLACK = 8 * sys.float_info.epsilon
+
+
+class UnsoundBoundError(ArithmeticError):
+    """A lower bound exceeds an upper bound by more than rounding explains.
+
+    Each end is only as sound as its inputs, so such a crossing means a
+    wrong input, typically decay constants (C, s) that do not hold for the
+    group.  Both endpoints are kept on the exception.
+    """
+
+    def __init__(self, lower: float, upper: float):
+        super().__init__(
+            f"lower bound {lower!r} exceeds upper bound {upper!r} beyond "
+            "rounding; check the decay constants (C, s)"
+        )
+        self.lower = lower
+        self.upper = upper
+
+
+def _clamp_crossing(lower: float, upper: float, scale: float) -> float:
+    """`lower`, moved down to `upper` if the two cross by rounding only.
+
+    `scale` is the magnitude both bounds were computed from; crossings
+    beyond BRACKET_ROUNDING_SLACK * scale raise UnsoundBoundError.
+    """
+    if lower <= upper:
+        return lower
+    if lower - upper <= BRACKET_ROUNDING_SLACK * scale:
+        return upper
+    raise UnsoundBoundError(lower, upper)
 
 
 def _require_same_group(g: Group, f: "GroupRingElement") -> None:
@@ -167,6 +208,7 @@ def _sphere_polynomial(d: int) -> list:
     return poly
 
 
+@functools.lru_cache(maxsize=None)
 def _free_abelian_constant(d: int) -> float:
     """sqrt of the lattice sum of (1 + l1 length)^(-2d), via zeta values.
 
@@ -174,6 +216,10 @@ def _free_abelian_constant(d: int) -> float:
     combination of tails of the Riemann zeta function, so no truncation
     error enters beyond float rounding.
     """
+    # scipy.special is imported here, not at module scope: only the Z^d
+    # decay constant needs it
+    from scipy.special import zeta
+
     poly = _sphere_polynomial(d)
     shifted = [Fraction(0)] * len(poly)
     for i, c in enumerate(poly):
@@ -226,6 +272,10 @@ class CompressionMatrix:
 def compression_matrix(
     g: Group, f: GroupRingElement, radius: int, cap: int = DEFAULT_BALL_CAP
 ) -> CompressionMatrix:
+    # scipy.sparse is imported here, not at module scope, so commands that
+    # build no compression never load it
+    import scipy.sparse as sp
+
     _require_same_group(g, f)
     arena = g.arena(radius, cap=cap)
     m = len(arena)
@@ -346,10 +396,8 @@ def opnorm_bracket(
 ) -> NormBracket:
     lower, iters, rel = _opnorm_lower_info(g, f, radius, max_iters, tol, cap, seed)
     upper = opnorm_upper(g, f, rd)
-    # both sides are certified, so any crossing is float noise; keep the order
-    lower = min(lower, upper)
     return NormBracket(
-        lower=lower,
+        lower=_clamp_crossing(lower, upper, l1_norm(f)),
         upper=upper,
         lower_ball_radius=radius,
         iterations=iters,

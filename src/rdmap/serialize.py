@@ -7,7 +7,9 @@ Malformed input raises ValueError so callers can map it to a usage error.
 
 from __future__ import annotations
 
+import cmath
 import json
+import math
 
 import numpy as np
 
@@ -19,11 +21,12 @@ from .multipliers import (
     table_multiplier,
     truncated_heat_multiplier,
 )
-from .operators import GroupRingElement, NormBracket
+from .operators import GroupRingElement, NormBracket, l1_norm, l2_norm
 
 
 def canonical_json(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    # NaN and infinities are not JSON; refuse them rather than print them
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +90,7 @@ def ring_to_json(f: GroupRingElement) -> dict:
 
 
 def ring_from_json(obj) -> GroupRingElement:
+    """Parse an element; non-finite coefficients and norms are rejected."""
     if not isinstance(obj, dict) or "group" not in obj or "terms" not in obj:
         raise ValueError("ring element needs 'group' and 'terms' fields")
     g = group_from_json(obj["group"])
@@ -95,10 +99,19 @@ def ring_from_json(obj) -> GroupRingElement:
         try:
             elem = g.parse(item["elem"])
             coeff = complex(float(item.get("re", 0.0)), float(item.get("im", 0.0)))
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, OverflowError) as exc:
             raise ValueError(f"malformed term {item!r}") from exc
+        if not cmath.isfinite(coeff):
+            raise ValueError(f"non-finite coefficient in term {item!r}")
         terms[elem] = terms.get(elem, 0j) + coeff
-    return GroupRingElement(g, terms)
+    f = GroupRingElement(g, terms)
+    try:
+        finite = math.isfinite(l1_norm(f)) and math.isfinite(l2_norm(f))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValueError("element norm overflows; rescale the coefficients")
+    return f
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ import math
 
 import pytest
 
+import rdmap.cli
 from rdmap.cli import EXIT_MATH_FAIL, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main
+from rdmap.operators import RdParams
 
 KESTEN_JSON = json.dumps(
     {
@@ -137,6 +139,37 @@ def test_norm_requires_one_element_source(capsys, tmp_path):
         ["norm", "--element", str(path), "--element-json", KESTEN_JSON],
     )
     assert code == EXIT_USAGE
+
+
+def _free2_element_json(terms):
+    return json.dumps({"group": {"kind": "free", "rank": 2}, "terms": terms})
+
+
+@pytest.mark.parametrize("part", ["re", "im"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=repr)
+def test_norm_rejects_non_finite_coefficient(capsys, part, value):
+    terms = [{"elem": w, "re": 1.0, "im": 0.0} for w in "aAbB"]
+    terms[0][part] = value
+    code, out, err = run(capsys, ["norm", "--element-json", _free2_element_json(terms)])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "non-finite" in err and "Traceback" not in err
+
+
+def test_norm_rejects_overflowing_element(capsys):
+    terms = [{"elem": w, "re": 1e308, "im": 0.0} for w in "aAbB"]
+    code, out, err = run(capsys, ["norm", "--element-json", _free2_element_json(terms)])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "overflows" in err and "Traceback" not in err
+
+
+def test_norm_unsound_constants_exit_math_fail(capsys, monkeypatch):
+    monkeypatch.setattr(rdmap.cli, "builtin_rd_params", lambda g: RdParams(C=0.01, s=2.0))
+    code, out, err = run(capsys, ["norm", "--element-json", KESTEN_JSON, "--radius", "4"])
+    assert code == EXIT_MATH_FAIL
+    assert out == ""
+    assert "unsound bound" in err
 
 
 def test_norm_element_from_file(capsys, tmp_path):

@@ -1,0 +1,58 @@
+"""Import hygiene: each CLI command loads only the scipy parts it uses.
+
+Every check runs in a fresh interpreter, since an earlier test in this
+process may already have imported scipy.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import rdmap
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(rdmap.__file__)))
+
+KESTEN_JSON = json.dumps(
+    {"group": {"kind": "free", "rank": 2}, "terms": [{"elem": w, "re": 1.0} for w in "aAbB"]}
+)
+
+PROBE = """
+import contextlib, io, json, sys
+import rdmap, rdmap.cli
+argv = {argv!r}
+if argv:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert rdmap.cli.main(argv) == 0
+print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+"""
+
+
+def scipy_modules_after(argv) -> set:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([SRC, env.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE.format(argv=argv)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout))
+
+
+def test_import_loads_no_scipy():
+    assert scipy_modules_after([]) == set()
+
+
+def test_check_cn_loads_no_scipy():
+    assert scipy_modules_after(["check-cn", "--group", "free:2", "--radius", "2"]) == set()
+
+
+def test_check_pd_loads_no_scipy():
+    argv = ["check-pd", "--group", "free-abelian:2", "--radius", "4"]
+    assert scipy_modules_after(argv) == set()
+
+
+def test_norm_loads_sparse_but_not_special():
+    loaded = scipy_modules_after(["norm", "--element-json", KESTEN_JSON, "--radius", "2"])
+    assert "scipy.sparse" in loaded
+    assert "scipy.special" not in loaded

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rdmap.groups import CyclicGroup, FreeAbelianGroup, FreeGroup, GroupMismatchError
+from rdmap.harness import default_schedule
 from rdmap.multipliers import (
     Multiplier,
     MultiplierNormBound,
@@ -22,6 +23,8 @@ from rdmap.multipliers import (
 )
 from rdmap.operators import (
     GroupRingElement,
+    RdParams,
+    UnsoundBoundError,
     builtin_rd_params,
     delta,
     l1_norm,
@@ -220,6 +223,29 @@ def test_map_defect_point_mass_closed_form():
     assert bracket.upper == pytest.approx(expected, abs=1e-10)
     assert bracket.lower == pytest.approx(expected, abs=1e-10)
     assert expected == pytest.approx(0.23728347529820926, abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "group", [F2, FreeAbelianGroup(1), FreeAbelianGroup(2), CyclicGroup(7)], ids=repr
+)
+@pytest.mark.parametrize("coeff", [1.0, 3.7 + 1.0j])
+def test_map_defect_point_mass_rows_stay_sound(group, coeff):
+    # lower and upper agree up to rounding here, and at r = 0.5 the
+    # difference phi(e) c - c cancels down to a few ulps of |c|
+    rd = builtin_rd_params(group)
+    schedule = default_schedule(rd)
+    for r in schedule.r_values:
+        rho = scaled_multiplier(group, r, rd.s, schedule.n_rule(r), rd.C)
+        bracket = map_defect(group, delta(group, group.identity(), coeff), rho, rd, 3)
+        expected = (rho.U - 1.0) / rho.U * abs(coeff)
+        assert bracket.lower <= bracket.upper
+        assert bracket.upper == pytest.approx(expected, rel=1e-9, abs=1e-14)
+
+
+def test_map_defect_unsound_constant_raises():
+    rho = scaled_multiplier(F2, 0.5, 2.0, 4, RD.C)
+    with pytest.raises(UnsoundBoundError):
+        map_defect(F2, KESTEN, rho, RdParams(C=0.001, s=2.0), 4)
 
 
 def test_map_defect_zero_element():

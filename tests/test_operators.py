@@ -7,10 +7,12 @@ import pytest
 
 from rdmap.groups import CyclicGroup, FreeAbelianGroup, FreeGroup, GroupMismatchError
 from rdmap.operators import (
+    BRACKET_ROUNDING_SLACK,
     CompressionMatrix,
     GroupRingElement,
     NormBracket,
     RdParams,
+    UnsoundBoundError,
     builtin_rd_params,
     compression_matrix,
     convolve,
@@ -23,6 +25,7 @@ from rdmap.operators import (
     random_element,
     sobolev_norm,
     zero_element,
+    _clamp_crossing,
     _free_abelian_constant,
 )
 
@@ -318,6 +321,24 @@ def test_bracket_contains_shift_pair_norm():
     bracket = opnorm_bracket(Z1, SHIFT_PAIR, rd, 10)
     assert bracket.lower <= 2.0 <= bracket.upper
     assert bracket.upper == pytest.approx(2.0)
+
+
+def test_bracket_with_unsound_constant_raises():
+    # C = 0.01 makes C * Sobolev = 0.08, far below the true norm 2 sqrt(3)
+    with pytest.raises(UnsoundBoundError) as info:
+        opnorm_bracket(F2, KESTEN, RdParams(C=0.01, s=2.0), 6)
+    assert info.value.upper == pytest.approx(0.08)
+    assert info.value.lower > 3.2
+
+
+def test_clamp_crossing_slack():
+    assert _clamp_crossing(0.5, 1.0, 1.0) == 0.5
+    one_ulp = math.nextafter(1.0, 2.0)
+    assert _clamp_crossing(one_ulp, 1.0, 1.0) == 1.0
+    beyond = 1.0 + 2 * BRACKET_ROUNDING_SLACK
+    with pytest.raises(UnsoundBoundError) as info:
+        _clamp_crossing(beyond, 1.0, 1.0)
+    assert (info.value.lower, info.value.upper) == (beyond, 1.0)
 
 
 def test_norm_bracket_validation():

@@ -89,6 +89,31 @@ def test_ring_json_errors():
         ring_from_json({"group": {"kind": "free", "rank": 2}, "terms": [{"re": 1.0}]})
 
 
+@pytest.mark.parametrize(
+    "term",
+    [
+        {"elem": "a", "re": math.nan},
+        {"elem": "a", "im": -math.inf},
+        {"elem": "a", "re": "inf"},
+        {"elem": "a", "re": 10**400},
+    ],
+    ids=["nan", "-inf", "inf-string", "huge-int"],
+)
+def test_ring_json_rejects_non_finite_terms(term):
+    with pytest.raises(ValueError, match="term"):
+        ring_from_json({"group": {"kind": "free", "rank": 2}, "terms": [term]})
+
+
+def test_ring_json_rejects_overflowing_norms():
+    group = {"kind": "free", "rank": 2}
+    # every term is finite, but the l1 mass overflows
+    with pytest.raises(ValueError, match="overflows"):
+        ring_from_json({"group": group, "terms": [{"elem": w, "re": 1e308} for w in "aA"]})
+    # the l1 mass is finite, but |c|^2 overflows inside the l2 norm
+    with pytest.raises(ValueError, match="overflows"):
+        ring_from_json({"group": group, "terms": [{"elem": "a", "re": 1e200}]})
+
+
 def test_kernel_round_trip_with_points():
     kernel = length_kernel(F2, F2.ball(1))
     obj = kernel_to_json(kernel, group=F2)
@@ -174,3 +199,9 @@ def test_canonical_json_is_stable():
     assert first == second
     assert first.endswith("\n")
     assert json.loads(first)["c"]["x"] == math.pi
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=repr)
+def test_canonical_json_refuses_non_finite(value):
+    with pytest.raises(ValueError):
+        canonical_json({"lower": value})
