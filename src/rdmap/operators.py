@@ -33,6 +33,14 @@ if TYPE_CHECKING:
 DEFAULT_MAX_ITERS = 10_000
 DEFAULT_POWER_TOL = 1e-10
 
+# The lower-bound solver restarts its power iteration every RITZ_BLOCK steps
+# from the Rayleigh-Ritz vector of the stored iterates.  Directions of the
+# iterate span whose Gram eigenvalue falls below RITZ_GRAM_CUTOFF times the
+# largest one (about 45 ulps, just above the rounding of the Gram product)
+# count as numerically dependent and are dropped.
+RITZ_BLOCK = 8
+RITZ_GRAM_CUTOFF = 1e-14
+
 # Both ends of a bracket are certified in exact arithmetic but come out of
 # different float computations, so a sound pair may cross by rounding.  A
 # crossing of at most this many ulps of the l1 mass the bounds were computed
@@ -146,8 +154,20 @@ def convolve(g: Group, f: GroupRingElement, h: GroupRingElement) -> GroupRingEle
     return GroupRingElement(g, out)
 
 
+def _weighted_l2(moduli: list, weights) -> float:
+    """sqrt(sum w |c|^2), computed on the moduli scaled by a power of two.
+
+    The scaling is exact and brings the largest modulus into [0.5, 1), so
+    no square underflows or overflows where the result itself is in range.
+    """
+    _, e = math.frexp(max(moduli, default=0.0))
+    total = math.fsum(math.ldexp(a, -e) ** 2 * w for a, w in zip(moduli, weights))
+    return math.ldexp(math.sqrt(total), e)
+
+
 def l2_norm(f: GroupRingElement) -> float:
-    return math.sqrt(math.fsum(abs(c) ** 2 for c in f.terms.values()))
+    moduli = [abs(c) for c in f.terms.values()]
+    return _weighted_l2(moduli, [1.0] * len(moduli))
 
 
 def l1_norm(f: GroupRingElement) -> float:
@@ -159,10 +179,10 @@ def sobolev_norm(g: Group, f: GroupRingElement, s: float) -> float:
     if not s > 0:
         raise ValueError("Sobolev exponent s must be positive")
     _require_same_group(g, f)
-    total = math.fsum(
-        abs(c) ** 2 * (1.0 + g.length(x)) ** (2.0 * s) for x, c in f.terms.items()
+    return _weighted_l2(
+        [abs(c) for c in f.terms.values()],
+        [(1.0 + g.length(x)) ** (2.0 * s) for x in f.terms],
     )
-    return math.sqrt(total)
 
 
 # ---------------------------------------------------------------------------
@@ -300,31 +320,70 @@ def compression_matrix(
 def _power_iteration(A: sp.csr_matrix, max_iters: int, tol: float, seed: int = 0):
     """Largest singular value from below.
 
-    Iterates v -> A^H A v from a seeded random start.  Each reported value
-    is the norm of A applied to a unit vector, hence never exceeds the true
-    largest singular value; the final one is returned together with the
-    iteration count and the last relative change.
+    Power iteration on B = A^H A from a seeded random start, restarted every
+    RITZ_BLOCK steps from the Rayleigh-Ritz vector of the stored iterates.
+    Each step is one A and one A^H product and yields the norm of A applied
+    to an explicit unit vector, which never exceeds the true largest
+    singular value.  The largest such value is returned together with the
+    step count and the relative change between the last two values.
     """
     m = A.shape[0]
     if m == 0 or A.nnz == 0:
         return 0.0, 0, 0.0
+    # scaling by a power of two is exact; with the largest entry brought to
+    # [0.5, 1) no square formed below overflows or underflows (the exponent
+    # is clamped so that the factor stays finite for subnormal entries)
+    _, e = math.frexp(float(np.abs(A.data).max()))
+    e = max(e, -1023)
+    A = A * math.ldexp(1.0, -e)
     rng = np.random.default_rng(seed)
     v = rng.normal(size=m) + 1j * rng.normal(size=m)
     v /= np.linalg.norm(v)
     AH = A.conjugate().transpose().tocsr()
-    sigma = 0.0
+    # rows 0..RITZ_BLOCK-1 hold the unit iterates of the current block and
+    # the last row the next one, so that B v_j = gains[j] * v_{j+1}
+    iterates = np.empty((RITZ_BLOCK + 1, m), dtype=complex)
+    gains = np.empty(RITZ_BLOCK)
+    best = sigma = rel = 0.0
+    k = 0
     for k in range(1, max_iters + 1):
         w = A @ v
         sigma_new = float(np.linalg.norm(w))
-        if sigma_new == 0.0:
-            return 0.0, k, 0.0
-        rel = abs(sigma_new - sigma) / sigma_new
-        if k > 1 and rel <= tol:
-            return sigma_new, k, rel
+        rel = abs(sigma_new - sigma) / sigma_new if sigma_new else 0.0
+        best = max(best, sigma_new)
+        if sigma_new == 0.0 or (k > 1 and rel <= tol):
+            break
         sigma = sigma_new
+        j = (k - 1) % RITZ_BLOCK
+        iterates[j] = v
         u = AH @ w
-        v = u / np.linalg.norm(u)
-    return sigma, max_iters, rel
+        gains[j] = np.linalg.norm(u)
+        v = u / gains[j]
+        if j == RITZ_BLOCK - 1:
+            iterates[RITZ_BLOCK] = v
+            v = _ritz_vector(iterates, gains)
+    return math.ldexp(best, e), k, rel
+
+
+def _ritz_vector(iterates: np.ndarray, gains: np.ndarray) -> np.ndarray:
+    """Unit vector of largest Rayleigh quotient for B in the span of v_0..v_{K-1}.
+
+    With B v_j = gains[j] * v_{j+1}, both the Gram matrix of the span and
+    the projection of B come from one Gram product of the iterate buffer,
+    so no matrix-vector product is spent.  The span is orthonormalized
+    through the eigendecomposition of its Gram matrix, dropping directions
+    below RITZ_GRAM_CUTOFF of the largest.
+    """
+    k = len(gains)
+    gram = iterates.conj() @ iterates.T
+    d, q = np.linalg.eigh(gram[:k, :k])
+    keep = d > RITZ_GRAM_CUTOFF * d[-1]
+    basis = q[:, keep] / np.sqrt(d[keep])
+    projected = gram[:k, 1:] * gains
+    projected = (projected + projected.conj().T) / 2
+    _, z = np.linalg.eigh(basis.conj().T @ projected @ basis)
+    y = (basis @ z[:, -1]) @ iterates[:k]
+    return y / np.linalg.norm(y)
 
 
 def opnorm_lower(
@@ -363,8 +422,10 @@ class NormBracket:
     """Two-sided enclosure of an operator norm.
 
     `lower` comes from a ball compression of the given radius (plus the l2
-    floor), `upper` from the l1/Sobolev bounds; `iterations` counts power
-    iteration steps and `achieved_tol` the relative change at the last one.
+    floor), `upper` from the l1/Sobolev bounds.  `iterations` counts the
+    A/A^H product pairs of the Ritz-restarted power iteration, and
+    `achieved_tol` is the relative change between its last two values, not
+    a distance to the norm.
     """
 
     lower: float

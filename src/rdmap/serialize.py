@@ -106,7 +106,8 @@ def ring_from_json(obj) -> GroupRingElement:
         terms[elem] = terms.get(elem, 0j) + coeff
     f = GroupRingElement(g, terms)
     try:
-        finite = math.isfinite(l1_norm(f)) and math.isfinite(l2_norm(f))
+        # both the l1 mass and the squared l2 mass must be finite floats
+        finite = math.isfinite(l1_norm(f)) and math.isfinite(l2_norm(f) ** 2)
     except OverflowError:
         finite = False
     if not finite:

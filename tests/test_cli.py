@@ -164,6 +164,34 @@ def test_norm_rejects_overflowing_element(capsys):
     assert "overflows" in err and "Traceback" not in err
 
 
+def _kesten_terms(c):
+    return [{"elem": w, "re": c, "im": 0.0} for w in "aAbB"]
+
+
+@pytest.mark.parametrize("k", [-560, -470, 510])
+def test_norm_bracket_scales_by_powers_of_two(capsys, k):
+    # scaling the element by 2^k scales both ends by 2^k exactly
+    argv = ["norm", "--radius", "4", "--element-json"]
+    code, out, _ = run(capsys, argv + [_free2_element_json(_kesten_terms(1.0))])
+    assert code == EXIT_OK
+    base = json.loads(out)["bracket"]
+    code, out, err = run(capsys, argv + [_free2_element_json(_kesten_terms(math.ldexp(1.0, k)))])
+    assert code == EXIT_OK, err
+    got = json.loads(out)["bracket"]
+    assert got["lower"] == math.ldexp(base["lower"], k)
+    assert got["upper"] == math.ldexp(base["upper"], k)
+    assert (got["iterations"], got["achieved_tol"]) == (base["iterations"], base["achieved_tol"])
+
+
+@pytest.mark.parametrize("c", [1e-170, 1e-140, 1e153])
+def test_norm_extreme_magnitudes_give_sound_brackets(capsys, c):
+    terms = _kesten_terms(c)
+    code, out, err = run(capsys, ["norm", "--radius", "4", "--element-json", _free2_element_json(terms)])
+    assert code == EXIT_OK, err
+    bracket = json.loads(out)["bracket"]
+    assert 3.0 * c <= bracket["lower"] <= 2.0 * math.sqrt(3.0) * c <= bracket["upper"]
+
+
 def test_norm_unsound_constants_exit_math_fail(capsys, monkeypatch):
     monkeypatch.setattr(rdmap.cli, "builtin_rd_params", lambda g: RdParams(C=0.01, s=2.0))
     code, out, err = run(capsys, ["norm", "--element-json", KESTEN_JSON, "--radius", "4"])

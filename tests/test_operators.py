@@ -1,13 +1,21 @@
 """Ring arithmetic and norm brackets against dense-eigensolver oracles."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import rdmap.operators
 from rdmap.groups import CyclicGroup, FreeAbelianGroup, FreeGroup, GroupMismatchError
 from rdmap.operators import (
     BRACKET_ROUNDING_SLACK,
+    DEFAULT_MAX_ITERS,
+    DEFAULT_POWER_TOL,
+    RITZ_BLOCK,
     CompressionMatrix,
     GroupRingElement,
     NormBracket,
@@ -27,6 +35,8 @@ from rdmap.operators import (
     zero_element,
     _clamp_crossing,
     _free_abelian_constant,
+    _power_iteration,
+    _ritz_vector,
 )
 
 F2 = FreeGroup(2)
@@ -376,3 +386,222 @@ def test_random_element_reproducible():
     assert a.terms == b.terms
     assert not a.is_zero()
     assert all(F2.length(x) <= 3 for x in a.support)
+
+
+# ---------------------------------------------------------------------------
+# the Ritz-restarted solver against exact oracles
+
+EPS = sys.float_info.epsilon
+SOLVER_SETTINGS = settings(max_examples=60, deadline=None)
+
+
+def fourier_moduli(f):
+    """Moduli of the Fourier transform of f on Z/m; the largest is its norm."""
+    vec = np.zeros(f.group.order, dtype=complex)
+    for x, c in f.terms.items():
+        vec[x] = c
+    return np.abs(np.fft.fft(vec))
+
+
+def cyclic_oracle(f):
+    return float(fourier_moduli(f).max())
+
+
+def solve(M, max_iters=DEFAULT_MAX_ITERS, tol=DEFAULT_POWER_TOL):
+    return _power_iteration(sp.csr_matrix(np.asarray(M, dtype=complex)), max_iters, tol)
+
+
+@st.composite
+def small_compressions(draw):
+    family = draw(st.sampled_from(["free", "abelian", "cyclic"]))
+    if family == "free":
+        group = FreeGroup(draw(st.integers(1, 2)))
+        word = st.text(alphabet=group.letters, max_size=3)
+    elif family == "abelian":
+        group = FreeAbelianGroup(draw(st.integers(1, 2)))
+        word = st.tuples(*[st.integers(-3, 3)] * group.rank)
+    else:
+        group = CyclicGroup(draw(st.integers(2, 12)))
+        word = st.integers(0, group.order - 1)
+    terms = draw(
+        st.dictionaries(
+            word.map(group.parse),
+            st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    return group, draw(st.integers(0, 3)), GroupRingElement(group, terms)
+
+
+@SOLVER_SETTINGS
+@given(small_compressions())
+def test_solver_never_exceeds_dense_svd(case):
+    group, radius, f = case
+    comp = compression_matrix(group, f, radius)
+    exact = top_singular_value(comp.entries.toarray()) if comp.entries.nnz else 0.0
+    value, iters, _ = _power_iteration(comp.entries, DEFAULT_MAX_ITERS, DEFAULT_POWER_TOL)
+    assert value <= exact * (1 + 8 * EPS)
+    assert 0 <= iters <= DEFAULT_MAX_ITERS
+    assert opnorm_lower(group, f, radius) <= max(exact, l2_norm(f)) * (1 + 8 * EPS)
+
+
+@st.composite
+def covered_cyclic_elements(draw):
+    group = CyclicGroup(draw(st.integers(2, 64)))
+    terms = draw(
+        st.dictionaries(
+            st.integers(0, group.order - 1),
+            st.complex_numbers(min_magnitude=0.1, max_magnitude=10.0),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    return GroupRingElement(group, terms)
+
+
+@SOLVER_SETTINGS
+@given(covered_cyclic_elements())
+def test_covering_ball_reaches_the_fourier_norm(f):
+    # a ball of radius order // 2 is the whole group, so its compression is
+    # the full circulant and its top singular value the exact norm
+    moduli = fourier_moduli(f)
+    exact = float(moduli.max())
+    lower = opnorm_lower(f.group, f, f.group.order // 2, tol=1e-13)
+    assert lower <= exact * (1 + 8 * EPS)
+    # the rate of convergence follows the relative gap below the top
+    # singular value (equal moduli form one eigenspace), and the tolerance
+    # bounds the change between steps, not the distance to the norm; with
+    # a gap of 1e-3 and a change below 1e-13 the run must be within 1e-9
+    below = moduli[moduli < exact * (1 - 1e-12)]
+    assume(below.size == 0 or (exact - below.max()) / exact >= 1e-3)
+    assert lower == pytest.approx(exact, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "m", sorted({1, 2, 3, RITZ_BLOCK - 1, RITZ_BLOCK, RITZ_BLOCK + 1, 2 * RITZ_BLOCK + 1})
+)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_solver_sizes_around_the_block(m, seed):
+    rng = np.random.default_rng(seed)
+    M = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+    exact = top_singular_value(M)
+    value, iters, rel = solve(M)
+    assert value <= exact * (1 + 8 * EPS)
+    assert value == pytest.approx(exact, rel=1e-9)
+    assert rel <= DEFAULT_POWER_TOL and iters < DEFAULT_MAX_ITERS
+
+
+@pytest.mark.parametrize("order", [2, 3, RITZ_BLOCK - 1, RITZ_BLOCK])
+def test_small_cyclic_groups_match_fourier(order):
+    # at most RITZ_BLOCK distinct eigenvalues: the first restart lands on
+    # the top eigenvector up to rounding
+    group = CyclicGroup(order)
+    f = GroupRingElement(group, {1: 1.0, 0: 0.5j})
+    lower = opnorm_lower(group, f, order // 2)
+    assert lower <= cyclic_oracle(f) * (1 + 8 * EPS)
+    assert lower == pytest.approx(cyclic_oracle(f), rel=1e-12)
+
+
+def test_every_start_is_an_eigenvector():
+    # B = A^H A is the identity for a unitary A, so every iterate is an
+    # eigenvector and each Ritz block has a rank-1 Gram matrix; a negative
+    # tolerance never stops, so the run passes through two restarts
+    perm = np.roll(np.eye(6), 1, axis=0) * 1j
+    value, iters, rel = solve(perm, max_iters=2 * RITZ_BLOCK + 1, tol=-1.0)
+    assert value == pytest.approx(1.0, abs=4 * EPS)
+    assert iters == 2 * RITZ_BLOCK + 1
+    assert rel <= 4 * EPS
+
+
+def test_ritz_vector_of_a_rank_one_block():
+    v = np.array([1.0, 1j, -1.0]) / math.sqrt(3.0)
+    iterates = np.tile(v, (RITZ_BLOCK + 1, 1))
+    y = _ritz_vector(iterates, np.full(RITZ_BLOCK, 4.0))
+    assert np.linalg.norm(y) == pytest.approx(1.0, abs=4 * EPS)
+    assert abs(np.vdot(v, y)) == pytest.approx(1.0, abs=4 * EPS)
+
+
+def test_ritz_vector_maximizes_the_rayleigh_quotient():
+    rng = np.random.default_rng(5)
+    B = np.diag([9.0, 4.0, 1.0, 0.5, 0.25, 0.1])
+    v = rng.normal(size=6) + 1j * rng.normal(size=6)
+    iterates = np.empty((RITZ_BLOCK + 1, 6), dtype=complex)
+    gains = np.empty(RITZ_BLOCK)
+    iterates[0] = v / np.linalg.norm(v)
+    for j in range(RITZ_BLOCK):
+        u = B @ iterates[j]
+        gains[j] = np.linalg.norm(u)
+        iterates[j + 1] = u / gains[j]
+    y = _ritz_vector(iterates, gains)
+    # the Ritz value of the span beats every iterate in it and sits at the
+    # top eigenvalue up to rounding
+    ritz = float(np.vdot(y, B @ y).real)
+    assert ritz > max(float(np.vdot(x, B @ x).real) for x in iterates[:RITZ_BLOCK])
+    assert ritz == pytest.approx(9.0, rel=1e-9) and ritz <= 9.0 * (1 + 8 * EPS)
+
+
+def test_capped_run_returns_best_value_seen(monkeypatch):
+    M = np.diag([2.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+    reached, iters, _ = solve(M, max_iters=RITZ_BLOCK, tol=0.0)
+    assert iters == RITZ_BLOCK and 1.0 < reached < 2.0
+    # a restart onto the bottom of the spectrum makes the last value the
+    # smallest; the capped run still reports the best one before it
+    bottom = np.eye(6, dtype=complex)[5]
+    monkeypatch.setattr(rdmap.operators, "_ritz_vector", lambda it, g: bottom)
+    value, iters, rel = solve(M, max_iters=RITZ_BLOCK + 1, tol=0.0)
+    assert (value, iters) == (reached, RITZ_BLOCK + 1)
+    assert rel == pytest.approx(reached - 1.0)
+
+
+def test_capped_values_grow_with_the_cap():
+    rng = np.random.default_rng(9)
+    M = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+    values = [solve(M, max_iters=n, tol=0.0)[0] for n in range(1, 3 * RITZ_BLOCK + 2)]
+    assert values == sorted(values)
+    assert values[-1] <= top_singular_value(M) * (1 + 8 * EPS)
+
+
+# ---------------------------------------------------------------------------
+# exact power-of-two rescaling
+
+
+@pytest.mark.parametrize("k", [-560, -470, 510])
+def test_bracket_scales_by_powers_of_two_exactly(k):
+    rd = builtin_rd_params(F2)
+    base = opnorm_bracket(F2, KESTEN, rd, 4)
+    scaled = opnorm_bracket(F2, KESTEN.scale(math.ldexp(1.0, k)), rd, 4)
+    assert scaled.lower == math.ldexp(base.lower, k)
+    assert scaled.upper == math.ldexp(base.upper, k)
+    assert (scaled.iterations, scaled.achieved_tol) == (base.iterations, base.achieved_tol)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.dictionaries(
+        st.text(alphabet="aAbB", max_size=3),
+        st.tuples(st.integers(-40, 40), st.integers(-40, 40)),
+        min_size=1,
+        max_size=5,
+    ),
+    st.integers(-600, 600),
+)
+def test_norms_scale_by_powers_of_two_exactly(raw, k):
+    f = GroupRingElement(F2, {w: complex(a, b) / 4 for w, (a, b) in raw.items()})
+    assume(not f.is_zero())
+    g = f.scale(math.ldexp(1.0, k))
+    assert l2_norm(g) == math.ldexp(l2_norm(f), k)
+    assert l1_norm(g) == math.ldexp(l1_norm(f), k)
+    assert sobolev_norm(F2, g, 2.0) == math.ldexp(sobolev_norm(F2, f, 2.0), k)
+    assert opnorm_lower(F2, g, 3) == math.ldexp(opnorm_lower(F2, f, 3), k)
+
+
+@pytest.mark.parametrize("c", [1e-170, 1e-140, 1e153])
+def test_extreme_magnitudes_keep_a_sound_bracket(c):
+    # squares of these coefficients underflow or overflow without rescaling
+    rd = builtin_rd_params(F2)
+    base = opnorm_bracket(F2, KESTEN, rd, 4)
+    bracket = opnorm_bracket(F2, KESTEN.scale(c), rd, 4)
+    assert bracket.lower <= 2.0 * math.sqrt(3.0) * c <= bracket.upper
+    assert bracket.lower == pytest.approx(base.lower * c, rel=1e-12)
+    assert bracket.upper == pytest.approx(4.0 * c, rel=4 * EPS)
