@@ -15,16 +15,15 @@ import math
 from rdmap import (
     FreeGroup,
     GroupRingElement,
+    HeatMultiplier,
     apply,
     builtin_rd_params,
     certified_scale,
     delta,
-    heat_multiplier,
     lemma_norm_bound,
     map_defect,
     scaled_multiplier,
     tail_bound,
-    truncated_heat_multiplier,
 )
 
 F2 = FreeGroup(2)
@@ -32,14 +31,14 @@ rd = builtin_rd_params(F2)
 
 # Pointwise action: each coefficient shrinks by exp(-r * length).
 f = GroupRingElement(F2, {"a": 1.0, "ab": 1.0})
-heated = apply(heat_multiplier(F2, 1.0), f)
+heated = apply(HeatMultiplier(F2, 1.0), f)
 print("heat(1) on a + ab:", {k: round(v.real, 6) for k, v in heated.terms.items()})
 
 # The multiplier norm bound C * K from the decay certificate.
-bound = lemma_norm_bound(heat_multiplier(F2, 1.0), rd)
+bound = lemma_norm_bound(HeatMultiplier(F2, 1.0), rd)
 print("lemma bound for heat(1):", bound.upper, " rank bound:", bound.rank_bound)
 
-trunc = lemma_norm_bound(truncated_heat_multiplier(F2, 1.0, 5), rd)
+trunc = lemma_norm_bound(HeatMultiplier(F2, 1.0, n=5), rd)
 print("truncated at n=5: same K, finite rank:", trunc.rank_bound)
 
 # Tail bounds decay fast once n passes the envelope peak s/r - 1.

@@ -4,17 +4,20 @@ Subcommands: check-cn, check-pd, norm, rd-sample, map-converge.
 Exit codes: 0 success/pass, 1 usage error (including non-finite or
 overflowing input), 2 mathematical failure (report includes the certificate,
 or an unsound bound was detected), 3 resource cap exceeded.
+
+Flag values are range-checked once, by the argparse ``type=`` callables;
+each ``cmd_*`` handler reads its own parsed namespace.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
-from .groups import DEFAULT_BALL_CAP, BallCapError, Group
+from .groups import DEFAULT_BALL_CAP, BallCapError
 from .harness import (
     DEFAULT_R_VALUES,
     GridSchedule,
@@ -24,9 +27,8 @@ from .harness import (
     run_grid,
     select_epsilon,
 )
-from .kernels import KernelMatrix, cn_check_matrix, length_kernel, psd_check, schoenberg_kernel
+from .kernels import cn_check_matrix, length_kernel, psd_check, schoenberg_kernel
 from .operators import (
-    GroupRingElement,
     RdParams,
     UnsoundBoundError,
     builtin_rd_params,
@@ -59,26 +61,38 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass
-class RunConfig:
-    """Everything a subcommand needs, resolved from flags and input files."""
+def _number(kind, sign: str):
+    """argparse type: a finite ``kind`` value that is "positive" or "nonnegative".
 
-    command: str
-    group: Optional[Group] = None
-    radius: Optional[int] = None
-    r_values: tuple = ()
-    element: Optional[GroupRingElement] = None
-    kernel: Optional[KernelMatrix] = None
-    epsilon: Optional[float] = None
-    count: int = 0
-    seed: int = 0
-    tol: float = 1e-8
-    power_tol: float = 1e-10
-    max_iters: int = 10_000
-    rd_override: Optional[RdParams] = None
-    fmt: str = "json"
-    out: Optional[str] = None
-    ball_cap: int = DEFAULT_BALL_CAP
+    Raising ArgumentTypeError keeps the message; argparse prefixes it with
+    the flag's name.
+    """
+
+    def convert(text: str):
+        try:
+            value = kind(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        if kind is float and not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+        if value < 0 or (sign == "positive" and value == 0):
+            raise argparse.ArgumentTypeError(f"must be {sign}, got {text!r}")
+        return value
+
+    return convert
+
+
+def _group(text: str):
+    try:
+        return parse_group_text(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+POSITIVE_INT = _number(int, "positive")
+NONNEGATIVE_INT = _number(int, "nonnegative")
+POSITIVE_FLOAT = _number(float, "positive")
+NONNEGATIVE_FLOAT = _number(float, "nonnegative")
 
 
 def _load_json_source(path: Optional[str], inline: Optional[str], what: str):
@@ -102,102 +116,96 @@ def _emit(text: str, out: Optional[str]) -> None:
 # subcommand implementations
 
 
-def cmd_check_cn(config: RunConfig):
-    if config.kernel is not None:
-        kernel = config.kernel
+def cmd_check_cn(args: argparse.Namespace):
+    if args.kernel is not None or args.kernel_json is not None:
+        kernel = kernel_from_json(_load_json_source(args.kernel, args.kernel_json, "kernel"))
         context = {"source": "imported", "size": kernel.size}
     else:
-        if config.group is None or config.radius is None:
+        if args.group is None or args.radius is None:
             raise UsageError("check-cn needs --group and --radius, or a kernel")
-        points = config.group.ball(config.radius, cap=config.ball_cap)
-        kernel = length_kernel(config.group, points)
+        points = args.group.ball(args.radius, cap=args.ball_cap)
+        kernel = length_kernel(args.group, points)
         context = {
             "source": "length",
-            "group": group_to_json(config.group),
-            "radius": config.radius,
+            "group": group_to_json(args.group),
+            "radius": args.radius,
             "size": kernel.size,
         }
-    verdict = cn_check_matrix(kernel.entries, tol=config.tol)
+    verdict = cn_check_matrix(kernel.entries, tol=args.tol)
     payload = dict(context)
-    payload["tol"] = config.tol
+    payload["tol"] = args.tol
     payload["verdict"] = cn_verdict_to_json(verdict)
     code = EXIT_OK if verdict.passed else EXIT_MATH_FAIL
     return code, canonical_json(payload)
 
 
-def cmd_check_pd(config: RunConfig):
-    if config.group is None or config.radius is None:
-        raise UsageError("check-pd needs --group and --radius")
-    if not config.r_values:
-        raise UsageError("check-pd needs at least one --r value")
-    if any(r <= 0 for r in config.r_values):
-        raise UsageError("heat parameters r must be positive")
-    points = config.group.ball(config.radius, cap=config.ball_cap)
+def cmd_check_pd(args: argparse.Namespace):
+    points = args.group.ball(args.radius, cap=args.ball_cap)
     results = []
     all_passed = True
-    for r in config.r_values:
-        kernel = schoenberg_kernel(config.group, points, r)
-        verdict = psd_check(kernel, tol=config.tol)
+    for r in args.r or (0.05, 0.5, 2.0):
+        kernel = schoenberg_kernel(args.group, points, r)
+        verdict = psd_check(kernel, tol=args.tol)
         all_passed = all_passed and verdict.passed
         entry = {"r": r}
         entry.update(psd_verdict_to_json(verdict))
         results.append(entry)
     payload = {
-        "group": group_to_json(config.group),
-        "radius": config.radius,
-        "tol": config.tol,
+        "group": group_to_json(args.group),
+        "radius": args.radius,
+        "tol": args.tol,
         "passed": all_passed,
         "results": results,
     }
     return (EXIT_OK if all_passed else EXIT_MATH_FAIL), canonical_json(payload)
 
 
-def cmd_norm(config: RunConfig):
-    if config.element is None:
-        raise UsageError("norm needs an element")
-    f = config.element
+def _element(args: argparse.Namespace):
+    return ring_from_json(_load_json_source(args.element, args.element_json, "element"))
+
+
+def cmd_norm(args: argparse.Namespace):
+    f = _element(args)
     g = f.group
-    rd = config.rd_override or builtin_rd_params(g)
-    radius = 6 if config.radius is None else config.radius
+    rd = builtin_rd_params(g)
     bracket = opnorm_bracket(
         g,
         f,
         rd,
-        radius,
-        max_iters=config.max_iters,
-        tol=config.power_tol,
-        cap=config.ball_cap,
-        seed=config.seed,
+        args.radius,
+        max_iters=args.max_iters,
+        tol=args.tol,
+        cap=args.ball_cap,
+        seed=args.seed,
     )
     payload = {
         "group": group_to_json(g),
         "rd": {"C": rd.C, "s": rd.s},
-        "seed": config.seed,
+        "seed": args.seed,
         "bracket": bracket_to_json(bracket),
     }
     return EXIT_OK, canonical_json(payload)
 
 
-def cmd_rd_sample(config: RunConfig):
-    if config.group is None:
-        raise UsageError("rd-sample needs --group")
-    if config.count <= 0:
-        raise UsageError("sample count must be positive")
-    rd = config.rd_override or builtin_rd_params(config.group)
-    radius = 4 if config.radius is None else config.radius
+def cmd_rd_sample(args: argparse.Namespace):
+    builtin = builtin_rd_params(args.group)
+    rd = RdParams(
+        C=builtin.C if args.C is None else args.C,
+        s=builtin.s if args.s is None else args.s,
+    )
     report = rd_sample_report(
-        config.group,
+        args.group,
         rd,
-        count=config.count,
-        seed=config.seed,
-        radius=radius,
-        cap=config.ball_cap,
+        count=args.count,
+        seed=args.seed,
+        radius=args.radius,
+        cap=args.ball_cap,
     )
     payload = {
-        "group": group_to_json(config.group),
+        "group": group_to_json(args.group),
         "rd": {"C": rd.C, "s": rd.s},
         "count": report.count,
-        "seed": config.seed,
+        "seed": args.seed,
         "passed": report.passed,
         "worst_ratio": report.worst_ratio,
     }
@@ -206,27 +214,21 @@ def cmd_rd_sample(config: RunConfig):
     return (EXIT_OK if report.passed else EXIT_MATH_FAIL), canonical_json(payload)
 
 
-def cmd_map_converge(config: RunConfig):
-    if config.element is None:
-        raise UsageError("map-converge needs an element")
-    if config.epsilon is None or config.epsilon < 0:
-        raise UsageError("map-converge needs a nonnegative --epsilon")
-    f = config.element
+def cmd_map_converge(args: argparse.Namespace):
+    f = _element(args)
     g = f.group
-    rd = config.rd_override or builtin_rd_params(g)
-    schedule = GridSchedule(r_values=config.r_values or DEFAULT_R_VALUES, rd=rd)
-    rows = run_grid(
-        g, f, schedule, radius=config.radius, cap=config.ball_cap, seed=config.seed
-    )
-    selected = select_epsilon(rows, config.epsilon)
+    rd = builtin_rd_params(g)
+    schedule = GridSchedule(r_values=tuple(args.r or DEFAULT_R_VALUES), rd=rd)
+    rows = run_grid(g, f, schedule, radius=args.radius, cap=args.ball_cap, seed=args.seed)
+    selected = select_epsilon(rows, args.epsilon)
     code = EXIT_OK if selected is not None else EXIT_MATH_FAIL
-    if config.fmt == "csv":
+    if args.format == "csv":
         return code, rows_to_csv(rows)
     payload = {
         "group": group_to_json(g),
         "rd": {"C": rd.C, "s": rd.s},
-        "epsilon": config.epsilon,
-        "seed": config.seed,
+        "epsilon": args.epsilon,
+        "seed": args.seed,
         "rows": json.loads(rows_to_json(rows)),
         "selected": None
         if selected is None
@@ -240,15 +242,6 @@ def cmd_map_converge(config: RunConfig):
     return code, canonical_json(payload)
 
 
-HANDLERS = {
-    "check-cn": cmd_check_cn,
-    "check-pd": cmd_check_pd,
-    "norm": cmd_norm,
-    "rd-sample": cmd_rd_sample,
-    "map-converge": cmd_map_converge,
-}
-
-
 # ---------------------------------------------------------------------------
 # argument parsing
 
@@ -260,121 +253,63 @@ def _build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed_required=False):
-        p.add_argument("--seed", type=int, required=seed_required, default=0)
-        p.add_argument("--ball-cap", type=int, default=DEFAULT_BALL_CAP)
-        p.add_argument("--out", type=str, default=None)
-
     cn = sub.add_parser("check-cn", help="conditional negativity of a kernel")
-    cn.add_argument("--group", type=str, default=None)
-    cn.add_argument("--radius", type=int, default=None)
+    cn.add_argument("--group", type=_group, default=None)
+    cn.add_argument("--radius", type=NONNEGATIVE_INT, default=None)
     cn.add_argument("--kernel", type=str, default=None)
     cn.add_argument("--kernel-json", type=str, default=None)
-    cn.add_argument("--tol", type=float, default=1e-8)
-    common(cn)
+    cn.add_argument("--tol", type=POSITIVE_FLOAT, default=1e-8)
 
     pd = sub.add_parser("check-pd", help="positive definiteness of heat kernels")
-    pd.add_argument("--group", type=str, required=True)
-    pd.add_argument("--radius", type=int, required=True)
-    pd.add_argument("--r", type=float, action="append", default=None)
-    pd.add_argument("--tol", type=float, default=1e-8)
-    common(pd)
+    pd.add_argument("--group", type=_group, required=True)
+    pd.add_argument("--radius", type=NONNEGATIVE_INT, required=True)
+    pd.add_argument("--r", type=POSITIVE_FLOAT, action="append", default=None)
+    pd.add_argument("--tol", type=POSITIVE_FLOAT, default=1e-8)
 
     norm = sub.add_parser("norm", help="certified operator-norm bracket")
     norm.add_argument("--element", type=str, default=None)
     norm.add_argument("--element-json", type=str, default=None)
-    norm.add_argument("--radius", type=int, default=None)
-    norm.add_argument("--max-iters", type=int, default=10_000)
-    norm.add_argument("--tol", type=float, default=1e-10)
-    common(norm)
+    norm.add_argument("--radius", type=NONNEGATIVE_INT, default=6)
+    norm.add_argument("--max-iters", type=POSITIVE_INT, default=10_000)
+    norm.add_argument("--tol", type=POSITIVE_FLOAT, default=1e-10)
 
     rs = sub.add_parser("rd-sample", help="random soundness sweep of the decay bound")
-    rs.add_argument("--group", type=str, required=True)
-    rs.add_argument("--count", type=int, default=200)
-    rs.add_argument("--radius", type=int, default=None)
-    rs.add_argument("--C", type=float, default=None)
-    rs.add_argument("--s", type=float, default=None)
-    common(rs, seed_required=True)
+    rs.add_argument("--group", type=_group, required=True)
+    rs.add_argument("--count", type=POSITIVE_INT, default=200)
+    rs.add_argument("--radius", type=NONNEGATIVE_INT, default=4)
+    rs.add_argument("--C", type=POSITIVE_FLOAT, default=None)
+    rs.add_argument("--s", type=POSITIVE_FLOAT, default=None)
 
     mc = sub.add_parser("map-converge", help="sweep the identity-approximation grid")
     mc.add_argument("--element", type=str, default=None)
     mc.add_argument("--element-json", type=str, default=None)
-    mc.add_argument("--epsilon", type=float, required=True)
-    mc.add_argument("--r", type=float, action="append", default=None)
-    mc.add_argument("--radius", type=int, default=None)
+    mc.add_argument("--epsilon", type=NONNEGATIVE_FLOAT, required=True)
+    mc.add_argument("--r", type=POSITIVE_FLOAT, action="append", default=None)
+    mc.add_argument("--radius", type=NONNEGATIVE_INT, default=None)
     mc.add_argument("--format", type=str, choices=("json", "csv"), default="json")
-    common(mc)
+
+    handlers = (
+        (cn, cmd_check_cn),
+        (pd, cmd_check_pd),
+        (norm, cmd_norm),
+        (rs, cmd_rd_sample),
+        (mc, cmd_map_converge),
+    )
+    for p, handler in handlers:
+        p.set_defaults(handler=handler)
+        p.add_argument("--seed", type=int, required=p is rs, default=0)
+        p.add_argument("--ball-cap", type=POSITIVE_INT, default=DEFAULT_BALL_CAP)
+        p.add_argument("--out", type=str, default=None)
 
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(command=args.command)
-    config.seed = getattr(args, "seed", 0)
-    config.ball_cap = args.ball_cap
-    config.out = args.out
-    if config.ball_cap <= 0:
-        raise UsageError("--ball-cap must be positive")
-
-    if getattr(args, "group", None) is not None:
-        config.group = parse_group_text(args.group)
-    config.radius = getattr(args, "radius", None)
-    if config.radius is not None and config.radius < 0:
-        raise UsageError("--radius must be nonnegative")
-
-    if args.command in ("norm", "map-converge"):
-        payload = _load_json_source(args.element, args.element_json, "element")
-        config.element = ring_from_json(payload)
-    if args.command == "check-cn" and (
-        args.kernel is not None or args.kernel_json is not None
-    ):
-        payload = _load_json_source(args.kernel, args.kernel_json, "kernel")
-        config.kernel = kernel_from_json(payload)
-
-    if hasattr(args, "tol"):
-        if args.tol <= 0:
-            raise UsageError("--tol must be positive")
-        if args.command == "norm":
-            config.power_tol = args.tol
-        else:
-            config.tol = args.tol
-    if hasattr(args, "max_iters"):
-        if args.max_iters <= 0:
-            raise UsageError("--max-iters must be positive")
-        config.max_iters = args.max_iters
-    if hasattr(args, "r"):
-        if args.r is not None:
-            config.r_values = tuple(args.r)
-        elif args.command == "check-pd":
-            config.r_values = (0.05, 0.5, 2.0)
-    if hasattr(args, "epsilon"):
-        config.epsilon = args.epsilon
-    if hasattr(args, "count"):
-        config.count = args.count
-    if hasattr(args, "format"):
-        config.fmt = args.format
-
-    C_override = getattr(args, "C", None)
-    s_override = getattr(args, "s", None)
-    if (C_override is None) != (s_override is None):
-        base = builtin_rd_params(config.group) if config.group else None
-        C_override = C_override if C_override is not None else (base.C if base else None)
-        s_override = s_override if s_override is not None else (base.s if base else None)
-    if C_override is not None and s_override is not None:
-        try:
-            config.rd_override = RdParams(C=C_override, s=s_override)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-    return config
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        config = _config_from_args(args)
-        code, text = HANDLERS[config.command](config)
-        _emit(text, config.out)
+        code, text = args.handler(args)
+        _emit(text, args.out)
         return code
     except BallCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)

@@ -195,7 +195,6 @@ class DecayCertificate:
     r: float
     s: float
     K: float
-    integer_lengths: bool = False
 
     @property
     def peak(self) -> float:
@@ -214,10 +213,10 @@ class DecayCertificate:
         return self.K
 
 
-def decay_certificate(r: float, s: float, integer_lengths: bool = False) -> DecayCertificate:
+def decay_certificate(r: float, s: float) -> DecayCertificate:
     """Decay certificate for the weight ``exp(-r x)(1 + x)^s``, r, s > 0."""
     if r <= 0 or s <= 0:
         raise ValueError(f"r and s must be positive, got r={r}, s={s}")
     xstar = s / r - 1.0
     peak_value = math.exp(-r * xstar) * (1.0 + xstar) ** s if xstar > 0 else 1.0
-    return DecayCertificate(r=r, s=s, K=peak_value, integer_lengths=integer_lengths)
+    return DecayCertificate(r=r, s=s, K=peak_value)

@@ -28,104 +28,67 @@ from .operators import (
     opnorm_bracket,
 )
 
-MULTIPLIER_KINDS = ("table", "heat", "truncated-heat", "scaled")
-
-
 @dataclass(frozen=True)
-class Multiplier:
-    """Tagged union of the four multiplier kinds.
+class HeatMultiplier:
+    """The heat multiplier exp(-r * length), r > 0.
 
-    table: finite support map, explicit values, zero elsewhere.
-    heat: exp(-r * length), r > 0.
-    truncated-heat: the heat value where length <= n, zero beyond.
-    scaled: an inner multiplier divided by a scale U >= 1.
+    With n set it is cut to the ball of radius n (zero beyond), a
+    finite-rank operator.  With U set it is divided by U >= 1; U must be a
+    certified bound for the norm of the undivided operator (see
+    certified_scale), and only then is the result a certified contraction.
     """
 
     group: Group
-    kind: str
-    r: Optional[float] = None
+    r: float
     n: Optional[int] = None
-    table: Optional[dict] = None
-    inner: Optional["Multiplier"] = None
     U: Optional[float] = None
-    decay: Optional[DecayCertificate] = None
 
     def __post_init__(self):
-        if self.kind not in MULTIPLIER_KINDS:
-            raise ValueError(f"unknown multiplier kind {self.kind!r}")
-        if self.kind in ("heat", "truncated-heat"):
-            if self.r is None or not self.r > 0:
-                raise ValueError("heat multipliers require a rate r > 0")
-        if self.kind == "truncated-heat":
-            if self.n is None or self.n < 0:
-                raise ValueError("truncation radius n must be a nonnegative integer")
-        if self.kind == "table":
-            if self.table is None:
-                raise ValueError("table multipliers require a support map")
-            clean = {}
-            for elem, value in self.table.items():
-                key = self.group.parse(self.group.encode(elem))
-                v = complex(value)
-                if v != 0:
-                    clean[key] = v
-            ordered = {k: clean[k] for k in sorted(clean, key=self.group.sort_key)}
-            object.__setattr__(self, "table", ordered)
-        if self.kind == "scaled":
-            if self.inner is None:
-                raise ValueError("scaled multipliers wrap an inner multiplier")
-            if self.inner.group != self.group:
-                raise GroupMismatchError("inner multiplier lives on a different group")
-            if self.U is None or not self.U >= 1.0:
-                raise ValueError("scale U must satisfy U >= 1")
+        if not self.r > 0:
+            raise ValueError("heat multipliers require a rate r > 0")
+        if self.n is not None and self.n < 0:
+            raise ValueError("truncation radius n must be a nonnegative integer")
+        if self.U is not None and not self.U >= 1.0:
+            raise ValueError("scale U must satisfy U >= 1")
 
     def eval(self, elem):
         """Pointwise value at a group element."""
-        x = self.group.parse(self.group.encode(elem))
-        if self.kind == "heat":
-            return math.exp(-self.r * self.group.length(x))
-        if self.kind == "truncated-heat":
-            length = self.group.length(x)
-            if length > self.n:
-                return 0.0
-            return math.exp(-self.r * length)
-        if self.kind == "table":
-            return self.table.get(x, 0j)
-        return self.inner.eval(x) / self.U
-
-    @property
-    def has_finite_support(self) -> bool:
-        if self.kind == "table":
-            return True
-        if self.kind == "truncated-heat":
-            return True
-        if self.kind == "scaled":
-            return self.inner.has_finite_support
-        return False
-
-    def support_size_bound(self) -> Optional[int]:
-        """Number of points where the multiplier can be nonzero, if finite."""
-        if self.kind == "table":
-            return len(self.table)
-        if self.kind == "truncated-heat":
-            return self.group.ball_size(self.n)
-        if self.kind == "scaled":
-            return self.inner.support_size_bound()
-        return None
+        length = self.group.length(self.group.parse(self.group.encode(elem)))
+        if self.n is not None and length > self.n:
+            return 0.0
+        value = math.exp(-self.r * length)
+        return value if self.U is None else value / self.U
 
 
-def heat_multiplier(g: Group, r: float) -> Multiplier:
-    return Multiplier(group=g, kind="heat", r=r)
+@dataclass(frozen=True)
+class TableMultiplier:
+    """Finitely supported multiplier: explicit values, zero elsewhere."""
+
+    group: Group
+    table: dict
+
+    def __post_init__(self):
+        clean = {}
+        for elem, value in self.table.items():
+            key = self.group.parse(self.group.encode(elem))
+            v = complex(value)
+            if v != 0:
+                clean[key] = v
+        ordered = {k: clean[k] for k in sorted(clean, key=self.group.sort_key)}
+        object.__setattr__(self, "table", ordered)
+
+    def eval(self, elem):
+        """Pointwise value at a group element."""
+        return self.table.get(self.group.parse(self.group.encode(elem)), 0j)
 
 
-def truncated_heat_multiplier(g: Group, r: float, n: int) -> Multiplier:
-    return Multiplier(group=g, kind="truncated-heat", r=r, n=n)
+def table_multiplier(g: Group, table: dict) -> TableMultiplier:
+    return TableMultiplier(g, table)
 
 
-def table_multiplier(g: Group, table: dict) -> Multiplier:
-    return Multiplier(group=g, kind="table", table=table)
-
-
-def apply(phi: Multiplier, f: GroupRingElement) -> GroupRingElement:
+def apply(
+    phi: HeatMultiplier | TableMultiplier, f: GroupRingElement
+) -> GroupRingElement:
     """The multiplier action: coordinatewise product phi * f."""
     if f.group != phi.group:
         raise GroupMismatchError(
@@ -159,22 +122,17 @@ def _decay_sup(cert: DecayCertificate, n: Optional[int]) -> float:
     return cert.envelope(float(n))
 
 
-def lemma_norm_bound(phi: Multiplier, rd: RdParams) -> MultiplierNormBound:
+def lemma_norm_bound(
+    phi: HeatMultiplier | TableMultiplier, rd: RdParams
+) -> MultiplierNormBound:
     """Upper bound C * K with K = sup |phi| * (1 + length)^s.
 
-    For heat kinds K comes from the closed-form decay certificate; for
-    tables it is a finite maximum over the support.  A scaled multiplier
-    inherits the inner bound divided by U, capped at 1 since the scale is
-    itself a certified norm bound for the inner operator.
+    For heat multipliers K comes from the closed-form decay certificate,
+    over the ball of radius n when truncated; for tables it is a finite
+    maximum over the support.  A rescaled heat multiplier gets that bound
+    divided by U, capped at 1 since U is itself a certified norm bound.
     """
-    if phi.kind == "heat":
-        K = decay_certificate(phi.r, rd.s).K
-        return MultiplierNormBound(upper=rd.C * K, rank_bound=None)
-    if phi.kind == "truncated-heat":
-        cert = decay_certificate(phi.r, rd.s)
-        K = _decay_sup(cert, phi.n)
-        return MultiplierNormBound(upper=rd.C * K, rank_bound=phi.group.ball_size(phi.n))
-    if phi.kind == "table":
+    if isinstance(phi, TableMultiplier):
         K = max(
             (
                 abs(v) * (1.0 + phi.group.length(x)) ** rd.s
@@ -183,10 +141,11 @@ def lemma_norm_bound(phi: Multiplier, rd: RdParams) -> MultiplierNormBound:
             default=0.0,
         )
         return MultiplierNormBound(upper=rd.C * K, rank_bound=len(phi.table))
-    inner = lemma_norm_bound(phi.inner, rd)
-    return MultiplierNormBound(
-        upper=min(1.0, inner.upper / phi.U), rank_bound=inner.rank_bound
-    )
+    upper = rd.C * _decay_sup(decay_certificate(phi.r, rd.s), phi.n)
+    if phi.U is not None:
+        upper = min(1.0, upper / phi.U)
+    rank = None if phi.n is None else phi.group.ball_size(phi.n)
+    return MultiplierNormBound(upper=upper, rank_bound=rank)
 
 
 def tail_bound(r: float, s: float, n: int, C: float) -> float:
@@ -207,26 +166,18 @@ def certified_scale(r: float, s: float, n: int, C: float) -> float:
     return 1.0 + tail_bound(r, s, n, C)
 
 
-def scaled_multiplier(g: Group, r: float, s: float, n: int, C: float) -> Multiplier:
+def scaled_multiplier(g: Group, r: float, s: float, n: int, C: float) -> HeatMultiplier:
     """The truncated heat multiplier divided by its certified scale.
 
     A finite-rank contraction by construction: support is the ball of
     radius n, and every operator-norm bound is divided by U >= norm.
     """
-    U = certified_scale(r, s, n, C)
-    inner = truncated_heat_multiplier(g, r, n)
-    return Multiplier(
-        group=g,
-        kind="scaled",
-        r=r,
-        n=n,
-        inner=inner,
-        U=U,
-        decay=decay_certificate(r, s),
-    )
+    return HeatMultiplier(g, r, n, certified_scale(r, s, n, C))
 
 
-def pointwise_defect_bound(phi: Multiplier, f: GroupRingElement) -> float:
+def pointwise_defect_bound(
+    phi: HeatMultiplier | TableMultiplier, f: GroupRingElement
+) -> float:
     """Cheap defect bound sup over supp f of |phi - 1| times the l1 norm."""
     if f.is_zero():
         return 0.0
@@ -237,7 +188,7 @@ def pointwise_defect_bound(phi: Multiplier, f: GroupRingElement) -> float:
 def map_defect(
     g: Group,
     f: GroupRingElement,
-    phi: Multiplier,
+    phi: HeatMultiplier | TableMultiplier,
     rd: RdParams,
     radius: int,
     max_iters: int = 10_000,

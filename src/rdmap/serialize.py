@@ -1,4 +1,4 @@
-"""JSON codecs for groups, ring elements, kernels, multipliers, and brackets.
+"""JSON codecs for groups, ring elements, kernels, verdicts, and brackets.
 
 Canonical output is deterministic: keys sorted, two-space indent, shortest
 round-trip floats (Python's default float serialization), trailing newline.
@@ -14,13 +14,7 @@ import math
 import numpy as np
 
 from .groups import CyclicGroup, FreeAbelianGroup, FreeGroup, Group
-from .kernels import CnVerdict, KernelMatrix, PsdVerdict, decay_certificate
-from .multipliers import (
-    Multiplier,
-    heat_multiplier,
-    table_multiplier,
-    truncated_heat_multiplier,
-)
+from .kernels import CnVerdict, KernelMatrix, PsdVerdict
 from .operators import GroupRingElement, NormBracket, l1_norm, l2_norm
 
 
@@ -119,14 +113,6 @@ def ring_from_json(obj) -> GroupRingElement:
 # kernels and verdicts
 
 
-def kernel_to_json(kernel: KernelMatrix, group: Group = None) -> dict:
-    out = {"entries": [[float(v) for v in row] for row in kernel.entries]}
-    if kernel.points is not None and group is not None:
-        out["points"] = [group.encode(p) for p in kernel.points]
-        out["group"] = group_to_json(group)
-    return out
-
-
 def kernel_from_json(obj) -> KernelMatrix:
     if not isinstance(obj, dict) or "entries" not in obj:
         raise ValueError("kernel JSON needs an 'entries' field")
@@ -158,73 +144,3 @@ def bracket_to_json(bracket: NormBracket) -> dict:
         "iterations": bracket.iterations,
         "achieved_tol": bracket.achieved_tol,
     }
-
-
-# ---------------------------------------------------------------------------
-# multipliers
-
-
-def multiplier_to_json(phi: Multiplier) -> dict:
-    out = {"group": group_to_json(phi.group)}
-    if phi.kind == "heat":
-        out.update({"kind": "heat", "r": phi.r})
-    elif phi.kind == "truncated-heat":
-        out.update({"kind": "truncated", "r": phi.r, "n": phi.n})
-    elif phi.kind == "scaled":
-        if phi.inner.kind != "truncated-heat":
-            raise ValueError("only scaled truncated-heat multipliers serialize")
-        out.update(
-            {
-                "kind": "scaled",
-                "r": phi.inner.r,
-                "n": phi.inner.n,
-                "U": phi.U,
-                "s": phi.decay.s if phi.decay is not None else None,
-            }
-        )
-    else:
-        out.update(
-            {
-                "kind": "table",
-                "terms": [
-                    {"elem": phi.group.encode(x), "re": v.real, "im": v.imag}
-                    for x, v in phi.table.items()
-                ],
-            }
-        )
-    return out
-
-
-def multiplier_from_json(obj) -> Multiplier:
-    if not isinstance(obj, dict) or "kind" not in obj or "group" not in obj:
-        raise ValueError("multiplier JSON needs 'kind' and 'group' fields")
-    g = group_from_json(obj["group"])
-    kind = obj["kind"]
-    try:
-        if kind == "heat":
-            return heat_multiplier(g, float(obj["r"]))
-        if kind == "truncated":
-            return truncated_heat_multiplier(g, float(obj["r"]), int(obj["n"]))
-        if kind == "scaled":
-            inner = truncated_heat_multiplier(g, float(obj["r"]), int(obj["n"]))
-            s = obj.get("s")
-            return Multiplier(
-                group=g,
-                kind="scaled",
-                r=inner.r,
-                n=inner.n,
-                inner=inner,
-                U=float(obj["U"]),
-                decay=None if s is None else decay_certificate(inner.r, float(s)),
-            )
-        if kind == "table":
-            table = {
-                g.parse(item["elem"]): complex(
-                    float(item.get("re", 0.0)), float(item.get("im", 0.0))
-                )
-                for item in obj["terms"]
-            }
-            return table_multiplier(g, table)
-    except KeyError as exc:
-        raise ValueError(f"multiplier JSON missing field {exc}") from exc
-    raise ValueError(f"unknown multiplier kind {kind!r}")

@@ -7,7 +7,8 @@ import pytest
 
 import rdmap.cli
 from rdmap.cli import EXIT_MATH_FAIL, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main
-from rdmap.operators import RdParams
+from rdmap.groups import FreeAbelianGroup
+from rdmap.operators import RdParams, builtin_rd_params
 
 KESTEN_JSON = json.dumps(
     {
@@ -323,6 +324,65 @@ def test_map_converge_negative_epsilon(capsys):
 
 # ---------------------------------------------------------------------------
 # parser plumbing
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["norm", "--element-json", KESTEN_JSON, "--ball-cap", "0"],
+        ["norm", "--element-json", KESTEN_JSON, "--radius", "-1"],
+        ["norm", "--element-json", KESTEN_JSON, "--tol", "0"],
+        ["norm", "--element-json", KESTEN_JSON, "--max-iters", "0"],
+        ["check-cn", "--group", "free:2", "--radius", "-1"],
+        ["check-pd", "--group", "free:2", "--radius", "2", "--ball-cap", "0"],
+        ["rd-sample", "--group", "free:2", "--seed", "1", "--C", "-1"],
+        ["rd-sample", "--group", "free:2", "--seed", "1", "--s", "0"],
+    ],
+    ids=["ball-cap-0", "radius-neg", "tol-0", "max-iters-0", "cn-radius-neg",
+         "pd-ball-cap-0", "C-neg", "s-0"],
+)
+def test_out_of_range_flags_exit_usage(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "usage error" in err
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["norm", "--element-json", KESTEN_JSON, "--tol", "nan"], "--tol"),
+        (["check-cn", "--group", "free:2", "--radius", "2", "--tol", "nan"], "--tol"),
+        (["check-pd", "--group", "free:2", "--radius", "2", "--r", "nan"], "--r"),
+        (["check-pd", "--group", "free:2", "--radius", "2", "--r", "inf"], "--r"),
+        (["map-converge", "--element-json", KESTEN_JSON, "--epsilon", "nan"], "--epsilon"),
+        (["map-converge", "--element-json", KESTEN_JSON, "--epsilon", "0.3", "--r", "nan"], "--r"),
+        (["rd-sample", "--group", "free:2", "--seed", "1", "--C", "nan"], "--C"),
+        (["rd-sample", "--group", "free:2", "--seed", "1", "--s", "inf"], "--s"),
+    ],
+    ids=["norm-tol", "cn-tol", "pd-r-nan", "pd-r-inf", "mc-epsilon", "mc-r", "rd-C", "rd-s"],
+)
+def test_non_finite_float_flags_exit_usage(capsys, argv, flag):
+    code, out, err = run(capsys, argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert flag in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "group,flag,value,expected",
+    [
+        ("free:2", "--C", "2", {"C": 2.0, "s": 2.0}),
+        ("free-abelian:2", "--s", "3", {"C": builtin_rd_params(FreeAbelianGroup(2)).C, "s": 3.0}),
+    ],
+    ids=["C-alone", "s-alone"],
+)
+def test_rd_sample_single_override_keeps_builtin_other(capsys, group, flag, value, expected):
+    code, out, _ = run(
+        capsys, ["rd-sample", "--group", group, "--count", "3", "--seed", "7", flag, value]
+    )
+    assert code in (EXIT_OK, EXIT_MATH_FAIL)
+    assert json.loads(out)["rd"] == expected
 
 
 def test_unknown_subcommand(capsys):

@@ -8,18 +8,16 @@ import pytest
 from rdmap.groups import CyclicGroup, FreeAbelianGroup, FreeGroup, GroupMismatchError
 from rdmap.harness import default_schedule
 from rdmap.multipliers import (
-    Multiplier,
+    HeatMultiplier,
     MultiplierNormBound,
     apply,
     certified_scale,
-    heat_multiplier,
     lemma_norm_bound,
     map_defect,
     pointwise_defect_bound,
     scaled_multiplier,
     table_multiplier,
     tail_bound,
-    truncated_heat_multiplier,
 )
 from rdmap.operators import (
     GroupRingElement,
@@ -49,12 +47,12 @@ def grid_sup(r, s, lo, hi, n=1_000_001):
 
 
 def test_eval_examples():
-    heat = heat_multiplier(F2, 1.0)
+    heat = HeatMultiplier(F2, 1.0)
     assert heat.eval("") == 1.0
     assert heat.eval("aA") == 1.0
-    assert heat_multiplier(F2, 0.5).eval("ab") == pytest.approx(math.exp(-1.0))
+    assert HeatMultiplier(F2, 0.5).eval("ab") == pytest.approx(math.exp(-1.0))
 
-    trunc = truncated_heat_multiplier(F2, 1.0, 2)
+    trunc = HeatMultiplier(F2, 1.0, 2)
     assert trunc.eval("aba") == 0.0
     assert trunc.eval("ab") == pytest.approx(math.exp(-2.0))
 
@@ -64,24 +62,18 @@ def test_table_eval_and_normalization():
     assert phi.table == {"b": 2 + 0j}
     assert phi.eval("b") == 2 + 0j
     assert phi.eval("a") == 0j
-    assert phi.has_finite_support
-    assert phi.support_size_bound() == 1
 
 
 def test_multiplier_validation():
+    for r in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError):
+            HeatMultiplier(F2, r)
     with pytest.raises(ValueError):
-        Multiplier(group=F2, kind="exotic")
+        HeatMultiplier(F2, 1.0, -1)
     with pytest.raises(ValueError):
-        heat_multiplier(F2, 0.0)
+        HeatMultiplier(F2, 1.0, 2, 0.5)
     with pytest.raises(ValueError):
-        truncated_heat_multiplier(F2, 1.0, -1)
-    with pytest.raises(ValueError):
-        Multiplier(group=F2, kind="table")
-    inner = truncated_heat_multiplier(F2, 1.0, 2)
-    with pytest.raises(ValueError):
-        Multiplier(group=F2, kind="scaled", inner=inner, U=0.5)
-    with pytest.raises(GroupMismatchError):
-        Multiplier(group=FreeGroup(3), kind="scaled", inner=inner, U=1.5)
+        HeatMultiplier(F2, 1.0, U=math.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -97,22 +89,22 @@ def test_apply_examples():
     g = GroupRingElement(F2, {"": 2.5, "a": 1.0})
     assert apply(collapse, g).terms == {"": 2.5 + 0j}
 
-    heated = apply(heat_multiplier(F2, 1.0), f)
+    heated = apply(HeatMultiplier(F2, 1.0), f)
     assert heated.coeff("a") == pytest.approx(math.exp(-1.0))
     assert heated.coeff("ab") == pytest.approx(math.exp(-2.0))
 
 
 def test_apply_group_mismatch():
     with pytest.raises(GroupMismatchError):
-        apply(heat_multiplier(F2, 1.0), delta(FreeGroup(3), "a"))
+        apply(HeatMultiplier(F2, 1.0), delta(FreeGroup(3), "a"))
 
 
 @pytest.mark.parametrize("r1,r2", [(0.3, 0.7), (1.0, 1.0), (2.5, 0.01)])
 def test_heat_semigroup_law(r1, r2):
     rng = np.random.default_rng(8)
     f = random_element(F2, 3, rng)
-    twice = apply(heat_multiplier(F2, r1), apply(heat_multiplier(F2, r2), f))
-    once = apply(heat_multiplier(F2, r1 + r2), f)
+    twice = apply(HeatMultiplier(F2, r1), apply(HeatMultiplier(F2, r2), f))
+    once = apply(HeatMultiplier(F2, r1 + r2), f)
     assert set(twice.terms) == set(once.terms)
     for key in once.terms:
         assert twice.terms[key] == pytest.approx(once.terms[key], abs=1e-12)
@@ -121,10 +113,10 @@ def test_heat_semigroup_law(r1, r2):
 def test_truncation_consistency():
     rng = np.random.default_rng(9)
     f = random_element(F2, 3, rng)
-    full = apply(heat_multiplier(F2, 0.4), f)
-    cut = apply(truncated_heat_multiplier(F2, 0.4, 3), f)
+    full = apply(HeatMultiplier(F2, 0.4), f)
+    cut = apply(HeatMultiplier(F2, 0.4, 3), f)
     assert cut.terms == full.terms
-    shallow = apply(truncated_heat_multiplier(F2, 0.4, 1), f)
+    shallow = apply(HeatMultiplier(F2, 0.4, 1), f)
     assert all(F2.length(x) <= 1 for x in shallow.support)
 
 
@@ -133,7 +125,7 @@ def test_truncation_consistency():
 
 
 def test_lemma_bound_heat():
-    bound = lemma_norm_bound(heat_multiplier(F2, 1.0), RD)
+    bound = lemma_norm_bound(HeatMultiplier(F2, 1.0), RD)
     assert bound.upper == pytest.approx(RD.C * 4.0 / math.e, abs=1e-12)
     assert bound.upper == pytest.approx(1.8874, abs=5e-4)
     assert bound.rank_bound is None
@@ -152,12 +144,12 @@ def test_lemma_bound_table():
 
 
 def test_lemma_bound_truncated():
-    full = lemma_norm_bound(heat_multiplier(F2, 1.0), RD)
-    cut = lemma_norm_bound(truncated_heat_multiplier(F2, 1.0, 5), RD)
+    full = lemma_norm_bound(HeatMultiplier(F2, 1.0), RD)
+    cut = lemma_norm_bound(HeatMultiplier(F2, 1.0, 5), RD)
     assert cut.upper == full.upper
     assert cut.rank_bound == F2.ball_size(5) == 485
     # below the peak the sup sits at the cut itself
-    shallow = lemma_norm_bound(truncated_heat_multiplier(F2, 4.0, 0), RD)
+    shallow = lemma_norm_bound(HeatMultiplier(F2, 4.0, 0), RD)
     assert shallow.upper == pytest.approx(RD.C)
 
 
@@ -166,6 +158,18 @@ def test_lemma_bound_scaled_is_contraction():
     bound = lemma_norm_bound(rho, RD)
     assert bound.upper <= 1.0
     assert bound.rank_bound == 485
+
+
+def test_lemma_bound_when_certified_scale_is_exactly_one():
+    # on the default grid's r = 0.02 row the tail C*K_n (about 4e-28) is
+    # below half an ulp of 1, so U == 1.0; the rescale still certifies a
+    # contraction, while the bare truncation is only bounded by C*K
+    rho = scaled_multiplier(F2, 0.02, 2.0, 4000, RD.C)
+    assert rho.U == 1.0
+    assert lemma_norm_bound(rho, RD).upper == 1.0
+    unscaled = lemma_norm_bound(HeatMultiplier(F2, 0.02, 4000), RD)
+    assert unscaled.upper == pytest.approx(1770.8, abs=0.05)
+    assert rho.eval("ab") == HeatMultiplier(F2, 0.02, 4000).eval("ab")
 
 
 def test_norm_bound_validation():
@@ -208,7 +212,6 @@ def test_scaled_multiplier_values():
     assert rho.eval("ababab") == 0.0
     assert rho.eval("a") == pytest.approx(math.exp(-1.0) / U, abs=1e-15)
     assert rho.eval("a") == pytest.approx(0.2805877288795194, abs=1e-15)
-    assert rho.decay.K == pytest.approx(4.0 / math.e)
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,6 @@ import pytest
 
 from rdmap.groups import CyclicGroup, FreeAbelianGroup, FreeGroup
 from rdmap.kernels import cn_check_matrix, length_kernel, psd_check
-from rdmap.multipliers import (
-    heat_multiplier,
-    scaled_multiplier,
-    table_multiplier,
-    truncated_heat_multiplier,
-)
 from rdmap.operators import GroupRingElement, builtin_rd_params, opnorm_bracket
 from rdmap.serialize import (
     bracket_to_json,
@@ -22,9 +16,6 @@ from rdmap.serialize import (
     group_from_json,
     group_to_json,
     kernel_from_json,
-    kernel_to_json,
-    multiplier_from_json,
-    multiplier_to_json,
     parse_group_text,
     psd_verdict_to_json,
     ring_from_json,
@@ -116,11 +107,17 @@ def test_ring_json_rejects_overflowing_norms():
 
 def test_kernel_round_trip_with_points():
     kernel = length_kernel(F2, F2.ball(1))
-    obj = kernel_to_json(kernel, group=F2)
-    assert obj["points"] == ["", "a", "A", "b", "B"]
+    obj = json.loads(
+        '{"entries": [[0, 1, 1, 1, 1], [1, 0, 2, 2, 2], [1, 2, 0, 2, 2],'
+        ' [1, 2, 2, 0, 2], [1, 2, 2, 2, 0]],'
+        ' "points": ["", "a", "A", "b", "B"], "group": {"kind": "free", "rank": 2}}'
+    )
     back = kernel_from_json(obj)
     assert np.array_equal(back.entries, kernel.entries)
     assert back.points == kernel.points
+    # points without a group descriptor are ignored
+    del obj["group"]
+    assert kernel_from_json(obj).points is None
 
 
 def test_kernel_import_without_group():
@@ -154,42 +151,6 @@ def test_bracket_payload():
     }
     assert payload["lower"] == pytest.approx(1.0, abs=1e-10)
     assert payload["lower_ball_radius"] == 2
-
-
-def test_multiplier_round_trips():
-    rd = builtin_rd_params(F2)
-    cases = [
-        heat_multiplier(F2, 0.75),
-        truncated_heat_multiplier(F2, 0.5, 4),
-        scaled_multiplier(F2, 1.0, rd.s, 5, rd.C),
-        table_multiplier(F2, {"a": 1.0 + 2.0j, "": 0.5}),
-    ]
-    for phi in cases:
-        back = multiplier_from_json(json.loads(canonical_json(multiplier_to_json(phi))))
-        assert back.kind == phi.kind
-        assert back.group == phi.group
-        for x in F2.ball(3):
-            assert back.eval(x) == pytest.approx(phi.eval(x), abs=1e-15)
-
-
-def test_multiplier_kind_names():
-    assert multiplier_to_json(heat_multiplier(F2, 1.0))["kind"] == "heat"
-    obj = multiplier_to_json(truncated_heat_multiplier(F2, 1.0, 3))
-    assert obj["kind"] == "truncated"
-    assert obj["n"] == 3
-    rd = builtin_rd_params(F2)
-    scaled = multiplier_to_json(scaled_multiplier(F2, 1.0, rd.s, 5, rd.C))
-    assert scaled["kind"] == "scaled"
-    assert scaled["U"] == pytest.approx(1.3111031000554014)
-
-
-def test_multiplier_json_errors():
-    with pytest.raises(ValueError):
-        multiplier_from_json({"kind": "heat"})
-    with pytest.raises(ValueError):
-        multiplier_from_json({"kind": "fourier", "group": {"kind": "free", "rank": 2}})
-    with pytest.raises(ValueError):
-        multiplier_from_json({"kind": "heat", "group": {"kind": "free", "rank": 2}})
 
 
 def test_canonical_json_is_stable():
