@@ -22,8 +22,8 @@ from .harness import (
     DEFAULT_R_VALUES,
     GridSchedule,
     rd_sample_report,
+    row_fields,
     rows_to_csv,
-    rows_to_json,
     run_grid,
     select_epsilon,
 )
@@ -93,6 +93,14 @@ POSITIVE_INT = _number(int, "positive")
 NONNEGATIVE_INT = _number(int, "nonnegative")
 POSITIVE_FLOAT = _number(float, "positive")
 NONNEGATIVE_FLOAT = _number(float, "nonnegative")
+
+
+def _normal_float(text: str) -> float:
+    """argparse type: a finite float no smaller than the least normal float."""
+    value = POSITIVE_FLOAT(text)
+    if value < sys.float_info.min:
+        raise argparse.ArgumentTypeError(f"must be at least {sys.float_info.min!r}, got {text!r}")
+    return value
 
 
 def _load_json_source(path: Optional[str], inline: Optional[str], what: str):
@@ -229,7 +237,7 @@ def cmd_map_converge(args: argparse.Namespace):
         "rd": {"C": rd.C, "s": rd.s},
         "epsilon": args.epsilon,
         "seed": args.seed,
-        "rows": json.loads(rows_to_json(rows)),
+        "rows": [row_fields(row) for row in rows],
         "selected": None
         if selected is None
         else {
@@ -277,7 +285,7 @@ def _build_parser() -> _Parser:
     rs.add_argument("--group", type=_group, required=True)
     rs.add_argument("--count", type=POSITIVE_INT, default=200)
     rs.add_argument("--radius", type=NONNEGATIVE_INT, default=4)
-    rs.add_argument("--C", type=POSITIVE_FLOAT, default=None)
+    rs.add_argument("--C", type=_normal_float, default=None)
     rs.add_argument("--s", type=POSITIVE_FLOAT, default=None)
 
     mc = sub.add_parser("map-converge", help="sweep the identity-approximation grid")

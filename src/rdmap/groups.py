@@ -162,7 +162,14 @@ class Group:
         raise NotImplementedError
 
     def parse(self, obj):
-        """Normalize an external encoding into the canonical element payload."""
+        """Normalize an outside value into the canonical element payload.
+
+        The one rule by which values become elements: ring elements, point
+        masses, coefficient lookups, multipliers and the JSON codecs all
+        apply it.  Free groups reduce words, free-abelian groups take integer
+        or integral-float coordinates, cyclic groups wrap any integer modulo
+        the order; anything else raises GroupMismatchError.
+        """
         raise NotImplementedError
 
     def encode(self, x):

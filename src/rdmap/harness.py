@@ -13,7 +13,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -33,27 +33,12 @@ DEFAULT_R_VALUES = (0.5, 0.1, 0.02)
 CSV_HEADER = "r,n,U,K_n,defect_lower,defect_upper,runtime_ms"
 
 
-def default_n_rule(s: float) -> Callable[[float], int]:
-    """Truncation rule n(r) = ceil(40 s / r).
-
-    Deep enough that the tail correction C*K_n stays far below the defect
-    sizes of interest for every r on the default grid, so the rate limit
-    dominates the convergence picture.
-    """
-
-    def rule(r: float) -> int:
-        return math.ceil(40.0 * s / r)
-
-    return rule
-
-
 @dataclass(frozen=True)
 class GridSchedule:
-    """Decreasing rates r with a truncation rule and decay parameters."""
+    """Decreasing rates r with decay parameters and a truncation rule."""
 
     r_values: tuple
     rd: RdParams
-    n_rule: Optional[Callable[[float], int]] = None
 
     def __post_init__(self):
         values = tuple(float(r) for r in self.r_values)
@@ -64,14 +49,20 @@ class GridSchedule:
             raise ValueError("rates must be positive")
         if any(b >= a for a, b in zip(values, values[1:])):
             raise ValueError("rates must be strictly decreasing")
-        if self.n_rule is None:
-            object.__setattr__(self, "n_rule", default_n_rule(self.rd.s))
-        for r in values:
-            n = self.n_rule(r)
-            if n < self.rd.s / r - 1.0:
-                raise ValueError(
-                    f"truncation n={n} at r={r} sits before the tail peak"
-                )
+
+    def n_rule(self, r: float) -> int:
+        """Truncation radius n(r) = ceil(40 s / r).
+
+        Past the tail peak s/r - 1, and deep enough that the tail correction
+        C*K_n stays far below the defect sizes of interest for every r on the
+        default grid, so the rate limit dominates the convergence picture.
+        """
+        depth = 40.0 * self.rd.s / r
+        if not math.isfinite(depth):
+            raise ValueError(
+                f"truncation radius n = ceil(40 s / r) overflows at r={r!r}, s={self.rd.s!r}"
+            )
+        return math.ceil(depth)
 
 
 def default_schedule(rd: RdParams, r_values=DEFAULT_R_VALUES) -> GridSchedule:
@@ -145,7 +136,8 @@ def select_epsilon(rows: list, epsilon: float) -> Optional[ConvergenceRow]:
     return None
 
 
-def _row_fields(row: ConvergenceRow, include_runtime: bool) -> dict:
+def row_fields(row: ConvergenceRow) -> dict:
+    """The exported fields of a row; runtime is zeroed so reruns match."""
     return {
         "r": row.r,
         "n": row.n,
@@ -153,33 +145,19 @@ def _row_fields(row: ConvergenceRow, include_runtime: bool) -> dict:
         "K_n": row.K_n,
         "defect_lower": row.defect_lower,
         "defect_upper": row.defect_upper,
-        "runtime_ms": row.runtime_ms if include_runtime else 0.0,
+        "runtime_ms": 0.0,
     }
 
 
-def rows_to_csv(rows: list, include_runtime: bool = False) -> str:
+def rows_to_csv(rows: list) -> str:
     """Canonical CSV with shortest round-trip float formatting."""
-    lines = [CSV_HEADER]
-    for row in rows:
-        values = _row_fields(row, include_runtime)
-        lines.append(
-            ",".join(
-                [
-                    repr(values["r"]),
-                    str(values["n"]),
-                    repr(values["U"]),
-                    repr(values["K_n"]),
-                    repr(values["defect_lower"]),
-                    repr(values["defect_upper"]),
-                    repr(values["runtime_ms"]),
-                ]
-            )
-        )
+    # row_fields lists the fields in CSV_HEADER order
+    lines = [CSV_HEADER] + [",".join(map(str, row_fields(row).values())) for row in rows]
     return "\n".join(lines) + "\n"
 
 
-def rows_to_json(rows: list, include_runtime: bool = False) -> str:
-    payload = [_row_fields(row, include_runtime) for row in rows]
+def rows_to_json(rows: list) -> str:
+    payload = [row_fields(row) for row in rows]
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
@@ -204,12 +182,13 @@ def rd_sample_report(
     count: int,
     seed: int,
     radius: int = 4,
-    sample_radius: int = 3,
-    max_terms: int = 6,
     cap: int = DEFAULT_BALL_CAP,
     tolerance: float = 1e-9,
 ) -> RdSampleReport:
     """Check lower <= C * Sobolev on seeded random elements.
+
+    Each sample is a random_element on the ball of radius 3, bracketed from
+    below on the ball of the given radius.
 
     The reported ratio is lower / (C * Sobolev); the sweep passes when no
     sample pushes it above 1 beyond the tolerance.
@@ -221,7 +200,7 @@ def rd_sample_report(
     worst_element = None
     passed = True
     for _ in range(count):
-        f = random_element(g, sample_radius, rng, max_terms=max_terms, cap=cap)
+        f = random_element(g, 3, rng, cap=cap)
         lower = opnorm_lower(g, f, radius, cap=cap)
         ceiling = rd.C * sobolev_norm(g, f, rd.s)
         ratio = lower / ceiling

@@ -202,7 +202,7 @@ class DecayCertificate:
         return max(self.s / self.r - 1.0, 0.0)
 
     def envelope(self, x: float) -> float:
-        return math.exp(-self.r * x) * (1.0 + x) ** self.s
+        return _envelope(self.r, self.s, x)
 
     def tail(self, n: float) -> float:
         """Supremum of the envelope over ``x > n`` (the truncation tail)."""
@@ -218,5 +218,15 @@ def decay_certificate(r: float, s: float) -> DecayCertificate:
     if r <= 0 or s <= 0:
         raise ValueError(f"r and s must be positive, got r={r}, s={s}")
     xstar = s / r - 1.0
-    peak_value = math.exp(-r * xstar) * (1.0 + xstar) ** s if xstar > 0 else 1.0
+    peak_value = _envelope(r, s, xstar) if xstar > 0 else 1.0
     return DecayCertificate(r=r, s=s, K=peak_value)
+
+
+def _envelope(r: float, s: float, x: float) -> float:
+    try:
+        value = math.exp(-r * x) * (1.0 + x) ** s
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"decay envelope overflows at r={r!r}, s={s!r}, x={x!r}")
+    return value

@@ -53,7 +53,7 @@ class HeatMultiplier:
 
     def eval(self, elem):
         """Pointwise value at a group element."""
-        length = self.group.length(self.group.parse(self.group.encode(elem)))
+        length = self.group.length(self.group.parse(elem))
         if self.n is not None and length > self.n:
             return 0.0
         value = math.exp(-self.r * length)
@@ -62,24 +62,21 @@ class HeatMultiplier:
 
 @dataclass(frozen=True)
 class TableMultiplier:
-    """Finitely supported multiplier: explicit values, zero elsewhere."""
+    """Finitely supported multiplier: explicit values, zero elsewhere.
+
+    The table is normalized as the terms of a GroupRingElement are: keys
+    are parsed, values of equal elements add, and zeros are dropped.
+    """
 
     group: Group
     table: dict
 
     def __post_init__(self):
-        clean = {}
-        for elem, value in self.table.items():
-            key = self.group.parse(self.group.encode(elem))
-            v = complex(value)
-            if v != 0:
-                clean[key] = v
-        ordered = {k: clean[k] for k in sorted(clean, key=self.group.sort_key)}
-        object.__setattr__(self, "table", ordered)
+        object.__setattr__(self, "table", GroupRingElement(self.group, self.table).terms)
 
     def eval(self, elem):
         """Pointwise value at a group element."""
-        return self.table.get(self.group.parse(self.group.encode(elem)), 0j)
+        return self.table.get(self.group.parse(elem), 0j)
 
 
 def table_multiplier(g: Group, table: dict) -> TableMultiplier:
@@ -191,8 +188,6 @@ def map_defect(
     phi: HeatMultiplier | TableMultiplier,
     rd: RdParams,
     radius: int,
-    max_iters: int = 10_000,
-    tol: float = 1e-10,
     cap: int = DEFAULT_BALL_CAP,
     seed: int = 0,
 ) -> NormBracket:
@@ -205,9 +200,7 @@ def map_defect(
     l1 masses of phi*f and f it was rounded from.
     """
     product = apply(phi, f)
-    bracket = opnorm_bracket(
-        g, product - f, rd, radius, max_iters=max_iters, tol=tol, cap=cap, seed=seed
-    )
+    bracket = opnorm_bracket(g, product - f, rd, radius, cap=cap, seed=seed)
     cheap = pointwise_defect_bound(phi, f)
     upper = min(bracket.upper, cheap)
     return NormBracket(

@@ -88,8 +88,9 @@ def _require_same_group(g: Group, f: "GroupRingElement") -> None:
 class GroupRingElement:
     """Finitely supported complex function on a group.
 
-    Coefficients are stored in a plain dict keyed by normal-form elements;
-    zero coefficients are dropped and keys are normalized on construction.
+    Coefficients are stored in a plain dict keyed by normal-form elements.
+    Keys go through :meth:`Group.parse` on construction, so equal elements
+    merge; zero coefficients are then dropped.
     """
 
     group: Group
@@ -98,7 +99,7 @@ class GroupRingElement:
     def __post_init__(self):
         clean: dict = {}
         for elem, coeff in self.terms.items():
-            key = self.group.parse(self.group.encode(elem))
+            key = self.group.parse(elem)
             value = clean.get(key, 0j) + complex(coeff)
             clean[key] = value
         clean = {k: v for k, v in clean.items() if v != 0}
@@ -110,8 +111,7 @@ class GroupRingElement:
         return list(self.terms)
 
     def coeff(self, elem) -> complex:
-        key = self.group.parse(self.group.encode(elem))
-        return self.terms.get(key, 0j)
+        return self.terms.get(self.group.parse(elem), 0j)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -135,11 +135,7 @@ class GroupRingElement:
 
 def delta(g: Group, elem, coeff: complex = 1.0) -> GroupRingElement:
     """The coefficient-`coeff` point mass at `elem`."""
-    return GroupRingElement(g, {g.parse(g.encode(elem)): coeff})
-
-
-def zero_element(g: Group) -> GroupRingElement:
-    return GroupRingElement(g, {})
+    return GroupRingElement(g, {g.parse(elem): coeff})
 
 
 def convolve(g: Group, f: GroupRingElement, h: GroupRingElement) -> GroupRingElement:
@@ -179,10 +175,11 @@ def sobolev_norm(g: Group, f: GroupRingElement, s: float) -> float:
     if not s > 0:
         raise ValueError("Sobolev exponent s must be positive")
     _require_same_group(g, f)
-    return _weighted_l2(
-        [abs(c) for c in f.terms.values()],
-        [(1.0 + g.length(x)) ** (2.0 * s) for x in f.terms],
-    )
+    try:
+        weights = [(1.0 + g.length(x)) ** (2.0 * s) for x in f.terms]
+    except OverflowError:
+        raise ValueError(f"Sobolev weight (1 + length)^(2s) overflows at s={s!r}") from None
+    return _weighted_l2([abs(c) for c in f.terms.values()], weights)
 
 
 # ---------------------------------------------------------------------------
@@ -276,17 +273,17 @@ def builtin_rd_params(g: Group) -> RdParams:
 class CompressionMatrix:
     """Matrix of convolution by f on the span of a ball, in canonical order.
 
-    Row x, column y holds f(x y^-1), so the matrix acts on coordinate
-    vectors exactly as convolution acts on functions supported in the ball.
+    Index i stands for ``g.ball(radius)[i]``.  Row x, column y holds
+    f(x y^-1), so the matrix acts on coordinate vectors exactly as
+    convolution acts on functions supported in the ball.
     """
 
     radius: int
-    basis: list
     entries: sp.csr_matrix
 
     @property
     def size(self) -> int:
-        return len(self.basis)
+        return self.entries.shape[0]
 
 
 def compression_matrix(
@@ -314,7 +311,7 @@ def compression_matrix(
         ),
         shape=(m, m),
     )
-    return CompressionMatrix(radius=radius, basis=list(arena.elements), entries=entries)
+    return CompressionMatrix(radius=radius, entries=entries)
 
 
 def _power_iteration(A: sp.csr_matrix, max_iters: int, tol: float, seed: int = 0):
@@ -470,12 +467,11 @@ def random_element(
     g: Group,
     radius: int,
     rng: np.random.Generator,
-    max_terms: int = 6,
     cap: int = DEFAULT_BALL_CAP,
 ) -> GroupRingElement:
-    """Seeded random nonzero element supported in the given ball."""
+    """Seeded random nonzero element of 1 to 6 terms supported in the given ball."""
     ball = g.arena(radius, cap=cap).elements
-    k = int(rng.integers(1, max_terms + 1))
+    k = int(rng.integers(1, 7))
     k = min(k, len(ball))
     picks = rng.choice(len(ball), size=k, replace=False)
     terms = {

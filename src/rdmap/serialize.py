@@ -27,30 +27,33 @@ def canonical_json(payload) -> str:
 # groups
 
 
+# Group.kind -> (class, name of its one integer parameter)
+_GROUP_KINDS = {
+    cls.kind: (cls, field)
+    for cls, field in ((FreeGroup, "rank"), (FreeAbelianGroup, "rank"), (CyclicGroup, "order"))
+}
+
+
+def _group_kind(kind) -> tuple:
+    if not isinstance(kind, str) or kind not in _GROUP_KINDS:
+        raise ValueError(f"unknown group kind {kind!r}")
+    return _GROUP_KINDS[kind]
+
+
 def group_to_json(g: Group) -> dict:
-    if isinstance(g, FreeGroup):
-        return {"kind": "free", "rank": g.rank}
-    if isinstance(g, FreeAbelianGroup):
-        return {"kind": "free-abelian", "rank": g.rank}
-    if isinstance(g, CyclicGroup):
-        return {"kind": "cyclic", "order": g.order}
-    raise ValueError(f"cannot serialize group {g!r}")
+    cls, field = _GROUP_KINDS.get(getattr(g, "kind", None), (None, None))
+    if cls is None or not isinstance(g, cls):
+        raise ValueError(f"cannot serialize group {g!r}")
+    return {"kind": g.kind, field: getattr(g, field)}
 
 
 def group_from_json(obj) -> Group:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError("group descriptor must be an object with a 'kind'")
-    kind = obj["kind"]
-    try:
-        if kind == "free":
-            return FreeGroup(int(obj["rank"]))
-        if kind == "free-abelian":
-            return FreeAbelianGroup(int(obj["rank"]))
-        if kind == "cyclic":
-            return CyclicGroup(int(obj["order"]))
-    except KeyError as exc:
-        raise ValueError(f"group descriptor missing field {exc}") from exc
-    raise ValueError(f"unknown group kind {kind!r}")
+    cls, field = _group_kind(obj["kind"])
+    if field not in obj:
+        raise ValueError(f"group descriptor missing field {field!r}")
+    return cls(int(obj[field]))
 
 
 def parse_group_text(text: str) -> Group:
@@ -62,13 +65,8 @@ def parse_group_text(text: str) -> Group:
         value = int(param)
     except ValueError as exc:
         raise ValueError(f"group parameter {param!r} is not an integer") from exc
-    if kind == "free":
-        return FreeGroup(value)
-    if kind == "free-abelian":
-        return FreeAbelianGroup(value)
-    if kind == "cyclic":
-        return CyclicGroup(value)
-    raise ValueError(f"unknown group kind {kind!r}")
+    cls, _ = _group_kind(kind)
+    return cls(value)
 
 
 # ---------------------------------------------------------------------------
@@ -114,9 +112,13 @@ def ring_from_json(obj) -> GroupRingElement:
 
 
 def kernel_from_json(obj) -> KernelMatrix:
+    """Parse a kernel; non-finite entries and overflowing sizes are rejected."""
     if not isinstance(obj, dict) or "entries" not in obj:
         raise ValueError("kernel JSON needs an 'entries' field")
     entries = np.asarray(obj["entries"], dtype=float)
+    # the checks sum up to size products of entries; size * max|entry| bounds them
+    if not math.isfinite(float(np.abs(entries).max(initial=0.0)) * max(entries.shape, default=1)):
+        raise ValueError("kernel entries must be finite and size * max|entry| must not overflow")
     points = None
     if "points" in obj and "group" in obj:
         g = group_from_json(obj["group"])

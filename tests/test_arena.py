@@ -149,7 +149,7 @@ def test_schoenberg_kernel_matches_pairwise_reference(case, r):
 def test_compression_matches_per_pair_reference(case):
     group, radius, f = case
     comp = compression_matrix(group, f, radius)
-    assert comp.basis == group.ball(radius)
+    assert comp.size == len(group.ball(radius))
     assert_same_csr(comp.entries, reference_compression(group, f, radius))
 
 
@@ -194,7 +194,7 @@ def test_free_product_cancels_then_lands_in_ball():
     f = GroupRingElement(F2, {"ab": 1.0})
     comp = compression_matrix(F2, f, 2)
     assert_same_csr(comp.entries, reference_compression(F2, f, 2))
-    index = {x: i for i, x in enumerate(comp.basis)}
+    index = {x: i for i, x in enumerate(F2.ball(2))}
     A = comp.entries.toarray()
     # "ab" * "BA" cancels fully, "ab" * "Ba" cancels one letter and regrows
     assert A[index[""], index["BA"]] == 1.0
@@ -218,10 +218,9 @@ def test_mutating_a_returned_ball_changes_nothing():
     expected = list(ball)
     ball.reverse()
     ball.append("zzz")
-    before.basis.clear()
     assert F2.ball(2) == expected
     after = compression_matrix(F2, f, 2)
-    assert after.basis == expected
+    assert_same_csr(after.entries, before.entries)
     assert_same_csr(after.entries, reference_compression(F2, f, 2))
 
 

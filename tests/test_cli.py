@@ -248,6 +248,47 @@ def test_rd_sample_usage_errors(capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "entries",
+    [[[0, math.inf], [math.inf, 0]], [[0, 1e308, 1e308], [1e308, 0, 1e308], [1e308, 1e308, 0]]],
+    ids=["infinite", "overflowing"],
+)
+def test_check_cn_rejects_bad_kernel_entries(capsys, entries):
+    code, out, err = run(capsys, ["check-cn", "--kernel-json", json.dumps({"entries": entries})])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "entries" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv,names",
+    [
+        (["rd-sample", "--group", "free:2", "--seed", "1", "--count", "3", "--s", "1e300"], ["s="]),
+        (["map-converge", "--element-json", KESTEN_JSON, "--epsilon", "0.1", "--r", "1e-300"], ["r=", "s="]),
+        (["map-converge", "--element-json", KESTEN_JSON, "--epsilon", "0.1", "--r", "1e-320"], ["r=", "s=", "n ="]),
+        (["rd-sample", "--group", "free:2", "--seed", "1", "--count", "3", "--C", "1e-320"], ["--C"]),
+    ],
+    ids=["rd-s-1e300", "mc-r-1e-300", "mc-r-1e-320", "rd-C-subnormal"],
+)
+def test_overflowing_constants_name_their_parameter(capsys, argv, names):
+    code, out, err = run(capsys, argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert all(name in err for name in names), err
+
+
+def test_rd_sample_least_normal_constant_reports_failure(capsys):
+    code, out, _ = run(
+        capsys,
+        ["rd-sample", "--group", "free:2", "--seed", "1", "--count", "3", "--C", "2.2250738585072014e-308"],
+    )
+    assert code == EXIT_MATH_FAIL
+    payload = json.loads(out)
+    assert payload["passed"] is False
+    # at most 6 terms: worst_ratio <= l1 / (C * l2) <= sqrt(6) / C stays finite
+    assert 1.0 < payload["worst_ratio"] <= math.sqrt(6.0) / 2.2250738585072014e-308
+
+
 # ---------------------------------------------------------------------------
 # map-converge
 

@@ -12,7 +12,6 @@ from rdmap.harness import (
     ConvergenceRow,
     GridSchedule,
     RdSampleReport,
-    default_n_rule,
     default_schedule,
     rd_sample_report,
     rows_to_csv,
@@ -27,7 +26,6 @@ from rdmap.operators import (
     builtin_rd_params,
     delta,
     l1_norm,
-    zero_element,
 )
 
 F2 = FreeGroup(2)
@@ -36,10 +34,13 @@ KESTEN = GroupRingElement(F2, {"a": 1.0, "A": 1.0, "b": 1.0, "B": 1.0})
 
 
 def test_default_n_rule():
-    rule = default_n_rule(2.0)
-    assert rule(0.5) == 160
-    assert rule(0.1) == 800
-    assert rule(0.02) == 4000
+    schedule = default_schedule(RD)
+    assert RD.s == 2.0
+    assert schedule.n_rule(0.5) == 160
+    assert schedule.n_rule(0.1) == 800
+    assert schedule.n_rule(0.02) == 4000
+    with pytest.raises(ValueError, match="r=1e-320"):
+        schedule.n_rule(1e-320)
 
 
 def test_schedule_validation():
@@ -49,10 +50,6 @@ def test_schedule_validation():
         GridSchedule(r_values=(0.1, 0.5), rd=RD)
     with pytest.raises(ValueError):
         GridSchedule(r_values=(0.5, -0.1), rd=RD)
-    with pytest.raises(ValueError):
-        GridSchedule(r_values=(0.1,), rd=RD, n_rule=lambda r: 5)
-    ok = GridSchedule(r_values=(1.0,), rd=RD, n_rule=lambda r: 5)
-    assert ok.n_rule(1.0) == 5
 
 
 def test_convergence_row_validation():
@@ -78,18 +75,22 @@ def test_run_grid_kesten_column():
 
 
 def test_run_grid_point_mass_closed_form():
-    schedule = GridSchedule(r_values=(1.0, 0.5), rd=RD, n_rule=lambda r: 5)
-    rows = run_grid(F2, delta(F2, ""), schedule)
+    # at s = 0.05 the tail C * K_n at n = ceil(40 s / r) is far from rounding
+    rd = RdParams(C=RD.C, s=0.05)
+    rows = run_grid(F2, delta(F2, ""), GridSchedule(r_values=(1.0, 0.5), rd=rd))
+    assert [row.n for row in rows] == [2, 4]
     for row in rows:
         expected = (row.U - 1.0) / row.U
-        assert row.U == pytest.approx(certified_scale(row.r, RD.s, row.n, RD.C))
+        assert row.U == pytest.approx(certified_scale(row.r, rd.s, row.n, rd.C))
+        # n is past the peak s/r - 1 < 0, so K_n is the envelope at n
+        assert row.U == pytest.approx(1.0 + rd.C * math.exp(-row.r * row.n) * (1.0 + row.n) ** rd.s)
+        assert row.U > 1.1
         assert row.defect_upper == pytest.approx(expected, abs=1e-10)
         assert row.defect_lower == pytest.approx(expected, abs=1e-10)
-    assert rows[0].U == pytest.approx(1.3111031000554014, abs=1e-15)
 
 
 def test_run_grid_zero_element():
-    rows = run_grid(F2, zero_element(F2), default_schedule(RD))
+    rows = run_grid(F2, GroupRingElement(F2, {}), default_schedule(RD))
     assert all(row.defect_lower == row.defect_upper == 0.0 for row in rows)
 
 
@@ -118,12 +119,11 @@ def test_csv_round_trip_and_determinism():
     assert float(first[6]) == 0.0
 
 
-def test_csv_runtime_column_optional():
+def test_csv_runtime_column_zeroed():
     rows = run_grid(F2, KESTEN, default_schedule(RD))
-    timed = rows_to_csv(rows, include_runtime=True)
-    values = [float(line.split(",")[6]) for line in timed.strip().split("\n")[1:]]
-    assert any(v > 0.0 for v in values)
-    assert all(v == 0.0 for v in (float(line.split(",")[6]) for line in rows_to_csv(rows).strip().split("\n")[1:]))
+    assert any(row.runtime_ms > 0.0 for row in rows)
+    values = [float(line.split(",")[6]) for line in rows_to_csv(rows).strip().split("\n")[1:]]
+    assert values == [0.0] * len(rows)
 
 
 def test_json_mirror():

@@ -29,7 +29,6 @@ from rdmap.operators import (
     opnorm_lower,
     opnorm_upper,
     random_element,
-    zero_element,
 )
 
 F2 = FreeGroup(2)
@@ -253,7 +252,7 @@ def test_map_defect_unsound_constant_raises():
 
 def test_map_defect_zero_element():
     rho = scaled_multiplier(F2, 1.0, 2.0, 5, RD.C)
-    bracket = map_defect(F2, zero_element(F2), rho, RD, 2)
+    bracket = map_defect(F2, GroupRingElement(F2, {}), rho, RD, 2)
     assert (bracket.lower, bracket.upper) == (0.0, 0.0)
 
 

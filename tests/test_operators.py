@@ -32,7 +32,6 @@ from rdmap.operators import (
     opnorm_upper,
     random_element,
     sobolev_norm,
-    zero_element,
     _clamp_crossing,
     _free_abelian_constant,
     _power_iteration,
@@ -226,7 +225,7 @@ def test_compression_identity():
 def test_compression_shift_pair_is_path_adjacency():
     comp = compression_matrix(Z1, SHIFT_PAIR, 10)
     assert comp.size == 21
-    order = np.argsort([p[0] for p in comp.basis])
+    order = np.argsort([p[0] for p in Z1.ball(10)])
     A = comp.entries.toarray()[np.ix_(order, order)]
     expected = np.zeros((21, 21), dtype=complex)
     expected[np.arange(20), np.arange(1, 21)] = 1.0
@@ -242,7 +241,7 @@ def test_compression_entries_match_definition(group, seed):
     comp = compression_matrix(group, f, 3)
     assert comp.entries.nnz <= len(f.terms) * comp.size
     assert np.array_equal(
-        comp.entries.toarray(), dense_compression(group, f, comp.basis)
+        comp.entries.toarray(), dense_compression(group, f, group.ball(3))
     )
 
 
@@ -287,7 +286,7 @@ def test_opnorm_lower_dominates_l2():
 
 
 def test_opnorm_lower_zero_and_determinism():
-    assert opnorm_lower(F2, zero_element(F2), 3) == 0.0
+    assert opnorm_lower(F2, GroupRingElement(F2, {}), 3) == 0.0
     a = opnorm_lower(F2, KESTEN, 4, seed=7)
     b = opnorm_lower(F2, KESTEN, 4, seed=7)
     assert a == b
@@ -312,7 +311,7 @@ def test_bracket_point_and_zero():
     assert b.lower <= b.upper
     assert b.lower_ball_radius == 2
 
-    z = opnorm_bracket(F2, zero_element(F2), rd, 2)
+    z = opnorm_bracket(F2, GroupRingElement(F2, {}), rd, 2)
     assert (z.lower, z.upper) == (0.0, 0.0)
     assert z.width == 0.0
 

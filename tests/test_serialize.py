@@ -6,9 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from rdmap.groups import CyclicGroup, FreeAbelianGroup, FreeGroup
+from rdmap.groups import CyclicGroup, FreeAbelianGroup, FreeGroup, GroupMismatchError
 from rdmap.kernels import cn_check_matrix, length_kernel, psd_check
-from rdmap.operators import GroupRingElement, builtin_rd_params, opnorm_bracket
+from rdmap.multipliers import HeatMultiplier, table_multiplier
+from rdmap.operators import GroupRingElement, builtin_rd_params, delta, opnorm_bracket
 from rdmap.serialize import (
     bracket_to_json,
     canonical_json,
@@ -71,6 +72,42 @@ def test_ring_round_trip():
     h = GroupRingElement(z, {(1, -2): 3.0})
     assert ring_from_json(ring_to_json(h)) == h
     assert ring_to_json(h)["terms"][0]["elem"] == [1, -2]
+
+
+def _ring_from_outside(group, elem, coeff=1.5):
+    # the element as it arrives in JSON: tuples become lists
+    term = {"elem": json.loads(json.dumps(elem)), "re": coeff}
+    return ring_from_json({"group": group_to_json(group), "terms": [term]})
+
+
+@pytest.mark.parametrize(
+    "group,outside,element",
+    [(F2, "aAb", "b"), (FreeAbelianGroup(2), (2.0, 1), (2, 1)), (CyclicGroup(5), 7, 2)],
+    ids=["free", "free-abelian", "cyclic"],
+)
+def test_every_entry_point_applies_the_same_element_rule(group, outside, element):
+    want = {element: 1.5 + 0j}
+    assert GroupRingElement(group, {outside: 1.5}).terms == want
+    assert delta(group, outside, 1.5).terms == want
+    assert _ring_from_outside(group, outside).terms == want
+    assert delta(group, element).coeff(outside) == 1.0
+    assert table_multiplier(group, {outside: 2.0}).table == {element: 2 + 0j}
+    assert table_multiplier(group, {element: 2.0}).eval(outside) == 2.0
+    assert HeatMultiplier(group, 1.0).eval(outside) == math.exp(-group.length(element))
+
+
+@pytest.mark.parametrize(
+    "group,bad",
+    [(F2, "c"), (FreeAbelianGroup(2), (1.5, 0)), (FreeAbelianGroup(2), (True, 0)), (CyclicGroup(5), "1")],
+    ids=["free-letter", "abelian-fraction", "abelian-bool", "cyclic-string"],
+)
+def test_every_entry_point_rejects_the_same_values(group, bad):
+    with pytest.raises(GroupMismatchError):
+        GroupRingElement(group, {bad: 1.0})
+    with pytest.raises(GroupMismatchError):
+        delta(group, bad)
+    with pytest.raises(GroupMismatchError):
+        _ring_from_outside(group, bad)
 
 
 def test_ring_json_errors():
