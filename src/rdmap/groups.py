@@ -65,6 +65,15 @@ class BallCapError(RuntimeError):
     """A requested ball would exceed the configured element cap."""
 
 
+def integer_or_none(v) -> Optional[int]:
+    """``v`` as an int if it is one or an integral float such as 2.0 (a bool is neither)."""
+    if isinstance(v, int) and not isinstance(v, bool):
+        return v
+    if isinstance(v, float) and v.is_integer():
+        return int(v)
+    return None
+
+
 def _read_only(values) -> np.ndarray:
     array = np.array(values, dtype=np.int64)
     array.setflags(write=False)
@@ -348,11 +357,23 @@ class FreeGroup(Group):
             "".join(w.ljust(width) for w in words).encode("ascii"), dtype=np.uint8
         ).reshape(len(words), width)
         sizes = np.array([len(w) for w in words], dtype=np.int64)
+        m = len(words)
         out = sizes[:, None] + sizes[None, :]
-        common = np.ones((len(words), len(words)), dtype=bool)
-        for column in codes.T:
-            common &= (column[:, None] == column[None, :]) & (column != ord(" "))[:, None]
-            out -= 2 * common
+        common = np.ones((m, m), dtype=bool)
+        equal = np.empty((m, m), dtype=bool)
+        lcp = np.zeros((m, m), dtype=np.uint8)
+        for k, column in enumerate(codes.T):
+            # a word that has ended shares no further letter with any word
+            common[sizes == k] = False
+            np.equal(column[:, None], column[None, :], out=equal)
+            common &= equal
+            # the bytes of a boolean array add as uint8 without a cast; the
+            # count is flushed into the int64 result before it can wrap
+            lcp += common.view(np.uint8)
+            if k % 255 == 254 or k == width - 1:
+                out -= lcp
+                out -= lcp
+                lcp.fill(0)
         return out
 
 
@@ -382,18 +403,12 @@ class FreeAbelianGroup(Group):
 
     def parse(self, obj) -> tuple:
         if isinstance(obj, (list, tuple)):
-            obj = tuple(self._coordinate(v) for v in obj)
+            coords = tuple(integer_or_none(v) for v in obj)
+            if None in coords:
+                raise GroupMismatchError(f"coordinates must be integers, got {obj!r}")
+            obj = coords
         self._check(obj)
         return obj
-
-    @staticmethod
-    def _coordinate(v) -> int:
-        """An integer coordinate; integral floats such as 2.0 convert, nothing else does."""
-        if isinstance(v, int) and not isinstance(v, bool):
-            return v
-        if isinstance(v, float) and v.is_integer():
-            return int(v)
-        raise GroupMismatchError(f"coordinate must be an integer, got {v!r}")
 
     def encode(self, x) -> list:
         self._check(x)

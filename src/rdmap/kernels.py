@@ -20,6 +20,7 @@ stated tolerance in double precision, not exact-arithmetic statements.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -58,7 +59,11 @@ class KernelMatrix:
         self.entries = np.asarray(self.entries, dtype=float)
         if self.entries.ndim != 2 or self.entries.shape[0] != self.entries.shape[1]:
             raise ValueError("kernel entries must form a square matrix")
-        if not np.allclose(self.entries, self.entries.T, atol=1e-12, rtol=0.0):
+        # kernels built from a group are exactly symmetric and skip allclose
+        if not (
+            np.array_equal(self.entries, self.entries.T)
+            or np.allclose(self.entries, self.entries.T, atol=1e-12, rtol=0.0)
+        ):
             raise ValueError("kernel matrix must be symmetric")
         if self.points is not None and len(self.points) != self.entries.shape[0]:
             raise ValueError("point list length must match matrix size")
@@ -104,17 +109,6 @@ def schoenberg_kernel(group: Group, points: list, r: float) -> KernelMatrix:
     return KernelMatrix(table[lengths], points=list(points))
 
 
-def _mean_zero_basis(m: int) -> np.ndarray:
-    """Orthonormal basis of the mean-zero subspace via a Householder reflector."""
-    e1 = np.zeros(m)
-    e1[0] = 1.0
-    u = np.full(m, 1.0 / math.sqrt(m))
-    w = u - e1
-    w /= np.linalg.norm(w)
-    house = np.eye(m) - 2.0 * np.outer(w, w)
-    return house[:, 1:]
-
-
 def _nice_witness(c: np.ndarray, entries: np.ndarray, tol: float) -> np.ndarray:
     """Canonicalize a failing eigenvector into a readable witness.
 
@@ -153,14 +147,28 @@ def cn_check_matrix(kernel, tol: float = DEFAULT_TOL) -> CnVerdict:
     m = kernel.size
     if m == 1:
         return CnVerdict(passed=True, max_mean_zero_eigenvalue=0.0)
-    basis = _mean_zero_basis(m)
-    compressed = basis.T @ kernel.entries @ basis
-    compressed = 0.5 * (compressed + compressed.T)
-    evals, evecs = np.linalg.eigh(compressed)
-    top = float(evals[-1])
+    # The reflector H = I - 2 w w^T maps e_1 to the unit constant vector, so
+    # columns 1..m-1 of H are an orthonormal basis of the mean-zero subspace.
+    # H is never formed: H K H = K - 2 w q^T - 2 q w^T with p = K w and
+    # q = p - (w.p) w, a symmetric rank-2 update in O(m^2), of which the
+    # mean-zero block [1:, 1:] is kept.
+    entries = kernel.entries
+    w = np.full(m, 1.0 / math.sqrt(m))
+    w[0] -= 1.0
+    w /= np.linalg.norm(w)
+    p = entries @ w
+    q = p - (w @ p) * w
+    outer = np.outer(w[1:], q[1:])
+    compressed = outer + outer.T
+    compressed *= -2.0
+    compressed += entries[1:, 1:]
+    top = float(np.linalg.eigvalsh(compressed)[-1])
     if top <= tol:
         return CnVerdict(passed=True, max_mean_zero_eigenvalue=top)
-    witness = _nice_witness(basis @ evecs[:, -1], kernel.entries, tol)
+    # only a failing check needs a vector: H [0; z] = [0; z] - 2 (w[1:] . z) w
+    z = np.linalg.eigh(compressed)[1][:, -1]
+    c = np.concatenate(([0.0], z)) - 2.0 * (w[1:] @ z) * w
+    witness = _nice_witness(c, entries, tol)
     return CnVerdict(passed=False, max_mean_zero_eigenvalue=top, witness=witness)
 
 
@@ -223,10 +231,21 @@ def decay_certificate(r: float, s: float) -> DecayCertificate:
 
 
 def _envelope(r: float, s: float, x: float) -> float:
+    # The direct product wherever exp(-r x) is a normal float and the power is
+    # finite; otherwise the exponent is summed first, so that neither factor
+    # underflows or overflows alone.  A positive envelope never reads 0.0.
+    decay = math.exp(-r * x)
     try:
-        value = math.exp(-r * x) * (1.0 + x) ** s
+        power = (1.0 + x) ** s
     except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
+        power = math.inf
+    if decay >= sys.float_info.min and math.isfinite(power):
+        return decay * power
+    try:
+        value = math.exp(-r * x + s * math.log1p(x))
+    except OverflowError:
+        value = math.nan
+    # NaN here is an overflow, or inf - inf when both terms overflow
+    if math.isnan(value):
         raise ValueError(f"decay envelope overflows at r={r!r}, s={s!r}, x={x!r}")
-    return value
+    return max(value, math.ulp(0.0))

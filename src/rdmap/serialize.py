@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .groups import CyclicGroup, FreeAbelianGroup, FreeGroup, Group
+from .groups import CyclicGroup, FreeAbelianGroup, FreeGroup, Group, integer_or_none
 from .kernels import CnVerdict, KernelMatrix, PsdVerdict
 from .operators import GroupRingElement, NormBracket, l1_norm, l2_norm
 
@@ -21,6 +21,13 @@ from .operators import GroupRingElement, NormBracket, l1_norm, l2_norm
 def canonical_json(payload) -> str:
     # NaN and infinities are not JSON; refuse them rather than print them
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _list_field(obj: dict, field: str, owner: str) -> list:
+    value = obj[field]
+    if not isinstance(value, list):
+        raise ValueError(f"{owner} field {field!r} must be a list, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +60,10 @@ def group_from_json(obj) -> Group:
     cls, field = _group_kind(obj["kind"])
     if field not in obj:
         raise ValueError(f"group descriptor missing field {field!r}")
-    return cls(int(obj[field]))
+    value = integer_or_none(obj[field])
+    if value is None:
+        raise ValueError(f"group field {field!r} must be an integer, got {obj[field]!r}")
+    return cls(value)
 
 
 def parse_group_text(text: str) -> Group:
@@ -87,7 +97,7 @@ def ring_from_json(obj) -> GroupRingElement:
         raise ValueError("ring element needs 'group' and 'terms' fields")
     g = group_from_json(obj["group"])
     terms: dict = {}
-    for item in obj["terms"]:
+    for item in _list_field(obj, "terms", "ring element"):
         try:
             elem = g.parse(item["elem"])
             coeff = complex(float(item.get("re", 0.0)), float(item.get("im", 0.0)))
@@ -115,14 +125,17 @@ def kernel_from_json(obj) -> KernelMatrix:
     """Parse a kernel; non-finite entries and overflowing sizes are rejected."""
     if not isinstance(obj, dict) or "entries" not in obj:
         raise ValueError("kernel JSON needs an 'entries' field")
-    entries = np.asarray(obj["entries"], dtype=float)
+    try:
+        entries = np.asarray(_list_field(obj, "entries", "kernel"), dtype=float)
+    except TypeError as exc:
+        raise ValueError(f"kernel entries must be numbers: {exc}") from None
     # the checks sum up to size products of entries; size * max|entry| bounds them
     if not math.isfinite(float(np.abs(entries).max(initial=0.0)) * max(entries.shape, default=1)):
         raise ValueError("kernel entries must be finite and size * max|entry| must not overflow")
     points = None
     if "points" in obj and "group" in obj:
         g = group_from_json(obj["group"])
-        points = [g.parse(p) for p in obj["points"]]
+        points = [g.parse(p) for p in _list_field(obj, "points", "kernel")]
     return KernelMatrix(entries, points=points)
 
 

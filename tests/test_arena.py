@@ -136,6 +136,20 @@ def test_length_kernel_matches_pairwise_reference(case):
     assert_same_bits(length_kernel(group, points).entries, want)
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_long_words_length_matrix_matches_pairwise_reference(data):
+    # shared prefixes of 300+ letters carry the prefix count past one byte
+    stem = data.draw(st.text("ab", min_size=300, max_size=600))
+    cuts = data.draw(st.lists(st.integers(0, len(stem)), min_size=2, max_size=8))
+    tails = data.draw(st.lists(st.sampled_from(["", "A", "B", "ba", "bA"]), min_size=len(cuts), max_size=len(cuts)))
+    words = [stem, stem + "a", stem[:-1]] + [stem[:k] + t for k, t in zip(cuts, tails)]
+    points = list(dict.fromkeys(F2.parse(w) for w in words))
+    want = reference_pairwise(F2, points, lambda g: float(F2.length(g)))
+    assert F2.length_matrix(points).dtype == np.int64
+    assert_same_bits(length_kernel(F2, points).entries, want)
+
+
 @SETTINGS
 @given(kernel_cases(), st.sampled_from([1e-9, 0.05, 0.5, 2.0, 30.0]))
 def test_schoenberg_kernel_matches_pairwise_reference(case, r):

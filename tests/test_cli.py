@@ -165,6 +165,33 @@ def test_norm_rejects_overflowing_element(capsys):
     assert "overflows" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("rank", [None, 2.5, True, [2], "2"], ids=repr)
+def test_norm_rejects_non_integer_group_parameter(capsys, rank):
+    # an int or an integral float only: the string "2" is refused too
+    payload = json.dumps({"group": {"kind": "free", "rank": rank}, "terms": []})
+    code, out, err = run(capsys, ["norm", "--element-json", payload])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "'rank'" in err and "Traceback" not in err
+
+
+def test_norm_accepts_integral_float_group_parameter(capsys):
+    payload = json.dumps({"group": {"kind": "free", "rank": 2.0}, "terms": _kesten_terms(1.0)})
+    code, out, _ = run(capsys, ["norm", "--element-json", payload, "--radius", "2"])
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["group"] == {"kind": "free", "rank": 2}
+    assert payload["bracket"]["upper"] == 4.0
+
+
+@pytest.mark.parametrize("terms", [5, "ab", {}], ids=repr)
+def test_norm_rejects_terms_that_are_not_a_list(capsys, terms):
+    code, out, err = run(capsys, ["norm", "--element-json", _free2_element_json(terms)])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "'terms'" in err and "Traceback" not in err
+
+
 def _kesten_terms(c):
     return [{"elem": w, "re": c, "im": 0.0} for w in "aAbB"]
 
@@ -258,6 +285,23 @@ def test_check_cn_rejects_bad_kernel_entries(capsys, entries):
     assert code == EXIT_USAGE
     assert out == ""
     assert "entries" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"entries": {}},
+        {"entries": None},
+        {"entries": [[0, {}], [{}, 0]]},
+        {"entries": [[0, 1], [1, 0]], "group": {"kind": "free", "rank": 2}, "points": 5},
+    ],
+    ids=["entries-object", "entries-null", "entry-object", "points-int"],
+)
+def test_check_cn_rejects_malformed_kernel_containers(capsys, payload):
+    code, out, err = run(capsys, ["check-cn", "--kernel-json", json.dumps(payload)])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "kernel" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

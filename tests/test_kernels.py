@@ -5,10 +5,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rdmap.groups import CyclicGroup, FreeAbelianGroup, FreeGroup
 from rdmap.kernels import (
     KernelMatrix,
+    _nice_witness,
     cn_check,
     cn_check_matrix,
     decay_certificate,
@@ -61,6 +64,49 @@ def exact_cn_oracle(entries):
             for j in active:
                 M[i][j] -= M[i][pivot] * M[pivot][j] / p
     return True
+
+
+def reference_cn_check(entries, tol):
+    """The dense O(m^3) mean-zero compression that the rank-2 update replaced.
+
+    Returns the top mean-zero eigenvalue, the gap below it, and the witness
+    the check would report on failure (through the same snapping rule).
+    """
+    m = len(entries)
+    e1 = np.zeros(m)
+    e1[0] = 1.0
+    w = np.full(m, 1.0 / math.sqrt(m)) - e1
+    w /= np.linalg.norm(w)
+    basis = (np.eye(m) - 2.0 * np.outer(w, w))[:, 1:]
+    compressed = basis.T @ entries @ basis
+    evals, evecs = np.linalg.eigh(0.5 * (compressed + compressed.T))
+    gap = float(evals[-1] - evals[-2]) if m > 2 else math.inf
+    witness = _nice_witness(basis @ evecs[:, -1], entries, tol) if evals[-1] > tol else None
+    return float(evals[-1]), gap, witness
+
+
+def mpmath_top_mean_zero_eigenvalue(entries, dps=40):
+    """Top eigenvalue of the kernel on mean-zero vectors, in mpmath arithmetic.
+
+    With P = I - J/m, the matrix P K P - c J/m keeps every mean-zero
+    eigenvalue of K and moves the constant direction to -c, below them all.
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(dps):
+        m = len(entries)
+        rows = [mp.fsum(mp.mpf(v) for v in row) / m for row in entries]
+        total = mp.fsum(rows) / m
+        shift = mp.mpf(10 * m * max(abs(v) for row in entries for v in row) + 1) / m
+        M = mp.matrix(m, m)
+        for i in range(m):
+            for j in range(m):
+                M[i, j] = entries[i][j] - rows[i] - rows[j] + total - shift
+        return max(mp.eigsy(M, eigvals_only=True))
+
+
+def eig_tol(entries):
+    """Agreement expected of two double-precision mean-zero eigenvalues."""
+    return 1e-12 * len(entries) * float(np.max(np.abs(entries)))
 
 
 def grid_search_sup(r, s, xmax, n=2_000_001):
@@ -134,6 +180,94 @@ def test_witness_soundness_on_random_failures(seed):
     assert found > 0
 
 
+@pytest.mark.parametrize("order", [2, 3, 4, 7, 12, 31, 64])
+def test_cyclic_full_group_matches_circulant_spectrum(order):
+    # on all of Z/m the length kernel is circulant: its eigenvalues are the
+    # cosine sums of its first row, the k = 0 one on the constant vector
+    g = CyclicGroup(order)
+    points = list(range(order))
+    rng = np.random.default_rng(order)
+    rng.shuffle(points)
+    want = max(
+        math.fsum(min(x, order - x) * math.cos(2 * math.pi * k * x / order) for x in range(order))
+        for k in range(1, order)
+    )
+    verdict = cn_check(g, points, tol=1e-8)
+    entries = length_kernel(g, points).entries
+    assert abs(verdict.max_mean_zero_eigenvalue - want) <= eig_tol(entries)
+    assert verdict.passed and want <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "group,radius,pinned",
+    [
+        (F2, 2, -0.31732051320800063),
+        (F2, 3, -0.29527323308864294),
+        (FreeAbelianGroup(2), 3, None),
+    ],
+    ids=["free2-r2", "free2-r3", "z2-r3"],
+)
+def test_top_eigenvalue_matches_mpmath(group, radius, pinned):
+    entries = length_kernel(group, group.ball(radius)).entries
+    want = mpmath_top_mean_zero_eigenvalue(entries.tolist())
+    if pinned is not None:
+        assert float(want) == pinned
+    verdict = cn_check(group, group.ball(radius), tol=1e-8)
+    assert verdict.passed
+    assert abs(verdict.max_mean_zero_eigenvalue - float(want)) <= eig_tol(entries)
+
+
+def test_free_ball_matches_dense_reference_shuffled():
+    points = F2.ball(4)
+    np.random.default_rng(4).shuffle(points)
+    entries = length_kernel(F2, points).entries
+    top, _, _ = reference_cn_check(entries, 1e-8)
+    verdict = cn_check(F2, points, tol=1e-8)
+    assert verdict.passed and verdict.witness is None
+    assert abs(verdict.max_mean_zero_eigenvalue - top) <= eig_tol(entries)
+
+
+@st.composite
+def symmetric_kernels(draw):
+    """Symmetric kernels that fail (arbitrary entries) or pass (l1 distances)."""
+    m = draw(st.integers(2, 12))
+    if draw(st.booleans()):
+        values = draw(st.lists(st.integers(-20, 20), min_size=m * m, max_size=m * m))
+        a = np.array(values, dtype=float).reshape(m, m)
+        entries = np.triu(a, 1) + np.triu(a, 1).T + np.diag(np.diag(a))
+    else:
+        coords = draw(st.lists(st.integers(-9, 9), min_size=3 * m, max_size=3 * m))
+        pts = np.array(coords, dtype=float).reshape(m, 3)
+        entries = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2)
+    offset = draw(st.sampled_from([0.0, 0.5, 3.0]))
+    return entries + offset
+
+
+@given(symmetric_kernels())
+@settings(max_examples=200, deadline=None)
+def test_rank2_update_matches_dense_reference(entries):
+    tol = 1e-8
+    top, gap, witness = reference_cn_check(entries, tol)
+    margin = eig_tol(entries)
+    # a top eigenvalue within rounding of tol may go either way in both
+    assume(abs(top - tol) > margin)
+    verdict = cn_check_matrix(entries, tol)
+    assert abs(verdict.max_mean_zero_eigenvalue - top) <= margin
+    assert verdict.passed == (top <= tol)
+    if verdict.passed:
+        assert verdict.witness is None
+        return
+    got = verdict.witness
+    assert abs(math.fsum(got.tolist())) <= 1e-9 * float(np.max(np.abs(got)))
+    assert got @ entries @ got > tol
+    # a simple top eigenvalue fixes the direction, and so the snapped witness
+    if gap > 1e-6 * max(1.0, float(np.max(np.abs(entries)))):
+        cosine = abs(got @ witness) / (np.linalg.norm(got) * np.linalg.norm(witness))
+        assert cosine >= 1.0 - 1e-9
+        if np.array_equal(witness, np.round(witness)):
+            assert np.array_equal(got, witness)
+
+
 # ---------------------------------------------------------------------------
 # Schoenberg kernels and positive definiteness
 
@@ -192,6 +326,16 @@ def test_kernel_matrix_validation():
         KernelMatrix(np.zeros((2, 3)))
 
 
+def test_kernel_matrix_symmetry_tolerance():
+    # exact symmetry short-cuts the check; the accepted set is unchanged
+    KernelMatrix(np.array([[0.0, 1.0 + 5e-13], [1.0, 0.0]]))
+    KernelMatrix(np.array([[0.0, math.inf], [math.inf, 0.0]]))
+    with pytest.raises(ValueError):
+        KernelMatrix(np.array([[0.0, 1.0 + 2e-12], [1.0, 0.0]]))
+    with pytest.raises(ValueError):
+        KernelMatrix(np.array([[0.0, math.nan], [math.nan, 0.0]]))
+
+
 # ---------------------------------------------------------------------------
 # decay certificates
 
@@ -226,6 +370,41 @@ def test_decay_invariants(r, s):
     for n in range(start, 59):
         assert cert.tail(n + 1) <= cert.tail(n) + 1e-15
     assert all(t >= 0.0 for t in tails)
+
+
+def mpmath_envelope(r, s, x):
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        return mp.exp(-mp.mpf(r) * x) * (1 + mp.mpf(x)) ** s
+
+
+@pytest.mark.parametrize("r,s,n", [(1.0, 100.0, 800), (0.5, 20.0, 1600)])
+def test_decay_tail_does_not_underflow_below_the_truth(r, s, n):
+    # exp(-r n) underflows to 0 on its own; the envelope itself is normal
+    got = decay_certificate(r, s).tail(n)
+    want = mpmath_envelope(r, s, n)
+    assert got > 0.0
+    assert abs(got - want) <= 1e-12 * want
+
+
+def test_decay_peak_beyond_the_power_overflow_is_finite():
+    # (1 + x)^200 overflows at the peak x = 200/3 - 1, the product does not
+    cert = decay_certificate(3.0, 200.0)
+    want = mpmath_envelope(3.0, 200.0, cert.peak)
+    assert math.isfinite(cert.K)
+    assert abs(cert.K - want) <= 1e-12 * want
+
+
+def test_decay_tail_never_reads_zero():
+    assert decay_certificate(1.0, 2.0).tail(1e6) == math.ulp(0.0)
+
+
+def test_decay_true_overflow_is_reported():
+    with pytest.raises(ValueError, match="overflows"):
+        decay_certificate(1e-12, 26.0)
+    # r x and s log(1 + x) both overflow: no NaN comes out
+    with pytest.raises(ValueError, match="overflows"):
+        decay_certificate(1e308, 1e308).tail(1e10)
 
 
 def test_decay_validation():
