@@ -57,6 +57,15 @@ class UsageError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
+    """Parser for rdmap and, as their parser class, each subcommand.
+
+    Prefix matching is off: an abbreviation such as --s must not silently
+    stand for another flag (--seed) of the same subcommand.
+    """
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise UsageError(message)
 

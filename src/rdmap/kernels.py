@@ -174,10 +174,12 @@ def cn_check_matrix(kernel, tol: float = DEFAULT_TOL) -> CnVerdict:
 
 def cn_check(group: Group, points: list, tol: float = DEFAULT_TOL) -> CnVerdict:
     """Conditional-negativity check of the word length over ``points``."""
-    pts = [group.parse(p) for p in points]
-    if len(set(pts)) != len(pts):
+    kernel = length_kernel(group, points)
+    # l(x^-1 y) = 0 exactly when x = y, so a zero off the diagonal is a
+    # repeated point (after parsing)
+    if np.count_nonzero(kernel.entries) != kernel.size * (kernel.size - 1):
         raise ValueError("points must be distinct")
-    return cn_check_matrix(length_kernel(group, pts), tol)
+    return cn_check_matrix(kernel, tol)
 
 
 def psd_check(kernel, tol: float = DEFAULT_TOL) -> PsdVerdict:

@@ -434,6 +434,22 @@ def test_out_of_range_flags_exit_usage(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv,prefix",
+    [
+        (["map-converge", "--element-json", KESTEN_JSON, "--epsilon", "0.3", "--s", "7"], "--s"),
+        (["norm", "--element-json", KESTEN_JSON, "--rad", "3", "--max", "5"], "--rad"),
+    ],
+    ids=["mc-s-is-not-seed", "norm-rad-max"],
+)
+def test_flag_prefixes_exit_usage(capsys, argv, prefix):
+    # prefix matching is off: --s is not --seed, --rad is not --radius
+    code, out, err = run(capsys, argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "usage error" in err and prefix in err
+
+
+@pytest.mark.parametrize(
     "argv,flag",
     [
         (["norm", "--element-json", KESTEN_JSON, "--tol", "nan"], "--tol"),

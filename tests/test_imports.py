@@ -1,5 +1,8 @@
 """Import hygiene: each CLI command loads only the scipy parts it uses.
 
+Only compressions of more than DIRECT_SOLVE_MAX elements load scipy.sparse,
+and nothing loads scipy.special.
+
 Every check runs in a fresh interpreter, since an earlier test in this
 process may already have imported scipy.
 """
@@ -8,6 +11,8 @@ import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 import rdmap
 
@@ -52,7 +57,22 @@ def test_check_pd_loads_no_scipy():
     assert scipy_modules_after(argv) == set()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["norm", "--element-json", KESTEN_JSON, "--radius", "2"],
+        ["map-converge", "--element-json", KESTEN_JSON, "--epsilon", "0.3"],
+        ["rd-sample", "--group", "free-abelian:1", "--count", "20", "--seed", "1"],
+    ],
+    ids=["norm-radius-2", "map-converge-kesten", "rd-sample-z1"],
+)
+def test_small_compressions_load_no_scipy(argv):
+    # every ball these commands compress holds at most DIRECT_SOLVE_MAX elements
+    assert scipy_modules_after(argv) == set()
+
+
 def test_norm_loads_sparse_but_not_special():
-    loaded = scipy_modules_after(["norm", "--element-json", KESTEN_JSON, "--radius", "2"])
+    # the radius-6 ball of free(2) holds 1457 elements, above DIRECT_SOLVE_MAX
+    loaded = scipy_modules_after(["norm", "--element-json", KESTEN_JSON, "--radius", "6"])
     assert "scipy.sparse" in loaded
     assert "scipy.special" not in loaded

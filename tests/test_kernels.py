@@ -149,8 +149,10 @@ def test_single_point_passes():
 
 
 def test_distinct_points_required():
-    with pytest.raises(ValueError):
-        cn_check(F2, ["a", "a"])
+    # points equal only after reduction (or modulo the order) are repeated too
+    for group, points in [(F2, ["a", "a"]), (F2, ["b", "aA", ""]), (CyclicGroup(5), [1, 6])]:
+        with pytest.raises(ValueError, match="points must be distinct"):
+            cn_check(group, points)
 
 
 def test_cn_verdict_scale_covariant():

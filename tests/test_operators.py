@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import rdmap.operators
@@ -15,6 +15,7 @@ from rdmap.operators import (
     BRACKET_ROUNDING_SLACK,
     DEFAULT_MAX_ITERS,
     DEFAULT_POWER_TOL,
+    DIRECT_SOLVE_MAX,
     RITZ_BLOCK,
     CompressionMatrix,
     GroupRingElement,
@@ -33,6 +34,7 @@ from rdmap.operators import (
     random_element,
     sobolev_norm,
     _clamp_crossing,
+    _dense_top_singular,
     _free_abelian_constant,
     _power_iteration,
     _ritz_vector,
@@ -194,6 +196,24 @@ def test_free_abelian_constant_summation_brackets():
     partial = 1.0 + math.fsum((4.0 * n * n + 2) / (1 + n) ** 6 for n in range(1, N + 1))
     C2 = _free_abelian_constant(3) ** 2
     assert partial < C2 <= partial + 2.0 / (N + 1) ** 3 + 1e-12
+
+
+def lattice_sphere_size(d, n):
+    """Points of Z^d at l1 distance n >= 1: sum over j of 2^j C(d, j) C(n-1, j-1)."""
+    return sum(2**j * math.comb(d, j) * math.comb(n - 1, j - 1) for j in range(1, d + 1))
+
+
+def test_free_abelian_constant_is_never_below_the_lattice_sum():
+    # C^2 = 1 + sum_{n >= 1} S_d(n) (1 + n)^(-2d), summed by mpmath at 40
+    # digits straight from the sphere sizes, with no zeta values; a float
+    # combination of scipy zeta values falls below it at d = 8, 10, 11, 32, 40
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        for d in range(1, 41):
+            tail = mp.nsum(lambda n: lattice_sphere_size(d, int(n)) / (n + 1) ** (2 * d), [1, mp.inf])
+            exact = mp.sqrt(1 + tail)
+            C = _free_abelian_constant(d)
+            assert exact <= C <= exact * (1 + mp.mpf("1e-14")), d
 
 
 def test_builtin_params_table():
@@ -461,20 +481,61 @@ def covered_cyclic_elements(draw):
 
 @SOLVER_SETTINGS
 @given(covered_cyclic_elements())
+# on Z/43 the power iteration stopped 2.5e-7 (relative) below this norm
+@example(GroupRingElement(CyclicGroup(43), {1: 1j, 2: 0.015625 - 5j}))
 def test_covering_ball_reaches_the_fourier_norm(f):
     # a ball of radius order // 2 is the whole group, so its compression is
-    # the full circulant and its top singular value the exact norm
-    moduli = fourier_moduli(f)
-    exact = float(moduli.max())
-    lower = opnorm_lower(f.group, f, f.group.order // 2, tol=1e-13)
-    assert lower <= exact * (1 + 8 * EPS)
-    # the rate of convergence follows the relative gap below the top
-    # singular value (equal moduli form one eigenspace), and the tolerance
-    # bounds the change between steps, not the distance to the norm; with
-    # a gap of 1e-3 and a change below 1e-13 the run must be within 1e-9
-    below = moduli[moduli < exact * (1 - 1e-12)]
-    assume(below.size == 0 or (exact - below.max()) / exact >= 1e-3)
-    assert lower == pytest.approx(exact, rel=1e-9)
+    # the full circulant and its top singular value the exact norm; orders
+    # up to DIRECT_SOLVE_MAX are solved directly, to within a few ulps
+    exact = cyclic_oracle(f)
+    bracket = opnorm_bracket(f.group, f, builtin_rd_params(f.group), f.group.order // 2)
+    assert bracket.iterations == 0
+    assert exact * (1 - 8 * EPS) <= bracket.lower <= exact * (1 + 8 * EPS)
+
+
+@st.composite
+def directly_solved_compressions(draw):
+    """free(2) up to radius 3 (53 elements) and Z^2 up to radius 5 (61)."""
+    if draw(st.booleans()):
+        group, radius = F2, draw(st.integers(0, 3))
+        word = st.text(alphabet=F2.letters, max_size=4)
+    else:
+        group, radius = FreeAbelianGroup(2), draw(st.integers(0, 5))
+        word = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+    terms = draw(
+        st.dictionaries(
+            word.map(group.parse),
+            st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    return group, radius, GroupRingElement(group, terms)
+
+
+@SOLVER_SETTINGS
+@given(directly_solved_compressions())
+def test_direct_solve_matches_dense_svd(case):
+    group, radius, f = case
+    assert group.ball_size(radius) <= DIRECT_SOLVE_MAX
+    comp = compression_matrix(group, f, radius)
+    exact = top_singular_value(comp.entries.toarray())
+    value = _dense_top_singular(group, f, radius, cap=DIRECT_SOLVE_MAX)
+    assert value <= exact * (1 + 8 * EPS)
+    assert value == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("order", [DIRECT_SOLVE_MAX, DIRECT_SOLVE_MAX + 1])
+def test_solvers_agree_at_the_cutoff(order):
+    # the covering ball holds `order` elements: the last size solved directly
+    # and the first solved by the power iteration, whose stop rule bounds the
+    # change between steps, not the distance to the norm (hence the tight tol)
+    group = CyclicGroup(order)
+    f = GroupRingElement(group, {0: 0.5j, 1: 1.0, 5: -0.25})
+    bracket = opnorm_bracket(group, f, builtin_rd_params(group), order // 2, tol=1e-13)
+    assert (bracket.iterations == 0) == (order <= DIRECT_SOLVE_MAX)
+    assert bracket.lower <= cyclic_oracle(f) * (1 + 8 * EPS)
+    assert bracket.lower == pytest.approx(cyclic_oracle(f), rel=1e-9)
 
 
 @pytest.mark.parametrize(
@@ -497,7 +558,8 @@ def test_small_cyclic_groups_match_fourier(order):
     # the top eigenvector up to rounding
     group = CyclicGroup(order)
     f = GroupRingElement(group, {1: 1.0, 0: 0.5j})
-    lower = opnorm_lower(group, f, order // 2)
+    comp = compression_matrix(group, f, order // 2)
+    lower, _, _ = _power_iteration(comp.entries, DEFAULT_MAX_ITERS, DEFAULT_POWER_TOL)
     assert lower <= cyclic_oracle(f) * (1 + 8 * EPS)
     assert lower == pytest.approx(cyclic_oracle(f), rel=1e-12)
 
