@@ -14,7 +14,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
@@ -33,12 +33,25 @@ if TYPE_CHECKING:
 DEFAULT_MAX_ITERS = 10_000
 DEFAULT_POWER_TOL = 1e-10
 
-# Compressions on balls of at most this many elements are solved densely
-# with eigh, and never import scipy.  Measured on the sum of the generators
-# (2-vCPU host, one BLAS thread), dense against the sparse power iteration:
-# free(2) radius 3 (53 elements) 0.8 / 1.2 ms, Z radius 31 (63) 1.3 / 7.1 ms,
-# Z^3 radius 3 (63) 1.5 / 1.6 ms, but free(2) radius 4 (161) 10.5 / 1.2 ms.
+# A compression is solved in one of three regimes, chosen by its size alone.
+# On a ball of at most DIRECT_SOLVE_MAX elements it is solved densely with
+# eigh.  Measured on the sum of the generators (2-vCPU host, one BLAS
+# thread), dense against the sparse power iteration: free(2) radius 3 (53
+# elements) 0.8 / 1.2 ms, Z radius 31 (63) 1.3 / 7.1 ms, Z^3 radius 3 (63)
+# 1.5 / 1.6 ms, but free(2) radius 4 (161) 10.5 / 1.2 ms.
 DIRECT_SOLVE_MAX = 64
+
+# Above that, the power iteration gathers its products through the
+# translation table while the table holds at most TABLE_PRODUCT_MAX entries
+# (k m for k retained support elements on a ball of m), and multiplies by a
+# scipy CSR matrix beyond: a table product costs k m entries, a CSR one nnz.
+# Per A / A^H pair in a warm loop (same host), table against CSR: 12 / 19 us
+# for five words on the free(2) ball of radius 4 (805 entries), 42 / 39 us
+# for Kesten at radius 6 (5,828), 49 / 24 us for five words at radius 6
+# (7,285).  Only the CSR regime imports scipy.sparse, which costs a fresh
+# process 200-290 ms.  The bound also keeps a large support from building a
+# gather of millions of entries.
+TABLE_PRODUCT_MAX = 8192
 
 # The lower-bound solver restarts its power iteration every RITZ_BLOCK steps
 # from the Rayleigh-Ritz vector of the stored iterates.  Directions of the
@@ -207,29 +220,21 @@ class RdParams:
             raise ValueError("exponent s must be positive and finite")
 
 
-def _poly_mul(a: list, b: list) -> list:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return out
-
-
-def _sphere_polynomial(d: int) -> list:
-    """Exact coefficients (ascending, in n) of the sphere size of Z^d.
+def _sphere_polynomial(d: int) -> tuple[list, int]:
+    """Sphere size of Z^d as integer coefficients (ascending, in n) over (d-1)!.
 
     The number of lattice points at l1 distance n >= 1 is
-    sum over j of 2^j C(d, j) C(n-1, j-1).
+    sum over j of 2^j C(d, j) C(n-1, j-1), and (d-1)! C(n-1, j-1) is
+    (d-1)!/(j-1)! times the falling factorial (n-1)(n-2)...(n-j+1).
     """
-    poly = [Fraction(0)] * d
+    poly = [0] * d
+    falling = [1]
     for j in range(1, d + 1):
-        term = [Fraction(1)]
-        for t in range(1, j):
-            term = _poly_mul(term, [Fraction(-t), Fraction(1)])
-        scale = Fraction(2**j * math.comb(d, j), math.factorial(j - 1))
-        for i, c in enumerate(term):
+        scale = 2**j * math.comb(d, j) * math.perm(d - 1, d - j)
+        for i, c in enumerate(falling):
             poly[i] += scale * c
-    return poly
+        falling = [a - j * b for a, b in zip([0] + falling, falling + [0])]
+    return poly, math.factorial(d - 1)
 
 
 # Euler-Maclaurin tail of sum_{k >= N} k^-n: Bernoulli numbers B_2..B_8
@@ -268,11 +273,12 @@ def _free_abelian_constant(d: int) -> float:
     square and the root are each rounded up.  So C is never below its exact
     value, and above it by a few ulps.
     """
-    poly = _sphere_polynomial(d)
-    shifted = [Fraction(0)] * len(poly)
+    poly, denominator = _sphere_polynomial(d)
+    shifted = [0] * len(poly)
     for i, c in enumerate(poly):
         for k in range(i + 1):
             shifted[k] += c * math.comb(i, k) * (-1) ** (i - k)
+    shifted = [Fraction(a, denominator) for a in shifted]
     tails = [Fraction(_zeta_minus_one(2 * d - i)) for i in range(len(shifted))]
     total = 1 + sum(a * z for a, z in zip(shifted, tails))
     # the underflow part of the zeta error bound is far below the half ulp
@@ -320,11 +326,13 @@ class CompressionMatrix:
         return self.entries.shape[0]
 
 
-def _compression_entries(g: Group, f: GroupRingElement, radius: int, cap: int):
-    """Ball size m and the (rows, cols, values) triplets of the compression.
+def _compression_tables(g: Group, f: GroupRingElement, radius: int, cap: int):
+    """Ball size m, translation table and coefficients of the compression.
 
-    No (row, col) pair repeats: distinct support elements s send a ball
-    element y to distinct products s y.
+    ``targets[i, y]`` is the position of ``s_i y`` in the ball, -1 outside
+    it, for each retained support element ``s_i`` with coefficient
+    ``coeffs[i]``.  A row holds no position twice: ``y -> s_i y`` is
+    injective.
     """
     arena = g.arena(radius, cap=cap)
     m = len(arena)
@@ -335,20 +343,26 @@ def _compression_entries(g: Group, f: GroupRingElement, radius: int, cap: int):
         [g.left_translate(arena, s) for s in support], dtype=np.int64
     ).reshape(len(support), m)
     coeffs = np.array([f.terms[s] for s in support], dtype=complex)
+    return m, targets, coeffs
+
+
+def _triplets(targets: np.ndarray, coeffs: np.ndarray):
+    """(rows, cols, values) of the compression; no (row, col) pair repeats."""
     hit = targets >= 0
     values = np.broadcast_to(coeffs[:, None], targets.shape)[hit]
-    return m, targets[hit], np.nonzero(hit)[1], values
+    return targets[hit], np.nonzero(hit)[1], values
 
 
 def compression_matrix(
     g: Group, f: GroupRingElement, radius: int, cap: int = DEFAULT_BALL_CAP
 ) -> CompressionMatrix:
-    # scipy.sparse is imported here, not at module scope, so commands that
-    # build no compression of more than DIRECT_SOLVE_MAX elements never load it
+    # scipy.sparse is imported here, not at module scope, so commands whose
+    # compressions all stay within TABLE_PRODUCT_MAX entries never load it
     import scipy.sparse as sp
 
     _require_same_group(g, f)
-    m, rows, cols, values = _compression_entries(g, f, radius, cap)
+    m, targets, coeffs = _compression_tables(g, f, radius, cap)
+    rows, cols, values = _triplets(targets, coeffs)
     entries = sp.csr_matrix((values, (rows, cols)), shape=(m, m))
     return CompressionMatrix(radius=radius, entries=entries)
 
@@ -364,7 +378,7 @@ def _scale_exponent(values: np.ndarray) -> int:
     return max(e, -1023)
 
 
-def _dense_top_singular(g: Group, f: GroupRingElement, radius: int, cap: int) -> float:
+def _dense_top_singular(m: int, targets: np.ndarray, coeffs: np.ndarray) -> float:
     """Norm of the compression on its top right singular vector, solved densely.
 
     The vector is the top eigenvector x of A^H A from eigh; the result is
@@ -374,7 +388,7 @@ def _dense_top_singular(g: Group, f: GroupRingElement, radius: int, cap: int) ->
     a few ulps; |A x| alone came out up to 8.4 ulps above the exact norm on
     covering balls of Z/m, the quotient within 2.)
     """
-    m, rows, cols, values = _compression_entries(g, f, radius, cap)
+    rows, cols, values = _triplets(targets, coeffs)
     e = _scale_exponent(values)
     A = np.zeros((m, m), dtype=complex)
     A[rows, cols] = values * math.ldexp(1.0, -e)
@@ -382,7 +396,52 @@ def _dense_top_singular(g: Group, f: GroupRingElement, radius: int, cap: int) ->
     return math.ldexp(float(np.linalg.norm(A @ x) / np.linalg.norm(x)), e)
 
 
-def _power_iteration(A: sp.csr_matrix, max_iters: int, tol: float, seed: int = 0):
+class _Products(NamedTuple):
+    """The products of a scaled m x m compression 2^-e A, as callables."""
+
+    m: int
+    e: int
+    apply: Callable[[np.ndarray], np.ndarray]  # v -> 2^-e A v
+    apply_adjoint: Callable[[np.ndarray], np.ndarray]  # u -> 2^-e A^H u
+
+
+def _csr_products(A: sp.csr_matrix) -> _Products:
+    e = _scale_exponent(A.data)
+    A = A * math.ldexp(1.0, -e)
+    AH = A.conjugate().transpose().tocsr()
+    return _Products(A.shape[0], e, A.__matmul__, AH.__matmul__)
+
+
+def _table_products(m: int, targets: np.ndarray, coeffs: np.ndarray) -> _Products:
+    """Products gathered through the translation table, k m entries each.
+
+    With ``targets[s, y]`` the position of ``s y`` and ``inverse[s, x]`` that
+    of ``s^-1 x`` (index m, a trailing zero, where it leaves the ball):
+    ``A v = c @ v[inverse]`` and ``A^H u = conj(c) @ u[targets]``.
+    """
+    e = _scale_exponent(coeffs)
+    c = coeffs * math.ldexp(1.0, -e)
+    c_conj = c.conj()
+    hit = targets >= 0
+    padded = np.where(hit, targets, m)
+    rows, cols = np.nonzero(hit)
+    # built contiguous: gathering through a strided table took 1.6x as long
+    inverse = np.full_like(targets, m)
+    inverse[rows, targets[rows, cols]] = cols
+    buffer = np.zeros(m + 1, dtype=complex)
+
+    def apply(v):
+        buffer[:m] = v
+        return c @ buffer[inverse]
+
+    def apply_adjoint(u):
+        buffer[:m] = u
+        return c_conj @ buffer[padded]
+
+    return _Products(m, e, apply, apply_adjoint)
+
+
+def _power_iteration(A: _Products, max_iters: int, tol: float, seed: int = 0):
     """Largest singular value from below.
 
     Power iteration on B = A^H A from a seeded random start, restarted every
@@ -392,15 +451,10 @@ def _power_iteration(A: sp.csr_matrix, max_iters: int, tol: float, seed: int = 0
     singular value.  The largest such value is returned together with the
     step count and the relative change between the last two values.
     """
-    m = A.shape[0]
-    if m == 0 or A.nnz == 0:
-        return 0.0, 0, 0.0
-    e = _scale_exponent(A.data)
-    A = A * math.ldexp(1.0, -e)
+    m = A.m
     rng = np.random.default_rng(seed)
     v = rng.normal(size=m) + 1j * rng.normal(size=m)
     v /= np.linalg.norm(v)
-    AH = A.conjugate().transpose().tocsr()
     # rows 0..RITZ_BLOCK-1 hold the unit iterates of the current block and
     # the last row the next one, so that B v_j = gains[j] * v_{j+1}
     iterates = np.empty((RITZ_BLOCK + 1, m), dtype=complex)
@@ -408,7 +462,7 @@ def _power_iteration(A: sp.csr_matrix, max_iters: int, tol: float, seed: int = 0
     best = sigma = rel = 0.0
     k = 0
     for k in range(1, max_iters + 1):
-        w = A @ v
+        w = A.apply(v)
         sigma_new = float(np.linalg.norm(w))
         rel = abs(sigma_new - sigma) / sigma_new if sigma_new else 0.0
         best = max(best, sigma_new)
@@ -417,13 +471,13 @@ def _power_iteration(A: sp.csr_matrix, max_iters: int, tol: float, seed: int = 0
         sigma = sigma_new
         j = (k - 1) % RITZ_BLOCK
         iterates[j] = v
-        u = AH @ w
+        u = A.apply_adjoint(w)
         gains[j] = np.linalg.norm(u)
         v = u / gains[j]
         if j == RITZ_BLOCK - 1:
             iterates[RITZ_BLOCK] = v
             v = _ritz_vector(iterates, gains)
-    return math.ldexp(best, e), k, rel
+    return math.ldexp(best, A.e), k, rel
 
 
 def _ritz_vector(iterates: np.ndarray, gains: np.ndarray) -> np.ndarray:
@@ -465,12 +519,20 @@ def _opnorm_lower_info(g, f, radius, max_iters, tol, cap, seed):
     _require_same_group(g, f)
     if f.is_zero():
         return 0.0, 0, 0.0
-    # the arena is cached: both solvers below reuse it
-    if len(g.arena(radius, cap=cap)) <= DIRECT_SOLVE_MAX:
-        sigma, iters, rel = _dense_top_singular(g, f, radius, cap), 0, 0.0
+    # the regime depends on the ball size m and the table size k m alone
+    m = len(g.arena(radius, cap=cap))
+    k = sum(g.length(s) <= 2 * radius for s in f.terms)
+    if k == 0:
+        # no support element maps a ball element back into the ball: A = 0
+        sigma, iters, rel = 0.0, 0, 0.0
+    elif m <= DIRECT_SOLVE_MAX:
+        sigma, iters, rel = _dense_top_singular(*_compression_tables(g, f, radius, cap)), 0, 0.0
     else:
-        comp = compression_matrix(g, f, radius, cap=cap)
-        sigma, iters, rel = _power_iteration(comp.entries, max_iters, tol, seed=seed)
+        if k * m <= TABLE_PRODUCT_MAX:
+            products = _table_products(*_compression_tables(g, f, radius, cap))
+        else:
+            products = _csr_products(compression_matrix(g, f, radius, cap=cap).entries)
+        sigma, iters, rel = _power_iteration(products, max_iters, tol, seed=seed)
     return max(sigma, l2_norm(f)), iters, rel
 
 
@@ -487,12 +549,15 @@ class NormBracket:
     """Two-sided enclosure of an operator norm.
 
     `lower` comes from a ball compression of the given radius (plus the l2
-    floor), `upper` from the l1/Sobolev bounds.  A ball of more than
-    DIRECT_SOLVE_MAX elements is solved by the Ritz-restarted power
-    iteration: `iterations` counts its A/A^H product pairs, and
-    `achieved_tol` is the relative change between its last two values, not
-    a distance to the norm.  A smaller ball is solved directly (eigh of
-    A^H A, no iteration and no scipy import), and both read 0.
+    floor), `upper` from the l1/Sobolev bounds.  A ball of at most
+    DIRECT_SOLVE_MAX elements is solved directly (eigh of A^H A, no
+    iteration), and `iterations` and `achieved_tol` read 0.  A larger ball
+    is solved by the Ritz-restarted power iteration: `iterations` counts its
+    A/A^H product pairs, and `achieved_tol` is the relative change between
+    its last two values, not a distance to the norm.  Its products are
+    gathered through the translation table while that holds at most
+    TABLE_PRODUCT_MAX entries, and taken from a scipy CSR matrix beyond;
+    only that last regime imports scipy.
     """
 
     lower: float

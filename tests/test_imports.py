@@ -1,7 +1,8 @@
 """Import hygiene: each CLI command loads only the scipy parts it uses.
 
-Only compressions of more than DIRECT_SOLVE_MAX elements load scipy.sparse,
-and nothing loads scipy.special.
+Only compressions on balls of more than DIRECT_SOLVE_MAX elements whose
+translation table holds more than TABLE_PRODUCT_MAX entries load
+scipy.sparse, and nothing loads scipy.special.
 
 Every check runs in a fresh interpreter, since an earlier test in this
 process may already have imported scipy.
@@ -63,16 +64,23 @@ def test_check_pd_loads_no_scipy():
         ["norm", "--element-json", KESTEN_JSON, "--radius", "2"],
         ["map-converge", "--element-json", KESTEN_JSON, "--epsilon", "0.3"],
         ["rd-sample", "--group", "free-abelian:1", "--count", "20", "--seed", "1"],
+        ["norm", "--element-json", KESTEN_JSON, "--radius", "6"],
+        ["rd-sample", "--group", "free:2", "--count", "20", "--seed", "1"],
     ],
-    ids=["norm-radius-2", "map-converge-kesten", "rd-sample-z1"],
+    ids=[
+        "norm-radius-2", "map-converge-kesten", "rd-sample-z1", "norm-radius-6", "rd-sample-free2"
+    ],
 )
 def test_small_compressions_load_no_scipy(argv):
-    # every ball these commands compress holds at most DIRECT_SOLVE_MAX elements
+    # every ball these commands compress holds at most DIRECT_SOLVE_MAX
+    # elements, or its table at most TABLE_PRODUCT_MAX entries: Kesten at
+    # radius 6 has 4 * 1457, a random free(2) element of at most 6 terms at
+    # the default radius 4 at most 6 * 161
     assert scipy_modules_after(argv) == set()
 
 
 def test_norm_loads_sparse_but_not_special():
-    # the radius-6 ball of free(2) holds 1457 elements, above DIRECT_SOLVE_MAX
-    loaded = scipy_modules_after(["norm", "--element-json", KESTEN_JSON, "--radius", "6"])
+    # Kesten at radius 7: 4 * 4373 table entries, above TABLE_PRODUCT_MAX
+    loaded = scipy_modules_after(["norm", "--element-json", KESTEN_JSON, "--radius", "7"])
     assert "scipy.sparse" in loaded
     assert "scipy.special" not in loaded

@@ -2,6 +2,7 @@
 
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,13 +11,20 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import rdmap.operators
-from rdmap.groups import CyclicGroup, FreeAbelianGroup, FreeGroup, GroupMismatchError
+from rdmap.groups import (
+    DEFAULT_BALL_CAP,
+    CyclicGroup,
+    FreeAbelianGroup,
+    FreeGroup,
+    GroupMismatchError,
+)
 from rdmap.operators import (
     BRACKET_ROUNDING_SLACK,
     DEFAULT_MAX_ITERS,
     DEFAULT_POWER_TOL,
     DIRECT_SOLVE_MAX,
     RITZ_BLOCK,
+    TABLE_PRODUCT_MAX,
     CompressionMatrix,
     GroupRingElement,
     NormBracket,
@@ -34,10 +42,14 @@ from rdmap.operators import (
     random_element,
     sobolev_norm,
     _clamp_crossing,
+    _compression_tables,
+    _csr_products,
     _dense_top_singular,
     _free_abelian_constant,
     _power_iteration,
     _ritz_vector,
+    _table_products,
+    _zeta_minus_one,
 )
 
 F2 = FreeGroup(2)
@@ -69,6 +81,18 @@ def dense_compression(g, f, points):
     for i, x in enumerate(points):
         for j, y in enumerate(points):
             A[i, j] = f.coeff(g.multiply(x, g.inverse(y)))
+    return A
+
+
+def translate_compression(g, f, points):
+    """The same matrix read column by column: column y holds f(s) at row s y."""
+    index = {x: i for i, x in enumerate(points)}
+    A = np.zeros((len(points), len(points)), dtype=complex)
+    for j, y in enumerate(points):
+        for s, c in f.terms.items():
+            i = index.get(g.multiply(s, y))
+            if i is not None:
+                A[i, j] += c
     return A
 
 
@@ -216,6 +240,44 @@ def test_free_abelian_constant_is_never_below_the_lattice_sum():
             assert exact <= C <= exact * (1 + mp.mpf("1e-14")), d
 
 
+def reference_free_abelian_constant(d):
+    """The constant as first written: the sphere polynomial in rationals.
+
+    O(d^3) Fraction products (about 1 s at d = 80); the library builds the
+    same rationals as integers over (d-1)!, so C must match to the bit.
+    """
+
+    def poly_mul(a, b):
+        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        for i, ai in enumerate(a):
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+        return out
+
+    poly = [Fraction(0)] * d
+    for j in range(1, d + 1):
+        term = [Fraction(1)]
+        for t in range(1, j):
+            term = poly_mul(term, [Fraction(-t), Fraction(1)])
+        scale = Fraction(2**j * math.comb(d, j), math.factorial(j - 1))
+        for i, c in enumerate(term):
+            poly[i] += scale * c
+    shifted = [Fraction(0)] * len(poly)
+    for i, c in enumerate(poly):
+        for k in range(i + 1):
+            shifted[k] += c * math.comb(i, k) * (-1) ** (i - k)
+    tails = [Fraction(_zeta_minus_one(2 * d - i)) for i in range(len(shifted))]
+    total = 1 + sum(a * z for a, z in zip(shifted, tails))
+    total += 2 * Fraction(sys.float_info.epsilon) * sum(abs(a) * z for a, z in zip(shifted, tails))
+    square = math.nextafter(float(total), math.inf)
+    return math.nextafter(math.sqrt(square), math.inf)
+
+
+def test_free_abelian_constant_matches_the_rational_reference():
+    for d in range(1, 61):
+        assert _free_abelian_constant(d) == reference_free_abelian_constant(d), d
+
+
 def test_builtin_params_table():
     rd1 = builtin_rd_params(Z1)
     assert rd1.s == 1.0
@@ -260,9 +322,9 @@ def test_compression_entries_match_definition(group, seed):
     f = random_element(group, 2, rng)
     comp = compression_matrix(group, f, 3)
     assert comp.entries.nnz <= len(f.terms) * comp.size
-    assert np.array_equal(
-        comp.entries.toarray(), dense_compression(group, f, group.ball(3))
-    )
+    A = dense_compression(group, f, group.ball(3))
+    assert np.array_equal(comp.entries.toarray(), A)
+    assert np.array_equal(translate_compression(group, f, group.ball(3)), A)
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +489,8 @@ def cyclic_oracle(f):
 
 
 def solve(M, max_iters=DEFAULT_MAX_ITERS, tol=DEFAULT_POWER_TOL):
-    return _power_iteration(sp.csr_matrix(np.asarray(M, dtype=complex)), max_iters, tol)
+    A = sp.csr_matrix(np.asarray(M, dtype=complex))
+    return _power_iteration(_csr_products(A), max_iters, tol)
 
 
 @st.composite
@@ -459,7 +522,8 @@ def test_solver_never_exceeds_dense_svd(case):
     group, radius, f = case
     comp = compression_matrix(group, f, radius)
     exact = top_singular_value(comp.entries.toarray()) if comp.entries.nnz else 0.0
-    value, iters, _ = _power_iteration(comp.entries, DEFAULT_MAX_ITERS, DEFAULT_POWER_TOL)
+    products = _csr_products(comp.entries)
+    value, iters, _ = _power_iteration(products, DEFAULT_MAX_ITERS, DEFAULT_POWER_TOL)
     assert value <= exact * (1 + 8 * EPS)
     assert 0 <= iters <= DEFAULT_MAX_ITERS
     assert opnorm_lower(group, f, radius) <= max(exact, l2_norm(f)) * (1 + 8 * EPS)
@@ -520,7 +584,7 @@ def test_direct_solve_matches_dense_svd(case):
     assert group.ball_size(radius) <= DIRECT_SOLVE_MAX
     comp = compression_matrix(group, f, radius)
     exact = top_singular_value(comp.entries.toarray())
-    value = _dense_top_singular(group, f, radius, cap=DIRECT_SOLVE_MAX)
+    value = _dense_top_singular(*_compression_tables(group, f, radius, DIRECT_SOLVE_MAX))
     assert value <= exact * (1 + 8 * EPS)
     assert value == pytest.approx(exact, rel=1e-12, abs=0.0)
 
@@ -536,6 +600,89 @@ def test_solvers_agree_at_the_cutoff(order):
     assert (bracket.iterations == 0) == (order <= DIRECT_SOLVE_MAX)
     assert bracket.lower <= cyclic_oracle(f) * (1 + 8 * EPS)
     assert bracket.lower == pytest.approx(cyclic_oracle(f), rel=1e-9)
+
+
+@st.composite
+def table_compressions(draw):
+    """Compressions solved through the translation table.
+
+    free(2) at radius 4 (161 elements), Z^2 at radius 6 to 9 (85 to 181) and
+    Z/m for m in 65..181 on a covering or a smaller ball.  Support words
+    reach past the radius, and on free(2) and Z^2 past twice the radius,
+    where they drop out of the compression.
+    """
+    family = draw(st.sampled_from(["free", "abelian", "cyclic"]))
+    if family == "free":
+        group, radius = F2, 4
+        word = st.text(alphabet=F2.letters, max_size=10)
+    elif family == "abelian":
+        group, radius = FreeAbelianGroup(2), draw(st.integers(6, 9))
+        word = st.tuples(st.integers(-10, 10), st.integers(-10, 10))
+    else:
+        group = CyclicGroup(draw(st.integers(DIRECT_SOLVE_MAX + 1, 181)))
+        radius = draw(st.integers(DIRECT_SOLVE_MAX // 2, group.order // 2))
+        word = st.integers(0, group.order - 1)
+    terms = draw(
+        st.dictionaries(
+            word.map(group.parse),
+            st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    return group, radius, GroupRingElement(group, terms)
+
+
+@settings(max_examples=40, deadline=None)
+@given(table_compressions())
+def test_table_products_match_the_dense_compression(case):
+    group, radius, f = case
+    m, targets, coeffs = _compression_tables(group, f, radius, DEFAULT_BALL_CAP)
+    assert m > DIRECT_SOLVE_MAX and targets.size <= TABLE_PRODUCT_MAX
+    A = translate_compression(group, f, group.ball(radius))
+    products = _table_products(m, targets, coeffs)
+    scale = 2.0**products.e
+    rng = np.random.default_rng(0)
+    v = rng.normal(size=m) + 1j * rng.normal(size=m)
+    # relative to |A| |v|, the size of the rounding of each entry's sum
+    for got, want, size in (
+        (products.apply(v), A @ v, np.abs(A) @ np.abs(v)),
+        (products.apply_adjoint(v), A.conj().T @ v, np.abs(A).T @ np.abs(v)),
+    ):
+        assert np.linalg.norm(got * scale - want) <= 1e-13 * np.linalg.norm(size)
+    assert opnorm_lower(group, f, radius) == max(
+        _power_iteration(products, DEFAULT_MAX_ITERS, DEFAULT_POWER_TOL)[0], l2_norm(f)
+    )
+    sigma = np.linalg.svd(A, compute_uv=False)
+    value, iters, _ = _power_iteration(products, DEFAULT_MAX_ITERS, 1e-13)
+    assert value <= sigma[0] * (1 + 8 * EPS)
+    # the stop rule bounds the change between steps, not the distance to the
+    # norm, which is about tol over the relative gap of A^H A below its top:
+    # hence the tight tol, and no closeness claim for a gap below 1e-3 (at
+    # tol 1e-13, Z/114 on radius 32 with a gap of 2e-5 stops 1.3e-9 short)
+    below = sigma[sigma < sigma[0] * (1 - 1e-9)]
+    gap = 1 - (below[0] / sigma[0]) ** 2 if below.size else 1.0
+    if iters < DEFAULT_MAX_ITERS and gap >= 1e-3:
+        assert value == pytest.approx(sigma[0], rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "order, k", [(TABLE_PRODUCT_MAX, 1), (TABLE_PRODUCT_MAX + 1, 1), (128, 64), (2731, 3)]
+)
+def test_the_gate_sits_on_the_table_size(order, k, monkeypatch):
+    # the covering ball of Z/order holds `order` elements, so the table of a
+    # k-term element holds k * order entries: 8192 twice, 8193 twice
+    calls = []
+    for name in ("_table_products", "_csr_products"):
+        real = getattr(rdmap.operators, name)
+        spy = lambda *args, name=name, real=real: calls.append(name) or real(*args)
+        monkeypatch.setattr(rdmap.operators, name, spy)
+    group = CyclicGroup(order)
+    f = GroupRingElement(group, {x: complex(x + 1, -x) for x in range(1, k + 1)})
+    lower = opnorm_lower(group, f, order // 2, max_iters=100)
+    expected = "_table_products" if k * order <= TABLE_PRODUCT_MAX else "_csr_products"
+    assert calls == [expected]
+    assert l2_norm(f) <= lower <= cyclic_oracle(f) * (1 + 8 * EPS)
 
 
 @pytest.mark.parametrize(
@@ -559,7 +706,8 @@ def test_small_cyclic_groups_match_fourier(order):
     group = CyclicGroup(order)
     f = GroupRingElement(group, {1: 1.0, 0: 0.5j})
     comp = compression_matrix(group, f, order // 2)
-    lower, _, _ = _power_iteration(comp.entries, DEFAULT_MAX_ITERS, DEFAULT_POWER_TOL)
+    products = _csr_products(comp.entries)
+    lower, _, _ = _power_iteration(products, DEFAULT_MAX_ITERS, DEFAULT_POWER_TOL)
     assert lower <= cyclic_oracle(f) * (1 + 8 * EPS)
     assert lower == pytest.approx(cyclic_oracle(f), rel=1e-12)
 
