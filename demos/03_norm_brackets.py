@@ -58,8 +58,8 @@ print(f"bracket at radius 8: [{bracket.lower:.6f}, {bracket.upper:.6f}]"
 Z1 = FreeAbelianGroup(1)
 shift = GroupRingElement(Z1, {(1,): 1.0, (-1,): 1.0})
 comp = compression_matrix(Z1, shift, 10)
-print(f"\nshift compression: {comp.size}x{comp.size},",
-      f"{comp.entries.nnz} nonzero entries")
+print(f"\nshift compression: {comp.shape[0]}x{comp.shape[1]},",
+      f"{comp.nnz} nonzero entries")
 value = opnorm_lower(Z1, shift, 10)
 print("lower =", value, " vs 2cos(pi/22) =", 2.0 * math.cos(math.pi / 22.0))
 

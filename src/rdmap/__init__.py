@@ -54,7 +54,6 @@ from .multipliers import (
     tail_bound,
 )
 from .operators import (
-    CompressionMatrix,
     GroupRingElement,
     NormBracket,
     RdParams,
@@ -77,7 +76,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BallCapError",
     "CnVerdict",
-    "CompressionMatrix",
     "ConvergenceRow",
     "CyclicGroup",
     "DEFAULT_BALL_CAP",

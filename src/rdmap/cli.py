@@ -289,6 +289,7 @@ def _build_parser() -> _Parser:
     norm.add_argument("--radius", type=NONNEGATIVE_INT, default=6)
     norm.add_argument("--max-iters", type=POSITIVE_INT, default=10_000)
     norm.add_argument("--tol", type=POSITIVE_FLOAT, default=1e-10)
+    norm.add_argument("--seed", type=int, default=0)
 
     rs = sub.add_parser("rd-sample", help="random soundness sweep of the decay bound")
     rs.add_argument("--group", type=_group, required=True)
@@ -296,6 +297,7 @@ def _build_parser() -> _Parser:
     rs.add_argument("--radius", type=NONNEGATIVE_INT, default=4)
     rs.add_argument("--C", type=_normal_float, default=None)
     rs.add_argument("--s", type=POSITIVE_FLOAT, default=None)
+    rs.add_argument("--seed", type=int, required=True)
 
     mc = sub.add_parser("map-converge", help="sweep the identity-approximation grid")
     mc.add_argument("--element", type=str, default=None)
@@ -304,6 +306,7 @@ def _build_parser() -> _Parser:
     mc.add_argument("--r", type=POSITIVE_FLOAT, action="append", default=None)
     mc.add_argument("--radius", type=NONNEGATIVE_INT, default=None)
     mc.add_argument("--format", type=str, choices=("json", "csv"), default="json")
+    mc.add_argument("--seed", type=int, default=0)
 
     handlers = (
         (cn, cmd_check_cn),
@@ -314,7 +317,6 @@ def _build_parser() -> _Parser:
     )
     for p, handler in handlers:
         p.set_defaults(handler=handler)
-        p.add_argument("--seed", type=int, required=p is rs, default=0)
         p.add_argument("--ball-cap", type=POSITIVE_INT, default=DEFAULT_BALL_CAP)
         p.add_argument("--out", type=str, default=None)
 

@@ -519,8 +519,12 @@ class CyclicGroup(Group):
         return min(self.order, 2 * n + 1)
 
     def _enumerate_ball(self, n: int) -> list[int]:
-        members = [x for x in range(self.order) if self.length(x) <= n]
-        return sorted(members, key=self.sort_key)
+        # canonical order in closed form: 0, then k and m - k for each length
+        # k, the two coinciding at k = m / 2
+        members = [0]
+        for k in range(1, min(n, self.order // 2) + 1):
+            members += [k] if 2 * k == self.order else [k, self.order - k]
+        return members
 
     def _arena_tables(self, elements: tuple, index: Mapping) -> dict:
         residues = np.array(elements, dtype=np.int64)
@@ -530,7 +534,8 @@ class CyclicGroup(Group):
         }
 
     def left_translate(self, arena: BallArena, s: int) -> np.ndarray:
-        return arena.locate((arena.coords + s) % self.order)
+        # shift by s - m in (-m, 0]: residue + s could pass 2^63 and wrap
+        return arena.locate((arena.coords + (s - self.order)) % self.order)
 
     def length_matrix(self, points: list) -> np.ndarray:
         residues = np.array([self.parse(p) for p in points], dtype=np.int64)

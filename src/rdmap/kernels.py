@@ -59,6 +59,8 @@ class KernelMatrix:
         self.entries = np.asarray(self.entries, dtype=float)
         if self.entries.ndim != 2 or self.entries.shape[0] != self.entries.shape[1]:
             raise ValueError("kernel entries must form a square matrix")
+        if self.entries.size == 0:
+            raise ValueError("kernel matrix must hold at least one point")
         # kernels built from a group are exactly symmetric and skip allclose
         if not (
             np.array_equal(self.entries, self.entries.T)

@@ -14,7 +14,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -309,23 +309,6 @@ def builtin_rd_params(g: Group) -> RdParams:
 # compressions and norm brackets
 
 
-@dataclass(frozen=True)
-class CompressionMatrix:
-    """Matrix of convolution by f on the span of a ball, in canonical order.
-
-    Index i stands for ``g.ball(radius)[i]``.  Row x, column y holds
-    f(x y^-1), so the matrix acts on coordinate vectors exactly as
-    convolution acts on functions supported in the ball.
-    """
-
-    radius: int
-    entries: sp.csr_matrix
-
-    @property
-    def size(self) -> int:
-        return self.entries.shape[0]
-
-
 def _compression_tables(g: Group, f: GroupRingElement, radius: int, cap: int):
     """Ball size m, translation table and coefficients of the compression.
 
@@ -353,18 +336,26 @@ def _triplets(targets: np.ndarray, coeffs: np.ndarray):
     return targets[hit], np.nonzero(hit)[1], values
 
 
-def compression_matrix(
-    g: Group, f: GroupRingElement, radius: int, cap: int = DEFAULT_BALL_CAP
-) -> CompressionMatrix:
+def _csr_matrix(m: int, rows, cols, values) -> sp.csr_matrix:
     # scipy.sparse is imported here, not at module scope, so commands whose
     # compressions all stay within TABLE_PRODUCT_MAX entries never load it
     import scipy.sparse as sp
 
+    return sp.csr_matrix((values, (rows, cols)), shape=(m, m))
+
+
+def compression_matrix(
+    g: Group, f: GroupRingElement, radius: int, cap: int = DEFAULT_BALL_CAP
+) -> sp.csr_matrix:
+    """Compression of convolution by f to the ball, as a scipy CSR matrix.
+
+    Index i stands for ``g.ball(radius)[i]``; row x, column y holds
+    f(x y^-1), so the matrix acts on coordinate vectors exactly as
+    convolution acts on functions supported in the ball.
+    """
     _require_same_group(g, f)
     m, targets, coeffs = _compression_tables(g, f, radius, cap)
-    rows, cols, values = _triplets(targets, coeffs)
-    entries = sp.csr_matrix((values, (rows, cols)), shape=(m, m))
-    return CompressionMatrix(radius=radius, entries=entries)
+    return _csr_matrix(m, *_triplets(targets, coeffs))
 
 
 def _scale_exponent(values: np.ndarray) -> int:
@@ -378,6 +369,13 @@ def _scale_exponent(values: np.ndarray) -> int:
     return max(e, -1023)
 
 
+def _scaled_tables(g: Group, f: GroupRingElement, radius: int, cap: int):
+    """(m, targets, coeffs, e) with coeffs scaled by 2^-e, as every solver gets them."""
+    m, targets, coeffs = _compression_tables(g, f, radius, cap)
+    e = _scale_exponent(coeffs)
+    return m, targets, coeffs * math.ldexp(1.0, -e), e
+
+
 def _dense_top_singular(m: int, targets: np.ndarray, coeffs: np.ndarray) -> float:
     """Norm of the compression on its top right singular vector, solved densely.
 
@@ -389,39 +387,30 @@ def _dense_top_singular(m: int, targets: np.ndarray, coeffs: np.ndarray) -> floa
     covering balls of Z/m, the quotient within 2.)
     """
     rows, cols, values = _triplets(targets, coeffs)
-    e = _scale_exponent(values)
     A = np.zeros((m, m), dtype=complex)
-    A[rows, cols] = values * math.ldexp(1.0, -e)
+    A[rows, cols] = values
     x = np.linalg.eigh(A.conj().T @ A)[1][:, -1]
-    return math.ldexp(float(np.linalg.norm(A @ x) / np.linalg.norm(x)), e)
+    return float(np.linalg.norm(A @ x) / np.linalg.norm(x))
 
 
-class _Products(NamedTuple):
-    """The products of a scaled m x m compression 2^-e A, as callables."""
-
-    m: int
-    e: int
-    apply: Callable[[np.ndarray], np.ndarray]  # v -> 2^-e A v
-    apply_adjoint: Callable[[np.ndarray], np.ndarray]  # u -> 2^-e A^H u
-
-
-def _csr_products(A: sp.csr_matrix) -> _Products:
-    e = _scale_exponent(A.data)
-    A = A * math.ldexp(1.0, -e)
-    AH = A.conjugate().transpose().tocsr()
-    return _Products(A.shape[0], e, A.__matmul__, AH.__matmul__)
+def _csr_products(m: int, targets: np.ndarray, coeffs: np.ndarray):
+    """Products v -> A v and u -> A^H u by scipy CSR matrices, nnz entries each."""
+    A = _csr_matrix(m, *_triplets(targets, coeffs))
+    # A^H as A's transpose: triplets of its own would sit next to the table
+    # and A (1 MB more at free(2) radius 8)
+    AH = A.transpose().tocsr()
+    np.conjugate(AH.data, out=AH.data)
+    return A.__matmul__, AH.__matmul__
 
 
-def _table_products(m: int, targets: np.ndarray, coeffs: np.ndarray) -> _Products:
+def _table_products(m: int, targets: np.ndarray, coeffs: np.ndarray):
     """Products gathered through the translation table, k m entries each.
 
     With ``targets[s, y]`` the position of ``s y`` and ``inverse[s, x]`` that
     of ``s^-1 x`` (index m, a trailing zero, where it leaves the ball):
     ``A v = c @ v[inverse]`` and ``A^H u = conj(c) @ u[targets]``.
     """
-    e = _scale_exponent(coeffs)
-    c = coeffs * math.ldexp(1.0, -e)
-    c_conj = c.conj()
+    coeffs_conj = coeffs.conj()
     hit = targets >= 0
     padded = np.where(hit, targets, m)
     rows, cols = np.nonzero(hit)
@@ -432,26 +421,27 @@ def _table_products(m: int, targets: np.ndarray, coeffs: np.ndarray) -> _Product
 
     def apply(v):
         buffer[:m] = v
-        return c @ buffer[inverse]
+        return coeffs @ buffer[inverse]
 
     def apply_adjoint(u):
         buffer[:m] = u
-        return c_conj @ buffer[padded]
+        return coeffs_conj @ buffer[padded]
 
-    return _Products(m, e, apply, apply_adjoint)
+    return apply, apply_adjoint
 
 
-def _power_iteration(A: _Products, max_iters: int, tol: float, seed: int = 0):
-    """Largest singular value from below.
+def _power_iteration(m: int, products, max_iters: int, tol: float, seed: int = 0):
+    """Largest singular value of an m x m matrix A from below.
 
-    Power iteration on B = A^H A from a seeded random start, restarted every
+    ``products`` is the pair of callables v -> A v and u -> A^H u.  Power
+    iteration on B = A^H A from a seeded random start, restarted every
     RITZ_BLOCK steps from the Rayleigh-Ritz vector of the stored iterates.
     Each step is one A and one A^H product and yields the norm of A applied
     to an explicit unit vector, which never exceeds the true largest
     singular value.  The largest such value is returned together with the
     step count and the relative change between the last two values.
     """
-    m = A.m
+    apply, apply_adjoint = products
     rng = np.random.default_rng(seed)
     v = rng.normal(size=m) + 1j * rng.normal(size=m)
     v /= np.linalg.norm(v)
@@ -462,7 +452,7 @@ def _power_iteration(A: _Products, max_iters: int, tol: float, seed: int = 0):
     best = sigma = rel = 0.0
     k = 0
     for k in range(1, max_iters + 1):
-        w = A.apply(v)
+        w = apply(v)
         sigma_new = float(np.linalg.norm(w))
         rel = abs(sigma_new - sigma) / sigma_new if sigma_new else 0.0
         best = max(best, sigma_new)
@@ -471,13 +461,13 @@ def _power_iteration(A: _Products, max_iters: int, tol: float, seed: int = 0):
         sigma = sigma_new
         j = (k - 1) % RITZ_BLOCK
         iterates[j] = v
-        u = A.apply_adjoint(w)
+        u = apply_adjoint(w)
         gains[j] = np.linalg.norm(u)
         v = u / gains[j]
         if j == RITZ_BLOCK - 1:
             iterates[RITZ_BLOCK] = v
             v = _ritz_vector(iterates, gains)
-    return math.ldexp(best, A.e), k, rel
+    return best, k, rel
 
 
 def _ritz_vector(iterates: np.ndarray, gains: np.ndarray) -> np.ndarray:
@@ -519,21 +509,20 @@ def _opnorm_lower_info(g, f, radius, max_iters, tol, cap, seed):
     _require_same_group(g, f)
     if f.is_zero():
         return 0.0, 0, 0.0
+    m, targets, coeffs, e = _scaled_tables(g, f, radius, cap)
     # the regime depends on the ball size m and the table size k m alone
-    m = len(g.arena(radius, cap=cap))
-    k = sum(g.length(s) <= 2 * radius for s in f.terms)
-    if k == 0:
+    if targets.size == 0:
         # no support element maps a ball element back into the ball: A = 0
         sigma, iters, rel = 0.0, 0, 0.0
     elif m <= DIRECT_SOLVE_MAX:
-        sigma, iters, rel = _dense_top_singular(*_compression_tables(g, f, radius, cap)), 0, 0.0
+        sigma, iters, rel = _dense_top_singular(m, targets, coeffs), 0, 0.0
     else:
-        if k * m <= TABLE_PRODUCT_MAX:
-            products = _table_products(*_compression_tables(g, f, radius, cap))
-        else:
-            products = _csr_products(compression_matrix(g, f, radius, cap=cap).entries)
-        sigma, iters, rel = _power_iteration(products, max_iters, tol, seed=seed)
-    return max(sigma, l2_norm(f)), iters, rel
+        build = _table_products if targets.size <= TABLE_PRODUCT_MAX else _csr_products
+        products = build(m, targets, coeffs)
+        # the products keep what they need; free the table before iterating
+        del targets
+        sigma, iters, rel = _power_iteration(m, products, max_iters, tol, seed=seed)
+    return max(math.ldexp(sigma, e), l2_norm(f)), iters, rel
 
 
 def opnorm_upper(g: Group, f: GroupRingElement, rd: RdParams) -> float:
@@ -549,15 +538,16 @@ class NormBracket:
     """Two-sided enclosure of an operator norm.
 
     `lower` comes from a ball compression of the given radius (plus the l2
-    floor), `upper` from the l1/Sobolev bounds.  A ball of at most
-    DIRECT_SOLVE_MAX elements is solved directly (eigh of A^H A, no
-    iteration), and `iterations` and `achieved_tol` read 0.  A larger ball
-    is solved by the Ritz-restarted power iteration: `iterations` counts its
-    A/A^H product pairs, and `achieved_tol` is the relative change between
-    its last two values, not a distance to the norm.  Its products are
-    gathered through the translation table while that holds at most
-    TABLE_PRODUCT_MAX entries, and taken from a scipy CSR matrix beyond;
-    only that last regime imports scipy.
+    floor), `upper` from the l1/Sobolev bounds.  The compression is one
+    translation table, scaled once by a power of two, with three consumers.
+    A ball of at most DIRECT_SOLVE_MAX elements is solved directly (eigh of
+    A^H A, no iteration), and `iterations` and `achieved_tol` read 0.  A
+    larger ball is solved by the Ritz-restarted power iteration: `iterations`
+    counts its A/A^H product pairs, and `achieved_tol` is the relative change
+    between its last two values, not a distance to the norm.  Its products
+    are gathered through the table while that holds at most
+    TABLE_PRODUCT_MAX entries, and taken from scipy CSR matrices built from
+    the same table beyond; only that last regime imports scipy.
     """
 
     lower: float

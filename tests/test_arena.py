@@ -105,7 +105,8 @@ def elements(group, max_len):
 @st.composite
 def kernel_cases(draw):
     group = draw(groups())
-    points = draw(st.lists(elements(group, 5), max_size=25))
+    # an empty point set is rejected (test_kernel_matrix_validation)
+    points = draw(st.lists(elements(group, 5), min_size=1, max_size=25))
     return group, points
 
 
@@ -163,8 +164,8 @@ def test_schoenberg_kernel_matches_pairwise_reference(case, r):
 def test_compression_matches_per_pair_reference(case):
     group, radius, f = case
     comp = compression_matrix(group, f, radius)
-    assert comp.size == len(group.ball(radius))
-    assert_same_csr(comp.entries, reference_compression(group, f, radius))
+    assert comp.shape[0] == len(group.ball(radius))
+    assert_same_csr(comp, reference_compression(group, f, radius))
 
 
 def test_kernel_points_shuffled_and_unreduced():
@@ -183,7 +184,7 @@ def test_compression_identical_at_larger_radius(group):
     pool = group.ball(4)
     picks = rng.choice(len(pool), size=min(6, len(pool)), replace=False)
     f = GroupRingElement(group, {pool[i]: complex(rng.normal(), rng.normal()) for i in picks})
-    assert_same_csr(compression_matrix(group, f, 5).entries, reference_compression(group, f, 5))
+    assert_same_csr(compression_matrix(group, f, 5), reference_compression(group, f, 5))
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +199,8 @@ def test_z40_radius_one_does_not_overflow():
     gens = [tuple(sign * (k == j) for k in range(40)) for j in range(40) for sign in (1, -1)]
     f = GroupRingElement(Z40, {g: 1.0 for g in gens})
     comp = compression_matrix(Z40, f, 1)
-    assert_same_csr(comp.entries, reference_compression(Z40, f, 1))
-    assert comp.entries.nnz == 160  # 80 in the identity column, 80 in the identity row
+    assert_same_csr(comp, reference_compression(Z40, f, 1))
+    assert comp.nnz == 160  # 80 in the identity column, 80 in the identity row
     corner = [tuple([1] * 20 + [-1] * 20), tuple([-1] * 20 + [1] * 20)]
     assert length_kernel(Z40, corner).entries[0, 1] == 80.0
 
@@ -207,9 +208,9 @@ def test_z40_radius_one_does_not_overflow():
 def test_free_product_cancels_then_lands_in_ball():
     f = GroupRingElement(F2, {"ab": 1.0})
     comp = compression_matrix(F2, f, 2)
-    assert_same_csr(comp.entries, reference_compression(F2, f, 2))
+    assert_same_csr(comp, reference_compression(F2, f, 2))
     index = {x: i for i, x in enumerate(F2.ball(2))}
-    A = comp.entries.toarray()
+    A = comp.toarray()
     # "ab" * "BA" cancels fully, "ab" * "Ba" cancels one letter and regrows
     assert A[index[""], index["BA"]] == 1.0
     assert A[index["aa"], index["Ba"]] == 1.0
@@ -234,8 +235,8 @@ def test_mutating_a_returned_ball_changes_nothing():
     ball.append("zzz")
     assert F2.ball(2) == expected
     after = compression_matrix(F2, f, 2)
-    assert_same_csr(after.entries, before.entries)
-    assert_same_csr(after.entries, reference_compression(F2, f, 2))
+    assert_same_csr(after, before)
+    assert_same_csr(after, reference_compression(F2, f, 2))
 
 
 @pytest.mark.parametrize("group", [F2, Z2, CyclicGroup(7)], ids=repr)

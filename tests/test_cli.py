@@ -449,6 +449,15 @@ def test_flag_prefixes_exit_usage(capsys, argv, prefix):
     assert "usage error" in err and prefix in err
 
 
+@pytest.mark.parametrize("command", ["check-cn", "check-pd"])
+def test_seed_is_not_a_kernel_flag(capsys, command):
+    # neither check draws anything at random, so neither takes a seed
+    code, out, err = run(capsys, [command, "--group", "free:2", "--radius", "2", "--seed", "5"])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "--seed" in err
+
+
 @pytest.mark.parametrize(
     "argv,flag",
     [

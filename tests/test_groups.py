@@ -66,6 +66,11 @@ def cyclic_bfs_distance(m, x):
     return dist[x]
 
 
+def scanned_cyclic_ball(g, n):
+    """Every residue of length <= n, sorted by (length, residue): a full scan."""
+    return sorted((x for x in range(g.order) if g.length(x) <= n), key=g.sort_key)
+
+
 # ---------------------------------------------------------------------------
 # worked examples
 
@@ -116,6 +121,13 @@ def test_ball_free():
 def test_ball_cyclic():
     assert set(C5.ball(2)) == {0, 1, 2, 3, 4}
     assert C5.ball(2) == [0, 1, 4, 2, 3]  # by length, then residue
+
+
+def test_cyclic_ball_matches_the_full_scan():
+    for m in range(2, 120):
+        g = CyclicGroup(m)
+        for n in range(m // 2 + 3):
+            assert g.ball(n) == scanned_cyclic_ball(g, n)
 
 
 def test_ball_abelian():

@@ -326,6 +326,14 @@ def test_kernel_matrix_validation():
         KernelMatrix(np.array([[0.0, 1.0], [2.0, 0.0]]))
     with pytest.raises(ValueError):
         KernelMatrix(np.zeros((2, 3)))
+    # an empty point set is rejected, not divided by
+    for call in (
+        lambda: cn_check(F2, []),
+        lambda: cn_check_matrix(np.zeros((0, 0))),
+        lambda: psd_check(np.zeros((0, 0))),
+    ):
+        with pytest.raises(ValueError, match="at least one point"):
+            call()
 
 
 def test_kernel_matrix_symmetry_tolerance():

@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +24,6 @@ from rdmap.operators import (
     DIRECT_SOLVE_MAX,
     RITZ_BLOCK,
     TABLE_PRODUCT_MAX,
-    CompressionMatrix,
     GroupRingElement,
     NormBracket,
     RdParams,
@@ -42,12 +40,12 @@ from rdmap.operators import (
     random_element,
     sobolev_norm,
     _clamp_crossing,
-    _compression_tables,
     _csr_products,
     _dense_top_singular,
     _free_abelian_constant,
     _power_iteration,
     _ritz_vector,
+    _scaled_tables,
     _table_products,
     _zeta_minus_one,
 )
@@ -300,15 +298,15 @@ def test_rd_params_validation():
 
 def test_compression_identity():
     comp = compression_matrix(F2, delta(F2, ""), 2)
-    assert comp.size == 17
-    assert np.array_equal(comp.entries.toarray(), np.eye(17, dtype=complex))
+    assert comp.shape[0] == 17
+    assert np.array_equal(comp.toarray(), np.eye(17, dtype=complex))
 
 
 def test_compression_shift_pair_is_path_adjacency():
     comp = compression_matrix(Z1, SHIFT_PAIR, 10)
-    assert comp.size == 21
+    assert comp.shape[0] == 21
     order = np.argsort([p[0] for p in Z1.ball(10)])
-    A = comp.entries.toarray()[np.ix_(order, order)]
+    A = comp.toarray()[np.ix_(order, order)]
     expected = np.zeros((21, 21), dtype=complex)
     expected[np.arange(20), np.arange(1, 21)] = 1.0
     expected[np.arange(1, 21), np.arange(20)] = 1.0
@@ -321,9 +319,9 @@ def test_compression_entries_match_definition(group, seed):
     rng = np.random.default_rng(seed)
     f = random_element(group, 2, rng)
     comp = compression_matrix(group, f, 3)
-    assert comp.entries.nnz <= len(f.terms) * comp.size
+    assert comp.nnz <= len(f.terms) * comp.shape[0]
     A = dense_compression(group, f, group.ball(3))
-    assert np.array_equal(comp.entries.toarray(), A)
+    assert np.array_equal(comp.toarray(), A)
     assert np.array_equal(translate_compression(group, f, group.ball(3)), A)
 
 
@@ -342,12 +340,31 @@ def test_opnorm_lower_path_formula():
     assert value <= 2.0
 
 
+def test_huge_cyclic_group_brackets_on_its_small_ball():
+    # the ball of radius 3 holds 7 of the 10^12 residues and is enumerated
+    # without scanning the others; its compression is the path on 7 vertices
+    group = CyclicGroup(10**12)
+    f = GroupRingElement(group, {1: 1.0, -1: 1.0})
+    bracket = opnorm_bracket(group, f, builtin_rd_params(group), 3)
+    assert bracket.lower == pytest.approx(2.0 * math.cos(math.pi / 8.0), abs=1e-12)
+    assert bracket.upper == 2.0
+
+
+def test_cyclic_translation_stays_in_int64_near_its_limit():
+    # residue plus shift passes 2^63 for the order 2^63 - 1; the compression
+    # is still the path on the 9 residues of length <= 4
+    group = CyclicGroup(2**63 - 1)
+    f = GroupRingElement(group, {1: 1.0, -1: 1.0})
+    bracket = opnorm_bracket(group, f, builtin_rd_params(group), 4)
+    assert bracket.lower == pytest.approx(2.0 * math.cos(math.pi / 10.0), abs=1e-12)
+
+
 def test_opnorm_lower_matches_dense_svd():
     rng = np.random.default_rng(11)
     for group in (F2, Z1, CyclicGroup(8)):
         f = random_element(group, 2, rng)
         comp = compression_matrix(group, f, 3)
-        oracle = top_singular_value(comp.entries.toarray())
+        oracle = top_singular_value(comp.toarray())
         got = opnorm_lower(group, f, 3)
         assert got == pytest.approx(max(oracle, l2_norm(f)), abs=1e-7)
         assert got <= max(oracle, l2_norm(f)) + 1e-9
@@ -489,8 +506,8 @@ def cyclic_oracle(f):
 
 
 def solve(M, max_iters=DEFAULT_MAX_ITERS, tol=DEFAULT_POWER_TOL):
-    A = sp.csr_matrix(np.asarray(M, dtype=complex))
-    return _power_iteration(_csr_products(A), max_iters, tol)
+    A = np.asarray(M, dtype=complex)
+    return _power_iteration(len(A), (A.__matmul__, A.conj().T.__matmul__), max_iters, tol)
 
 
 @st.composite
@@ -521,9 +538,11 @@ def small_compressions(draw):
 def test_solver_never_exceeds_dense_svd(case):
     group, radius, f = case
     comp = compression_matrix(group, f, radius)
-    exact = top_singular_value(comp.entries.toarray()) if comp.entries.nnz else 0.0
-    products = _csr_products(comp.entries)
-    value, iters, _ = _power_iteration(products, DEFAULT_MAX_ITERS, DEFAULT_POWER_TOL)
+    exact = top_singular_value(comp.toarray()) if comp.nnz else 0.0
+    m, targets, coeffs, e = _scaled_tables(group, f, radius, DEFAULT_BALL_CAP)
+    products = _csr_products(m, targets, coeffs)
+    value, iters, _ = _power_iteration(m, products, DEFAULT_MAX_ITERS, DEFAULT_POWER_TOL)
+    value = math.ldexp(value, e)
     assert value <= exact * (1 + 8 * EPS)
     assert 0 <= iters <= DEFAULT_MAX_ITERS
     assert opnorm_lower(group, f, radius) <= max(exact, l2_norm(f)) * (1 + 8 * EPS)
@@ -583,8 +602,9 @@ def test_direct_solve_matches_dense_svd(case):
     group, radius, f = case
     assert group.ball_size(radius) <= DIRECT_SOLVE_MAX
     comp = compression_matrix(group, f, radius)
-    exact = top_singular_value(comp.entries.toarray())
-    value = _dense_top_singular(*_compression_tables(group, f, radius, DIRECT_SOLVE_MAX))
+    exact = top_singular_value(comp.toarray())
+    m, targets, coeffs, e = _scaled_tables(group, f, radius, DIRECT_SOLVE_MAX)
+    value = math.ldexp(_dense_top_singular(m, targets, coeffs), e)
     assert value <= exact * (1 + 8 * EPS)
     assert value == pytest.approx(exact, rel=1e-12, abs=0.0)
 
@@ -637,33 +657,38 @@ def table_compressions(draw):
 @given(table_compressions())
 def test_table_products_match_the_dense_compression(case):
     group, radius, f = case
-    m, targets, coeffs = _compression_tables(group, f, radius, DEFAULT_BALL_CAP)
+    m, targets, coeffs, e = _scaled_tables(group, f, radius, DEFAULT_BALL_CAP)
     assert m > DIRECT_SOLVE_MAX and targets.size <= TABLE_PRODUCT_MAX
     A = translate_compression(group, f, group.ball(radius))
-    products = _table_products(m, targets, coeffs)
-    scale = 2.0**products.e
-    rng = np.random.default_rng(0)
-    v = rng.normal(size=m) + 1j * rng.normal(size=m)
-    # relative to |A| |v|, the size of the rounding of each entry's sum
-    for got, want, size in (
-        (products.apply(v), A @ v, np.abs(A) @ np.abs(v)),
-        (products.apply_adjoint(v), A.conj().T @ v, np.abs(A).T @ np.abs(v)),
-    ):
-        assert np.linalg.norm(got * scale - want) <= 1e-13 * np.linalg.norm(size)
-    assert opnorm_lower(group, f, radius) == max(
-        _power_iteration(products, DEFAULT_MAX_ITERS, DEFAULT_POWER_TOL)[0], l2_norm(f)
-    )
+    scale = 2.0**e
     sigma = np.linalg.svd(A, compute_uv=False)
-    value, iters, _ = _power_iteration(products, DEFAULT_MAX_ITERS, 1e-13)
-    assert value <= sigma[0] * (1 + 8 * EPS)
     # the stop rule bounds the change between steps, not the distance to the
     # norm, which is about tol over the relative gap of A^H A below its top:
     # hence the tight tol, and no closeness claim for a gap below 1e-3 (at
     # tol 1e-13, Z/114 on radius 32 with a gap of 2e-5 stops 1.3e-9 short)
     below = sigma[sigma < sigma[0] * (1 - 1e-9)]
     gap = 1 - (below[0] / sigma[0]) ** 2 if below.size else 1.0
-    if iters < DEFAULT_MAX_ITERS and gap >= 1e-3:
-        assert value == pytest.approx(sigma[0], rel=1e-9, abs=0.0)
+    rng = np.random.default_rng(0)
+    v = rng.normal(size=m) + 1j * rng.normal(size=m)
+    # the CSR products take the same tables and must pass the same checks
+    for build in (_table_products, _csr_products):
+        products = apply, apply_adjoint = build(m, targets, coeffs)
+        # relative to |A| |v|, the size of the rounding of each entry's sum
+        for got, want, size in (
+            (apply(v), A @ v, np.abs(A) @ np.abs(v)),
+            (apply_adjoint(v), A.conj().T @ v, np.abs(A).T @ np.abs(v)),
+        ):
+            assert np.linalg.norm(got * scale - want) <= 1e-13 * np.linalg.norm(size)
+        if build is _table_products:
+            assert opnorm_lower(group, f, radius) == max(
+                _power_iteration(m, products, DEFAULT_MAX_ITERS, DEFAULT_POWER_TOL)[0] * scale,
+                l2_norm(f),
+            )
+        value, iters, _ = _power_iteration(m, products, DEFAULT_MAX_ITERS, 1e-13)
+        value *= scale
+        assert value <= sigma[0] * (1 + 8 * EPS)
+        if iters < DEFAULT_MAX_ITERS and gap >= 1e-3:
+            assert value == pytest.approx(sigma[0], rel=1e-9, abs=0.0)
 
 
 @pytest.mark.parametrize(
@@ -705,9 +730,10 @@ def test_small_cyclic_groups_match_fourier(order):
     # the top eigenvector up to rounding
     group = CyclicGroup(order)
     f = GroupRingElement(group, {1: 1.0, 0: 0.5j})
-    comp = compression_matrix(group, f, order // 2)
-    products = _csr_products(comp.entries)
-    lower, _, _ = _power_iteration(products, DEFAULT_MAX_ITERS, DEFAULT_POWER_TOL)
+    m, targets, coeffs, e = _scaled_tables(group, f, order // 2, DEFAULT_BALL_CAP)
+    products = _csr_products(m, targets, coeffs)
+    lower, _, _ = _power_iteration(m, products, DEFAULT_MAX_ITERS, DEFAULT_POWER_TOL)
+    lower = math.ldexp(lower, e)
     assert lower <= cyclic_oracle(f) * (1 + 8 * EPS)
     assert lower == pytest.approx(cyclic_oracle(f), rel=1e-12)
 
