@@ -1,0 +1,47 @@
+#!/usr/bin/env bash
+# Print the canonical outputs of a fixed list of rdmap CLI commands.
+#
+# Usage: .github/canonical_outputs.sh SRC_DIR
+#
+# SRC_DIR is the directory that holds the rdmap package (a checkout's src/).
+# For each command the script prints a header line, the command's stdout and
+# its exit code; stderr is dropped.  Two checkouts that print the same bytes
+# here agree on every canonical output the list covers.  Set
+# OPENBLAS_NUM_THREADS=1 first: the bytes repeat only at a fixed BLAS thread
+# count.
+set -u
+
+if [ $# -ne 1 ] || [ ! -d "$1/rdmap" ]; then
+    echo "usage: $0 SRC_DIR (the directory that holds the rdmap package)" >&2
+    exit 2
+fi
+src=$(cd "$1" && pwd)
+python=${PYTHON:-python3}
+
+kesten='{"group": {"kind": "free", "rank": 2}, "terms": [
+  {"elem": "a", "re": 1.0}, {"elem": "A", "re": 1.0},
+  {"elem": "b", "re": 1.0}, {"elem": "B", "re": 1.0}]}'
+z2='{"group": {"kind": "free-abelian", "rank": 2}, "terms": [
+  {"elem": [1, 0], "re": 1.0}, {"elem": [-1, 0], "re": 1.0},
+  {"elem": [0, 1], "re": 1.0}, {"elem": [0, -1], "re": 1.0}]}'
+cyclic='{"group": {"kind": "cyclic", "order": 4001}, "terms": [
+  {"elem": 1, "re": 1.0}, {"elem": 4000, "re": 1.0}, {"elem": 7, "im": 0.5}]}'
+counterexample='{"entries": [[0, 10, 1], [10, 0, 1], [1, 1, 0]]}'
+
+run() {
+    echo "== rdmap $*"
+    PYTHONPATH="$src" "$python" -m rdmap.cli "$@" 2>/dev/null
+    echo "== exit $?"
+}
+
+run norm --element-json "$kesten" --radius 6
+run norm --element-json "$kesten" --radius 8
+run norm --element-json "$z2" --radius 40
+run norm --element-json "$cyclic" --radius 2000
+run map-converge --element-json "$kesten" --epsilon 0.3
+run map-converge --element-json "$kesten" --epsilon 0.3 --format csv
+run rd-sample --group free:2 --count 200 --seed 42
+run rd-sample --group free-abelian:1 --count 200 --seed 42
+run check-cn --group free:2 --radius 3
+run check-cn --kernel-json "$counterexample"
+run check-pd --group free-abelian:2 --radius 4

@@ -148,7 +148,7 @@ def cmd_check_cn(args: argparse.Namespace):
             "radius": args.radius,
             "size": kernel.size,
         }
-    verdict = cn_check_matrix(kernel.entries, tol=args.tol)
+    verdict = cn_check_matrix(kernel, tol=args.tol)
     payload = dict(context)
     payload["tol"] = args.tol
     payload["verdict"] = cn_verdict_to_json(verdict)

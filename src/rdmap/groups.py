@@ -21,18 +21,18 @@ grow exponentially in free groups; a configurable cap turns runaway requests
 into an explicit :class:`BallCapError` instead of silent truncation.
 
 Bulk work runs on integers, not on per-pair word arithmetic: each ball is
-built once per ``(group, radius)`` into a cached :class:`BallArena` of
-integer tables, and :meth:`Group.length_matrix` computes all pairwise lengths
-``l(x^-1 y)`` of a point list in closed form.
+built once per ``(group, radius)`` into a cached :class:`BallArena`, its
+elements and one translation table, in which position ``m = len(arena)``
+stands for every element outside the ball.  :meth:`Group.length_matrix`
+computes all pairwise lengths ``l(x^-1 y)`` of a point list in closed form.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from math import comb
-from types import MappingProxyType
-from typing import ClassVar, Mapping, Optional
+from math import comb, inf
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -74,6 +74,12 @@ def integer_or_none(v) -> Optional[int]:
     return None
 
 
+def check_positive_finite(value, name: str) -> None:
+    """Raise a ValueError that names ``value`` unless ``0 < value < inf``."""
+    if not 0 < value < inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
 def _read_only(values) -> np.ndarray:
     array = np.array(values, dtype=np.int64)
     array.setflags(write=False)
@@ -82,27 +88,24 @@ def _read_only(values) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class BallArena:
-    """A ball as integer tables, built once per ``(group, radius)`` and shared.
+    """A ball and its translation table, built once per (group, radius) and shared.
 
-    ``elements`` lists the ball in canonical order and ``index`` maps each
-    element to its position; ``lengths`` holds the word lengths.  Free groups
-    carry ``moves``, one row per letter in :attr:`FreeGroup.letters` order:
-    ``moves[a, i]`` is the position of ``letter_a * elements[i]``, or -1 when
-    that product leaves the ball.  Free-abelian and cyclic groups carry
-    ``coords``, one row of integer coordinates (or the residue) per element,
-    and :meth:`locate` maps coordinate rows back to positions.  Every array is
+    ``elements`` lists the ball in canonical order; position ``m = len(arena)``
+    stands for every element outside the ball.  Free groups carry ``moves``,
+    one row per letter in :attr:`FreeGroup.letters` order and one column per
+    position, m included: ``moves[a, i]`` is the position of
+    ``letter_a * elements[i]``, m when that product leaves the ball, and
+    ``moves[a, m]`` is m.  Free-abelian and cyclic groups carry ``coords``,
+    one row of integer coordinates (or the residue) per element, and
+    :meth:`locate` maps coordinate rows back to positions.  Every array is
     read-only, because the arena is shared by all callers.
     """
 
-    radius: int
     elements: tuple
-    index: Mapping
-    lengths: np.ndarray
     moves: Optional[np.ndarray] = None
     coords: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "lengths", _read_only(self.lengths))
         if self.moves is not None:
             object.__setattr__(self, "moves", _read_only(self.moves))
         if self.coords is not None:
@@ -132,7 +135,7 @@ class BallArena:
         object.__setattr__(self, "_locator", (low, base, tuple(levels), position))
 
     def locate(self, rows: np.ndarray) -> np.ndarray:
-        """Positions of the coordinate ``rows`` in the ball, -1 for rows outside."""
+        """Positions of the coordinate ``rows`` in the ball, ``len(self)`` for rows outside."""
         low, base, levels, position = self._locator
         found = ((rows >= low) & (rows < low + base)).all(axis=1)
         prefix = np.zeros(len(rows), dtype=np.int64)
@@ -140,7 +143,7 @@ class BallArena:
             key = prefix * base + (column - low)
             prefix = np.searchsorted(keys, key).clip(max=len(keys) - 1)
             found &= keys[prefix] == key
-        return np.where(found, position[prefix], -1)
+        return np.where(found, position[prefix], len(self))
 
 
 class Group:
@@ -194,14 +197,14 @@ class Group:
         raise NotImplementedError
 
     def left_translate(self, arena: BallArena, s) -> np.ndarray:
-        """Position of ``s * y`` for each ``y`` in the arena's ball, -1 outside it."""
+        """Position of ``s * y`` for each ``y`` in the arena's ball, m = len(arena) outside it."""
         raise NotImplementedError
 
     def _enumerate_ball(self, n: int) -> list:
         raise NotImplementedError
 
-    def _arena_tables(self, elements: tuple, index: Mapping) -> dict:
-        """The family's integer tables for :class:`BallArena`, lengths included."""
+    def _arena_tables(self, elements: tuple) -> dict:
+        """The family's translation table for :class:`BallArena`."""
         raise NotImplementedError
 
     def arena(self, n: int, cap: int = DEFAULT_BALL_CAP) -> BallArena:
@@ -223,8 +226,7 @@ class Group:
     @functools.lru_cache(maxsize=ARENA_CACHE_SIZE)
     def _cached_arena(self, n: int) -> BallArena:
         elements = tuple(self._enumerate_ball(n))
-        index = MappingProxyType({x: i for i, x in enumerate(elements)})
-        return BallArena(n, elements, index, **self._arena_tables(elements, index))
+        return BallArena(elements, **self._arena_tables(elements))
 
     def ball(self, n: int, cap: int = DEFAULT_BALL_CAP) -> list:
         """All elements of length <= ``n`` in canonical order.
@@ -328,23 +330,26 @@ class FreeGroup(Group):
             level = nxt
         return out
 
-    def _arena_tables(self, elements: tuple, index: Mapping) -> dict:
+    def _arena_tables(self, elements: tuple) -> dict:
+        m = len(elements)
+        index = {w: i for i, w in enumerate(elements)}
         moves = [
-            [index[w[1:]] if w[:1] == c.swapcase() else index.get(c + w, -1) for w in elements]
+            [index[w[1:]] if w[:1] == c.swapcase() else index.get(c + w, m) for w in elements]
+            + [m]
             for c in self.letters
         ]
-        return {"lengths": [len(w) for w in elements], "moves": moves}
+        return {"moves": moves}
 
     def left_translate(self, arena: BallArena, s: str) -> np.ndarray:
         # s * y is built letter by letter from the right of s.  s and y are
         # reduced, so the letters of s first cancel letters of y and then only
         # grow the word: no intermediate word is longer than max(|y|, |s y|).
         # An intermediate that leaves the ball therefore means s y lies
-        # outside it too, and -1 never hides a product that lands back inside.
+        # outside it too: a position that reaches m rightly stays at m, and
+        # never hides a product that lands back inside.
         position = np.arange(len(arena))
         for c in reversed(s):
-            row = arena.moves[self.letters.index(c)]
-            position = np.where(position >= 0, row[position], -1)
+            position = arena.moves[self.letters.index(c)][position]
         return position
 
     def length_matrix(self, points: list) -> np.ndarray:
@@ -449,9 +454,8 @@ class FreeAbelianGroup(Group):
 
         return sorted(gen(self.rank, n), key=self.sort_key)
 
-    def _arena_tables(self, elements: tuple, index: Mapping) -> dict:
-        coords = np.array(elements, dtype=np.int64).reshape(len(elements), self.rank)
-        return {"lengths": np.abs(coords).sum(axis=1), "coords": coords}
+    def _arena_tables(self, elements: tuple) -> dict:
+        return {"coords": np.array(elements, dtype=np.int64).reshape(len(elements), self.rank)}
 
     def left_translate(self, arena: BallArena, s: tuple) -> np.ndarray:
         return arena.locate(arena.coords + np.array(s, dtype=np.int64))
@@ -526,12 +530,8 @@ class CyclicGroup(Group):
             members += [k] if 2 * k == self.order else [k, self.order - k]
         return members
 
-    def _arena_tables(self, elements: tuple, index: Mapping) -> dict:
-        residues = np.array(elements, dtype=np.int64)
-        return {
-            "lengths": np.minimum(residues, self.order - residues),
-            "coords": residues[:, None],
-        }
+    def _arena_tables(self, elements: tuple) -> dict:
+        return {"coords": np.array(elements, dtype=np.int64)[:, None]}
 
     def left_translate(self, arena: BallArena, s: int) -> np.ndarray:
         # shift by s - m in (-m, 0]: residue + s could pass 2^63 and wrap

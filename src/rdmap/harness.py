@@ -17,9 +17,9 @@ from typing import Optional
 
 import numpy as np
 
-from .groups import DEFAULT_BALL_CAP, Group
+from .groups import DEFAULT_BALL_CAP, Group, check_positive_finite
 from .kernels import decay_certificate
-from .multipliers import certified_scale, map_defect, scaled_multiplier
+from .multipliers import map_defect, scaled_multiplier
 from .operators import (
     GroupRingElement,
     RdParams,
@@ -45,8 +45,8 @@ class GridSchedule:
         object.__setattr__(self, "r_values", values)
         if not values:
             raise ValueError("schedule needs at least one rate")
-        if any(r <= 0 for r in values):
-            raise ValueError("rates must be positive")
+        for r in values:
+            check_positive_finite(r, "rate r")
         if any(b >= a for a, b in zip(values, values[1:])):
             raise ValueError("rates must be strictly decreasing")
 
@@ -108,7 +108,6 @@ def run_grid(
         start = time.perf_counter()
         n = schedule.n_rule(r)
         K_n = decay_certificate(r, rd.s).tail(n)
-        U = certified_scale(r, rd.s, n, rd.C)
         rho = scaled_multiplier(g, r, rd.s, n, rd.C)
         bracket = map_defect(g, f, rho, rd, radius, cap=cap, seed=seed)
         elapsed_ms = (time.perf_counter() - start) * 1000.0
@@ -116,7 +115,7 @@ def run_grid(
             ConvergenceRow(
                 r=r,
                 n=n,
-                U=U,
+                U=rho.U,
                 K_n=K_n,
                 defect_lower=bracket.lower,
                 defect_upper=bracket.upper,

@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .groups import Group
+from .groups import Group, check_positive_finite
 
 __all__ = [
     "KernelMatrix",
@@ -61,6 +61,11 @@ class KernelMatrix:
             raise ValueError("kernel entries must form a square matrix")
         if self.entries.size == 0:
             raise ValueError("kernel matrix must hold at least one point")
+        # the checks sum up to size products of entries; size * max|entry| bounds them
+        if not math.isfinite(float(np.abs(self.entries).max()) * self.entries.shape[0]):
+            raise ValueError(
+                "kernel entries must be finite and size * max|entry| must not overflow"
+            )
         # kernels built from a group are exactly symmetric and skip allclose
         if not (
             np.array_equal(self.entries, self.entries.T)
@@ -101,9 +106,8 @@ def length_kernel(group: Group, points: list) -> KernelMatrix:
 
 
 def schoenberg_kernel(group: Group, points: list, r: float) -> KernelMatrix:
-    """Heat kernel ``exp(-r * l(x_i^-1 x_j))`` on ``points``; requires r > 0."""
-    if r <= 0:
-        raise ValueError(f"heat parameter r must be positive, got {r}")
+    """Heat kernel ``exp(-r * l(x_i^-1 x_j))`` on ``points``; requires 0 < r < inf."""
+    check_positive_finite(r, "heat parameter r")
     lengths = group.length_matrix(points)
     # one math.exp per length value, so each entry is bit for bit the scalar
     # exp(-r * l) (np.exp may round differently)
@@ -226,9 +230,9 @@ class DecayCertificate:
 
 
 def decay_certificate(r: float, s: float) -> DecayCertificate:
-    """Decay certificate for the weight ``exp(-r x)(1 + x)^s``, r, s > 0."""
-    if r <= 0 or s <= 0:
-        raise ValueError(f"r and s must be positive, got r={r}, s={s}")
+    """Decay certificate for the weight ``exp(-r x)(1 + x)^s``, 0 < r, s < inf."""
+    check_positive_finite(r, "rate r")
+    check_positive_finite(s, "exponent s")
     xstar = s / r - 1.0
     peak_value = _envelope(r, s, xstar) if xstar > 0 else 1.0
     return DecayCertificate(r=r, s=s, K=peak_value)

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .groups import DEFAULT_BALL_CAP, Group, GroupMismatchError
+from .groups import DEFAULT_BALL_CAP, Group, GroupMismatchError, check_positive_finite
 from .kernels import DecayCertificate, decay_certificate
 from .operators import (
     GroupRingElement,
@@ -30,7 +30,7 @@ from .operators import (
 
 @dataclass(frozen=True)
 class HeatMultiplier:
-    """The heat multiplier exp(-r * length), r > 0.
+    """The heat multiplier exp(-r * length), 0 < r < inf.
 
     With n set it is cut to the ball of radius n (zero beyond), a
     finite-rank operator.  With U set it is divided by U >= 1; U must be a
@@ -44,10 +44,10 @@ class HeatMultiplier:
     U: Optional[float] = None
 
     def __post_init__(self):
-        if not self.r > 0:
-            raise ValueError("heat multipliers require a rate r > 0")
-        if self.n is not None and self.n < 0:
-            raise ValueError("truncation radius n must be a nonnegative integer")
+        check_positive_finite(self.r, "rate r")
+        # type() rather than isinstance: a bool is an int, and True is no radius
+        if self.n is not None and not (type(self.n) is int and self.n >= 0):
+            raise ValueError(f"truncation radius n must be a nonnegative integer, got {self.n!r}")
         if self.U is not None and not self.U >= 1.0:
             raise ValueError("scale U must satisfy U >= 1")
 
@@ -147,8 +147,7 @@ def lemma_norm_bound(
 
 def tail_bound(r: float, s: float, n: int, C: float) -> float:
     """C * K_n, a certified norm bound for the discarded heat tail."""
-    if C <= 0:
-        raise ValueError("constant C must be positive")
+    check_positive_finite(C, "constant C")
     return C * decay_certificate(r, s).tail(n)
 
 

@@ -9,6 +9,7 @@ available, by C times a weighted Sobolev norm.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import sys
@@ -25,6 +26,7 @@ from .groups import (
     FreeGroup,
     Group,
     GroupMismatchError,
+    check_positive_finite,
 )
 
 if TYPE_CHECKING:
@@ -110,7 +112,8 @@ class GroupRingElement:
 
     Coefficients are stored in a plain dict keyed by normal-form elements.
     Keys go through :meth:`Group.parse` on construction, so equal elements
-    merge; zero coefficients are then dropped.
+    merge; zero coefficients are then dropped, and a NaN or infinite one is
+    rejected.
     """
 
     group: Group
@@ -123,6 +126,9 @@ class GroupRingElement:
             value = clean.get(key, 0j) + complex(coeff)
             clean[key] = value
         clean = {k: v for k, v in clean.items() if v != 0}
+        for key, value in clean.items():
+            if not cmath.isfinite(value):
+                raise ValueError(f"non-finite coefficient {value!r} in term {key!r}")
         ordered = {k: clean[k] for k in sorted(clean, key=self.group.sort_key)}
         object.__setattr__(self, "terms", ordered)
 
@@ -214,10 +220,8 @@ class RdParams:
     s: float
 
     def __post_init__(self):
-        if not (self.C > 0 and math.isfinite(self.C)):
-            raise ValueError("constant C must be positive and finite")
-        if not (self.s > 0 and math.isfinite(self.s)):
-            raise ValueError("exponent s must be positive and finite")
+        check_positive_finite(self.C, "constant C")
+        check_positive_finite(self.s, "exponent s")
 
 
 def _sphere_polynomial(d: int) -> tuple[list, int]:
@@ -312,9 +316,9 @@ def builtin_rd_params(g: Group) -> RdParams:
 def _compression_tables(g: Group, f: GroupRingElement, radius: int, cap: int):
     """Ball size m, translation table and coefficients of the compression.
 
-    ``targets[i, y]`` is the position of ``s_i y`` in the ball, -1 outside
+    ``targets[i, y]`` is the position of ``s_i y`` in the ball, m outside
     it, for each retained support element ``s_i`` with coefficient
-    ``coeffs[i]``.  A row holds no position twice: ``y -> s_i y`` is
+    ``coeffs[i]``.  A row holds no position below m twice: ``y -> s_i y`` is
     injective.
     """
     arena = g.arena(radius, cap=cap)
@@ -331,7 +335,7 @@ def _compression_tables(g: Group, f: GroupRingElement, radius: int, cap: int):
 
 def _triplets(targets: np.ndarray, coeffs: np.ndarray):
     """(rows, cols, values) of the compression; no (row, col) pair repeats."""
-    hit = targets >= 0
+    hit = targets < targets.shape[1]
     values = np.broadcast_to(coeffs[:, None], targets.shape)[hit]
     return targets[hit], np.nonzero(hit)[1], values
 
@@ -407,13 +411,11 @@ def _table_products(m: int, targets: np.ndarray, coeffs: np.ndarray):
     """Products gathered through the translation table, k m entries each.
 
     With ``targets[s, y]`` the position of ``s y`` and ``inverse[s, x]`` that
-    of ``s^-1 x`` (index m, a trailing zero, where it leaves the ball):
-    ``A v = c @ v[inverse]`` and ``A^H u = conj(c) @ u[targets]``.
+    of ``s^-1 x`` (index m where it leaves the ball, which reads a trailing
+    zero): ``A v = c @ v[inverse]`` and ``A^H u = conj(c) @ u[targets]``.
     """
     coeffs_conj = coeffs.conj()
-    hit = targets >= 0
-    padded = np.where(hit, targets, m)
-    rows, cols = np.nonzero(hit)
+    rows, cols = np.nonzero(targets < m)
     # built contiguous: gathering through a strided table took 1.6x as long
     inverse = np.full_like(targets, m)
     inverse[rows, targets[rows, cols]] = cols
@@ -425,7 +427,7 @@ def _table_products(m: int, targets: np.ndarray, coeffs: np.ndarray):
 
     def apply_adjoint(u):
         buffer[:m] = u
-        return coeffs_conj @ buffer[padded]
+        return coeffs_conj @ buffer[targets]
 
     return apply, apply_adjoint
 

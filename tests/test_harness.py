@@ -50,6 +50,9 @@ def test_schedule_validation():
         GridSchedule(r_values=(0.1, 0.5), rd=RD)
     with pytest.raises(ValueError):
         GridSchedule(r_values=(0.5, -0.1), rd=RD)
+    for r in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"rate r must be positive and finite, got {r}"):
+            GridSchedule(r_values=(r,), rd=RD)
 
 
 def test_convergence_row_validation():

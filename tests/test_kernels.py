@@ -292,8 +292,9 @@ def test_schoenberg_line_kernel():
 
 
 def test_schoenberg_requires_positive_r():
-    with pytest.raises(ValueError):
-        schoenberg_kernel(F2, F2.ball(1), r=0.0)
+    for r in (0.0, math.inf):
+        with pytest.raises(ValueError, match=f"r must be positive and finite, got {r}"):
+            schoenberg_kernel(F2, F2.ball(1), r=r)
 
 
 def test_psd_check_examples():
@@ -336,10 +337,26 @@ def test_kernel_matrix_validation():
             call()
 
 
+@pytest.mark.parametrize(
+    "check,entries",
+    [
+        (psd_check, [[math.inf]]),
+        (cn_check_matrix, [[0.0, math.inf], [math.inf, 0.0]]),
+        # finite entries whose eigenvalues overflow: eigvalsh reads -5.8e292
+        (psd_check, np.full((3, 3), 1e308)),
+    ],
+    ids=["psd-inf", "cn-inf", "psd-size-overflow"],
+)
+def test_checks_reject_non_finite_kernels(check, entries):
+    with pytest.raises(ValueError, match="must be finite"):
+        check(entries)
+
+
 def test_kernel_matrix_symmetry_tolerance():
     # exact symmetry short-cuts the check; the accepted set is unchanged
     KernelMatrix(np.array([[0.0, 1.0 + 5e-13], [1.0, 0.0]]))
-    KernelMatrix(np.array([[0.0, math.inf], [math.inf, 0.0]]))
+    with pytest.raises(ValueError, match="finite"):
+        KernelMatrix(np.array([[0.0, math.inf], [math.inf, 0.0]]))
     with pytest.raises(ValueError):
         KernelMatrix(np.array([[0.0, 1.0 + 2e-12], [1.0, 0.0]]))
     with pytest.raises(ValueError):
@@ -422,5 +439,9 @@ def test_decay_validation():
         decay_certificate(0.0, 1.0)
     with pytest.raises(ValueError):
         decay_certificate(1.0, -1.0)
+    with pytest.raises(ValueError, match="rate r must be positive and finite, got inf"):
+        decay_certificate(math.inf, 2.0)
+    with pytest.raises(ValueError, match="exponent s must be positive and finite, got nan"):
+        decay_certificate(1.0, math.nan)
     with pytest.raises(ValueError):
         decay_certificate(1.0, 1.0).tail(-1)

@@ -67,8 +67,13 @@ def test_multiplier_validation():
     for r in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError):
             HeatMultiplier(F2, r)
-    with pytest.raises(ValueError):
-        HeatMultiplier(F2, 1.0, -1)
+    with pytest.raises(ValueError, match="rate r must be positive and finite, got inf"):
+        HeatMultiplier(F2, math.inf)
+    for n in (-1, 2.5, True):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            HeatMultiplier(F2, 1.0, n)
+    with pytest.raises(ValueError, match="constant C must be positive and finite, got inf"):
+        tail_bound(1.0, 2.0, 3, math.inf)
     with pytest.raises(ValueError):
         HeatMultiplier(F2, 1.0, 2, 0.5)
     with pytest.raises(ValueError):

@@ -290,6 +290,19 @@ def test_rd_params_validation():
         RdParams(C=0.0, s=1.0)
     with pytest.raises(ValueError):
         RdParams(C=1.0, s=-2.0)
+    with pytest.raises(ValueError, match="constant C must be positive and finite, got inf"):
+        RdParams(C=math.inf, s=1.0)
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [{"a": math.nan}, {"a": complex(1.0, -math.inf)}, {"a": 1e308, "aaA": 1e308}],
+    ids=["nan", "-inf", "merged-overflow"],
+)
+def test_ring_element_rejects_non_finite_coefficients(terms):
+    # "aaA" reduces to "a": the two finite coefficients merge to inf
+    with pytest.raises(ValueError, match="non-finite coefficient"):
+        GroupRingElement(F2, terms)
 
 
 # ---------------------------------------------------------------------------
