@@ -26,6 +26,8 @@ z2='{"group": {"kind": "free-abelian", "rank": 2}, "terms": [
   {"elem": [0, 1], "re": 1.0}, {"elem": [0, -1], "re": 1.0}]}'
 cyclic='{"group": {"kind": "cyclic", "order": 4001}, "terms": [
   {"elem": 1, "re": 1.0}, {"elem": 4000, "re": 1.0}, {"elem": 7, "im": 0.5}]}'
+cyclic2000='{"group": {"kind": "cyclic", "order": 2000}, "terms": [
+  {"elem": 1, "re": 1.0}, {"elem": 1999, "re": 1.0}, {"elem": 7, "im": 0.5}]}'
 counterexample='{"entries": [[0, 10, 1], [10, 0, 1], [1, 1, 0]]}'
 
 run() {
@@ -38,6 +40,8 @@ run norm --element-json "$kesten" --radius 6
 run norm --element-json "$kesten" --radius 8
 run norm --element-json "$z2" --radius 40
 run norm --element-json "$cyclic" --radius 2000
+run norm --element-json "$cyclic" --radius 1000
+run norm --element-json "$cyclic2000" --radius 1000
 run map-converge --element-json "$kesten" --epsilon 0.3
 run map-converge --element-json "$kesten" --epsilon 0.3 --format csv
 run rd-sample --group free:2 --count 200 --seed 42

@@ -289,7 +289,11 @@ def _build_parser() -> _Parser:
     norm.add_argument("--radius", type=NONNEGATIVE_INT, default=6)
     norm.add_argument("--max-iters", type=POSITIVE_INT, default=10_000)
     norm.add_argument("--tol", type=POSITIVE_FLOAT, default=1e-10)
-    norm.add_argument("--seed", type=int, default=0)
+    norm.add_argument(
+        "--seed", type=int, default=0,
+        help="seed of the power iteration's random start; unused on a ball that "
+        "covers a cyclic group",
+    )
 
     rs = sub.add_parser("rd-sample", help="random soundness sweep of the decay bound")
     rs.add_argument("--group", type=_group, required=True)

@@ -40,7 +40,9 @@ DEFAULT_POWER_TOL = 1e-10
 # eigh.  Measured on the sum of the generators (2-vCPU host, one BLAS
 # thread), dense against the sparse power iteration: free(2) radius 3 (53
 # elements) 0.8 / 1.2 ms, Z radius 31 (63) 1.3 / 7.1 ms, Z^3 radius 3 (63)
-# 1.5 / 1.6 ms, but free(2) radius 4 (161) 10.5 / 1.2 ms.
+# 1.5 / 1.6 ms, but free(2) radius 4 (161) 10.5 / 1.2 ms.  A larger ball
+# that covers a cyclic group is solved on its top Fourier character with
+# one product, any other by the power iteration.
 DIRECT_SOLVE_MAX = 64
 
 # Above that, the power iteration gathers its products through the
@@ -397,6 +399,38 @@ def _dense_top_singular(m: int, targets: np.ndarray, coeffs: np.ndarray) -> floa
     return float(np.linalg.norm(A @ x) / np.linalg.norm(x))
 
 
+def _sum_of_squares_norm(x: np.ndarray) -> float:
+    # np.sum adds pairwise.  np.linalg.norm sums through BLAS, whose error on
+    # vectors of equal moduli, such as characters, put |A v| / |v| up to 39
+    # ulps off the norm on covering balls of Z/m (m <= 3000); with pairwise
+    # sums the quotient stayed within 2.6 ulps.
+    return math.sqrt(float(np.sum(x.real**2 + x.imag**2)))
+
+
+def _character_norm(residues: np.ndarray, support: np.ndarray, coeffs: np.ndarray, apply):
+    """Norm of the compression on its top character, for a ball that covers Z/m.
+
+    ``residues`` lists the ball, all of Z/m, in canonical order, and
+    ``support[i]`` is the position of the support element with coefficient
+    ``coeffs[i]``; ``apply`` is v -> A v.  Convolution by f multiplies the
+    character x -> exp(2 pi i j x / m) by f^(j) = sum_s f(s) exp(-2 pi i j s / m),
+    numpy's fft convention.  So the character at the largest |f^(j)| (the
+    first on ties) is a top singular vector of A, and |A v| / |v| on it is
+    the norm of A on an explicit unit vector that no iteration can improve.
+    (The power iteration started from it stops after two steps, but its
+    values came out up to 52 ulps above the norm: each step divides by a
+    BLAS norm, see _sum_of_squares_norm.)
+    """
+    m = len(residues)
+    spread = np.zeros(m, dtype=complex)
+    spread[residues[support]] = coeffs
+    # numpy.fft loads on this first use, not on import rdmap
+    j = int(np.argmax(np.abs(np.fft.fft(spread))))
+    # j x < m^2 stays in int64 for any m whose ball fits in memory
+    character = np.exp(2j * np.pi * ((j * residues) % m) / m)
+    return _sum_of_squares_norm(apply(character)) / _sum_of_squares_norm(character)
+
+
 def _csr_products(m: int, targets: np.ndarray, coeffs: np.ndarray):
     """Products v -> A v and u -> A^H u by scipy CSR matrices, nnz entries each."""
     A = _csr_matrix(m, *_triplets(targets, coeffs))
@@ -512,7 +546,7 @@ def _opnorm_lower_info(g, f, radius, max_iters, tol, cap, seed):
     if f.is_zero():
         return 0.0, 0, 0.0
     m, targets, coeffs, e = _scaled_tables(g, f, radius, cap)
-    # the regime depends on the ball size m and the table size k m alone
+    # the product regime depends on the ball size m and the table size k m alone
     if targets.size == 0:
         # no support element maps a ball element back into the ball: A = 0
         sigma, iters, rel = 0.0, 0, 0.0
@@ -521,9 +555,16 @@ def _opnorm_lower_info(g, f, radius, max_iters, tol, cap, seed):
     else:
         build = _table_products if targets.size <= TABLE_PRODUCT_MAX else _csr_products
         products = build(m, targets, coeffs)
-        # the products keep what they need; free the table before iterating
-        del targets
-        sigma, iters, rel = _power_iteration(m, products, max_iters, tol, seed=seed)
+        if isinstance(g, CyclicGroup) and m == g.order:
+            # the ball covers Z/m; it starts at the identity, so column 0 of
+            # the table holds the position of each support element
+            residues = g.arena(radius, cap=cap).coords[:, 0]
+            sigma = _character_norm(residues, targets[:, 0], coeffs, products[0])
+            iters, rel = 0, 0.0
+        else:
+            # the products keep what they need; free the table before iterating
+            del targets
+            sigma, iters, rel = _power_iteration(m, products, max_iters, tol, seed=seed)
     return max(math.ldexp(sigma, e), l2_norm(f)), iters, rel
 
 
@@ -543,8 +584,11 @@ class NormBracket:
     floor), `upper` from the l1/Sobolev bounds.  The compression is one
     translation table, scaled once by a power of two, with three consumers.
     A ball of at most DIRECT_SOLVE_MAX elements is solved directly (eigh of
-    A^H A, no iteration), and `iterations` and `achieved_tol` read 0.  A
-    larger ball is solved by the Ritz-restarted power iteration: `iterations`
+    A^H A, no iteration), and `iterations` and `achieved_tol` read 0.  So
+    does a larger ball that covers a cyclic group Z/m: A is then the whole
+    circulant, and its norm on the top Fourier character (one product) is
+    the exact norm up to rounding, whatever the seed.  Any other larger
+    ball is solved by the Ritz-restarted power iteration: `iterations`
     counts its A/A^H product pairs, and `achieved_tol` is the relative change
     between its last two values, not a distance to the norm.  Its products
     are gathered through the table while that holds at most

@@ -2,7 +2,9 @@
 
 Only compressions on balls of more than DIRECT_SOLVE_MAX elements whose
 translation table holds more than TABLE_PRODUCT_MAX entries load
-scipy.sparse, and nothing loads scipy.special.
+scipy.sparse, and nothing loads scipy.special.  Where `import numpy` leaves
+numpy.fft unloaded (numpy 2), only a ball of more than DIRECT_SOLVE_MAX
+elements that covers a cyclic group loads it.
 
 Every check runs in a fresh interpreter, since an earlier test in this
 process may already have imported scipy.
@@ -13,6 +15,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import rdmap
@@ -25,16 +28,22 @@ KESTEN_JSON = json.dumps(
 
 PROBE = """
 import contextlib, io, json, sys
+import numpy
+before = set(sys.modules)
 import rdmap, rdmap.cli
 argv = {argv!r}
 if argv:
     with contextlib.redirect_stdout(io.StringIO()):
         assert rdmap.cli.main(argv) == 0
-print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+loaded = set(sys.modules) - before
+lazy = [m for m in loaded if m.split(".")[0] == "scipy" or m.startswith("numpy.fft")]
+print(json.dumps(sorted(lazy)))
 """
 
 
-def scipy_modules_after(argv) -> set:
+def lazy_modules_after(argv) -> set:
+    """The scipy and numpy.fft modules that `import numpy` leaves unloaded and
+    `import rdmap` plus `rdmap.cli.main(argv)` load, in a fresh process."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([SRC, env.get("PYTHONPATH", "")])
     proc = subprocess.run(
@@ -46,16 +55,16 @@ def scipy_modules_after(argv) -> set:
 
 
 def test_import_loads_no_scipy():
-    assert scipy_modules_after([]) == set()
+    assert lazy_modules_after([]) == set()
 
 
 def test_check_cn_loads_no_scipy():
-    assert scipy_modules_after(["check-cn", "--group", "free:2", "--radius", "2"]) == set()
+    assert lazy_modules_after(["check-cn", "--group", "free:2", "--radius", "2"]) == set()
 
 
 def test_check_pd_loads_no_scipy():
     argv = ["check-pd", "--group", "free-abelian:2", "--radius", "4"]
-    assert scipy_modules_after(argv) == set()
+    assert lazy_modules_after(argv) == set()
 
 
 @pytest.mark.parametrize(
@@ -76,11 +85,25 @@ def test_small_compressions_load_no_scipy(argv):
     # elements, or its table at most TABLE_PRODUCT_MAX entries: Kesten at
     # radius 6 has 4 * 1457, a random free(2) element of at most 6 terms at
     # the default radius 4 at most 6 * 161
-    assert scipy_modules_after(argv) == set()
+    assert lazy_modules_after(argv) == set()
 
 
 def test_norm_loads_sparse_but_not_special():
     # Kesten at radius 7: 4 * 4373 table entries, above TABLE_PRODUCT_MAX
-    loaded = scipy_modules_after(["norm", "--element-json", KESTEN_JSON, "--radius", "7"])
+    loaded = lazy_modules_after(["norm", "--element-json", KESTEN_JSON, "--radius", "7"])
     assert "scipy.sparse" in loaded
     assert "scipy.special" not in loaded
+
+
+def test_covering_cyclic_ball_loads_fft_but_no_scipy():
+    # the covering ball of Z/301 holds more than DIRECT_SOLVE_MAX elements,
+    # and its table 3 * 301 entries; numpy 1 loads numpy.fft on import
+    cyclic = json.dumps(
+        {
+            "group": {"kind": "cyclic", "order": 301},
+            "terms": [{"elem": 1, "re": 1.0}, {"elem": 300, "re": 1.0}, {"elem": 7, "im": 0.5}],
+        }
+    )
+    loaded = lazy_modules_after(["norm", "--element-json", cyclic, "--radius", "150"])
+    assert ("numpy.fft" in loaded) == (int(np.__version__.split(".")[0]) >= 2)
+    assert not any(m.split(".")[0] == "scipy" for m in loaded)

@@ -39,6 +39,7 @@ from rdmap.operators import (
     opnorm_upper,
     random_element,
     sobolev_norm,
+    _character_norm,
     _clamp_crossing,
     _csr_products,
     _dense_top_singular,
@@ -506,16 +507,17 @@ EPS = sys.float_info.epsilon
 SOLVER_SETTINGS = settings(max_examples=60, deadline=None)
 
 
-def fourier_moduli(f):
-    """Moduli of the Fourier transform of f on Z/m; the largest is its norm."""
+def cyclic_oracle(f):
+    """The norm of f on Z/m: the largest modulus of its Fourier transform.
+
+    The coefficients are scaled by a power of two first (exactly, one part
+    at a time), so subnormal ones keep their digits through the transform.
+    """
+    _, e = math.frexp(max(abs(c) for c in f.terms.values()))
     vec = np.zeros(f.group.order, dtype=complex)
     for x, c in f.terms.items():
-        vec[x] = c
-    return np.abs(np.fft.fft(vec))
-
-
-def cyclic_oracle(f):
-    return float(fourier_moduli(f).max())
+        vec[x] = complex(math.ldexp(c.real, -e), math.ldexp(c.imag, -e))
+    return math.ldexp(float(np.abs(np.fft.fft(vec)).max()), e)
 
 
 def solve(M, max_iters=DEFAULT_MAX_ITERS, tol=DEFAULT_POWER_TOL):
@@ -563,7 +565,7 @@ def test_solver_never_exceeds_dense_svd(case):
 
 @st.composite
 def covered_cyclic_elements(draw):
-    group = CyclicGroup(draw(st.integers(2, 64)))
+    group = CyclicGroup(draw(st.integers(2, 300)))
     terms = draw(
         st.dictionaries(
             st.integers(0, group.order - 1),
@@ -579,10 +581,21 @@ def covered_cyclic_elements(draw):
 @given(covered_cyclic_elements())
 # on Z/43 the power iteration stopped 2.5e-7 (relative) below this norm
 @example(GroupRingElement(CyclicGroup(43), {1: 1j, 2: 0.015625 - 5j}))
+# the power iteration stopped 2.3e-6 below this norm after 3,984 steps
+@example(GroupRingElement(CyclicGroup(4001), {1: 1.0, 4000: 1.0, 7: 0.5j}))
+# 3 x 2749 table entries, the CSR regime; the norm is the l1 bound
+@example(GroupRingElement(CyclicGroup(2749), {1: 1.0, 2748: 1.0, 7: 0.5}))
+# the power iteration from the top character ended 8.2 ulps above the l1
+# bound, beyond the rounding slack of the bracket
+@example(GroupRingElement(CyclicGroup(295), {0: 4.3901804568241}))
+@example(GroupRingElement(CyclicGroup(97), {3: 1e-300, 40: 2e-300j, 41: -1e-300}))
+@example(GroupRingElement(CyclicGroup(97), {3: 1e-320, 40: 2e-320j, 41: -1e-320}))
+@example(GroupRingElement(CyclicGroup(97), {3: 1e300, 40: 2e300j, 41: -1e300}))
 def test_covering_ball_reaches_the_fourier_norm(f):
     # a ball of radius order // 2 is the whole group, so its compression is
     # the full circulant and its top singular value the exact norm; orders
-    # up to DIRECT_SOLVE_MAX are solved directly, to within a few ulps
+    # up to DIRECT_SOLVE_MAX are solved by eigh, larger ones on their top
+    # character, both without iterating and to within a few ulps
     exact = cyclic_oracle(f)
     bracket = opnorm_bracket(f.group, f, builtin_rd_params(f.group), f.group.order // 2)
     assert bracket.iterations == 0
@@ -624,15 +637,14 @@ def test_direct_solve_matches_dense_svd(case):
 
 @pytest.mark.parametrize("order", [DIRECT_SOLVE_MAX, DIRECT_SOLVE_MAX + 1])
 def test_solvers_agree_at_the_cutoff(order):
-    # the covering ball holds `order` elements: the last size solved directly
-    # and the first solved by the power iteration, whose stop rule bounds the
-    # change between steps, not the distance to the norm (hence the tight tol)
+    # the covering ball holds `order` elements: the last size solved by eigh
+    # and the first solved on its top character
     group = CyclicGroup(order)
     f = GroupRingElement(group, {0: 0.5j, 1: 1.0, 5: -0.25})
-    bracket = opnorm_bracket(group, f, builtin_rd_params(group), order // 2, tol=1e-13)
-    assert (bracket.iterations == 0) == (order <= DIRECT_SOLVE_MAX)
-    assert bracket.lower <= cyclic_oracle(f) * (1 + 8 * EPS)
-    assert bracket.lower == pytest.approx(cyclic_oracle(f), rel=1e-9)
+    bracket = opnorm_bracket(group, f, builtin_rd_params(group), order // 2)
+    assert bracket.iterations == 0
+    exact = cyclic_oracle(f)
+    assert exact * (1 - 8 * EPS) <= bracket.lower <= exact * (1 + 8 * EPS)
 
 
 @st.composite
@@ -693,15 +705,50 @@ def test_table_products_match_the_dense_compression(case):
         ):
             assert np.linalg.norm(got * scale - want) <= 1e-13 * np.linalg.norm(size)
         if build is _table_products:
-            assert opnorm_lower(group, f, radius) == max(
-                _power_iteration(m, products, DEFAULT_MAX_ITERS, DEFAULT_POWER_TOL)[0] * scale,
-                l2_norm(f),
-            )
+            # a ball that covers Z/m is solved on its top character, any
+            # other by the power iteration from the seeded start
+            if isinstance(group, CyclicGroup) and m == group.order:
+                residues = group.arena(radius).coords[:, 0]
+                solved = _character_norm(residues, targets[:, 0], coeffs, apply)
+            else:
+                solved = _power_iteration(m, products, DEFAULT_MAX_ITERS, DEFAULT_POWER_TOL)[0]
+            assert opnorm_lower(group, f, radius) == max(solved * scale, l2_norm(f))
         value, iters, _ = _power_iteration(m, products, DEFAULT_MAX_ITERS, 1e-13)
         value *= scale
         assert value <= sigma[0] * (1 + 8 * EPS)
         if iters < DEFAULT_MAX_ITERS and gap >= 1e-3:
             assert value == pytest.approx(sigma[0], rel=1e-9, abs=0.0)
+
+
+Z2 = FreeAbelianGroup(2)
+BIG_CYCLIC = CyclicGroup(10**12)
+
+
+@pytest.mark.parametrize(
+    "group, radius, f",
+    [
+        (F2, 4, KESTEN),
+        (Z2, 40, GroupRingElement(Z2, {(1, 0): 1.0, (-1, 0): 1.0, (0, 1): 1.0, (0, -1): 1.0})),
+        (BIG_CYCLIC, 2000, GroupRingElement(BIG_CYCLIC, {1: 1.0, 10**12 - 1: 1.0, 7: 0.5j})),
+        (CyclicGroup(4001), 1000, GroupRingElement(CyclicGroup(4001), {1: 1.0, 7: 0.5j})),
+    ],
+    ids=["free2-table", "z2-csr", "cyclic-1e12", "cyclic-4001-r1000"],
+)
+@pytest.mark.parametrize("seed", [0, 3])
+def test_balls_that_do_not_cover_keep_the_seeded_start(group, radius, f, seed):
+    m, targets, coeffs, e = _scaled_tables(group, f, radius, DEFAULT_BALL_CAP)
+    assert m > DIRECT_SOLVE_MAX and m < getattr(group, "order", math.inf)
+    build = _table_products if targets.size <= TABLE_PRODUCT_MAX else _csr_products
+    run = _power_iteration(m, build(m, targets, coeffs), 40, DEFAULT_POWER_TOL, seed)
+    lower = opnorm_lower(group, f, radius, max_iters=40, seed=seed)
+    assert lower == max(math.ldexp(run[0], e), l2_norm(f))
+
+
+def test_the_seed_does_not_reach_a_covering_ball():
+    group = CyclicGroup(301)
+    f = GroupRingElement(group, {1: 1.0, 300: 1.0, 7: 0.5j})
+    lowers = {opnorm_lower(group, f, 150, seed=seed) for seed in (0, 1, 2)}
+    assert lowers == {opnorm_lower(group, f, 200, seed=5)}
 
 
 @pytest.mark.parametrize(
