@@ -20,7 +20,6 @@ from rdmap import (
     FreeGroup,
     GroupRingElement,
     builtin_rd_params,
-    compression_matrix,
     convolve,
     delta,
     l1_norm,
@@ -57,9 +56,7 @@ print(f"bracket at radius 8: [{bracket.lower:.6f}, {bracket.upper:.6f}]"
 # path graph whose top eigenvalue 2cos(pi/(m+1)) we can match digit for digit.
 Z1 = FreeAbelianGroup(1)
 shift = GroupRingElement(Z1, {(1,): 1.0, (-1,): 1.0})
-comp = compression_matrix(Z1, shift, 10)
-print(f"\nshift compression: {comp.shape[0]}x{comp.shape[1]},",
-      f"{comp.nnz} nonzero entries")
+print(f"\nshift compression on the ball of radius 10: {Z1.ball_size(10)} elements")
 value = opnorm_lower(Z1, shift, 10)
 print("lower =", value, " vs 2cos(pi/22) =", 2.0 * math.cos(math.pi / 22.0))
 

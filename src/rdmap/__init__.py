@@ -59,7 +59,6 @@ from .operators import (
     RdParams,
     UnsoundBoundError,
     builtin_rd_params,
-    compression_matrix,
     convolve,
     delta,
     l1_norm,
@@ -100,7 +99,6 @@ __all__ = [
     "certified_scale",
     "cn_check",
     "cn_check_matrix",
-    "compression_matrix",
     "convolve",
     "decay_certificate",
     "default_schedule",

@@ -115,10 +115,14 @@ def _normal_float(text: str) -> float:
 def _load_json_source(path: Optional[str], inline: Optional[str], what: str):
     if (path is None) == (inline is None):
         raise UsageError(f"provide exactly one of --{what} or --{what}-json")
-    if inline is not None:
-        return json.loads(inline)
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+    try:
+        if inline is not None:
+            return json.loads(inline)
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except RecursionError:
+        flag = f"--{what}" if inline is None else f"--{what}-json"
+        raise UsageError(f"{flag}: JSON nested too deeply to parse") from None
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -290,7 +294,7 @@ def _build_parser() -> _Parser:
     norm.add_argument("--max-iters", type=POSITIVE_INT, default=10_000)
     norm.add_argument("--tol", type=POSITIVE_FLOAT, default=1e-10)
     norm.add_argument(
-        "--seed", type=int, default=0,
+        "--seed", type=NONNEGATIVE_INT, default=0,
         help="seed of the power iteration's random start; unused on a ball that "
         "covers a cyclic group",
     )
@@ -301,7 +305,7 @@ def _build_parser() -> _Parser:
     rs.add_argument("--radius", type=NONNEGATIVE_INT, default=4)
     rs.add_argument("--C", type=_normal_float, default=None)
     rs.add_argument("--s", type=POSITIVE_FLOAT, default=None)
-    rs.add_argument("--seed", type=int, required=True)
+    rs.add_argument("--seed", type=NONNEGATIVE_INT, required=True)
 
     mc = sub.add_parser("map-converge", help="sweep the identity-approximation grid")
     mc.add_argument("--element", type=str, default=None)
@@ -310,7 +314,7 @@ def _build_parser() -> _Parser:
     mc.add_argument("--r", type=POSITIVE_FLOAT, action="append", default=None)
     mc.add_argument("--radius", type=NONNEGATIVE_INT, default=None)
     mc.add_argument("--format", type=str, choices=("json", "csv"), default="json")
-    mc.add_argument("--seed", type=int, default=0)
+    mc.add_argument("--seed", type=NONNEGATIVE_INT, default=0)
 
     handlers = (
         (cn, cmd_check_cn),

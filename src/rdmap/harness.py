@@ -171,7 +171,6 @@ class RdSampleReport:
     count: int
     worst_ratio: float
     passed: bool
-    tolerance: float = 1e-9
     worst_element: Optional[GroupRingElement] = None
 
 
@@ -212,6 +211,5 @@ def rd_sample_report(
         count=count,
         worst_ratio=worst,
         passed=passed,
-        tolerance=tolerance,
         worst_element=worst_element,
     )

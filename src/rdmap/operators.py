@@ -15,7 +15,6 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -28,9 +27,6 @@ from .groups import (
     GroupMismatchError,
     check_positive_finite,
 )
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 DEFAULT_MAX_ITERS = 10_000
 DEFAULT_POWER_TOL = 1e-10
@@ -133,10 +129,6 @@ class GroupRingElement:
                 raise ValueError(f"non-finite coefficient {value!r} in term {key!r}")
         ordered = {k: clean[k] for k in sorted(clean, key=self.group.sort_key)}
         object.__setattr__(self, "terms", ordered)
-
-    @property
-    def support(self) -> list:
-        return list(self.terms)
 
     def coeff(self, elem) -> complex:
         return self.terms.get(self.group.parse(elem), 0j)
@@ -342,28 +334,6 @@ def _triplets(targets: np.ndarray, coeffs: np.ndarray):
     return targets[hit], np.nonzero(hit)[1], values
 
 
-def _csr_matrix(m: int, rows, cols, values) -> sp.csr_matrix:
-    # scipy.sparse is imported here, not at module scope, so commands whose
-    # compressions all stay within TABLE_PRODUCT_MAX entries never load it
-    import scipy.sparse as sp
-
-    return sp.csr_matrix((values, (rows, cols)), shape=(m, m))
-
-
-def compression_matrix(
-    g: Group, f: GroupRingElement, radius: int, cap: int = DEFAULT_BALL_CAP
-) -> sp.csr_matrix:
-    """Compression of convolution by f to the ball, as a scipy CSR matrix.
-
-    Index i stands for ``g.ball(radius)[i]``; row x, column y holds
-    f(x y^-1), so the matrix acts on coordinate vectors exactly as
-    convolution acts on functions supported in the ball.
-    """
-    _require_same_group(g, f)
-    m, targets, coeffs = _compression_tables(g, f, radius, cap)
-    return _csr_matrix(m, *_triplets(targets, coeffs))
-
-
 def _scale_exponent(values: np.ndarray) -> int:
     """Exponent e with the largest |value| * 2^-e in [0.5, 1).
 
@@ -433,7 +403,12 @@ def _character_norm(residues: np.ndarray, support: np.ndarray, coeffs: np.ndarra
 
 def _csr_products(m: int, targets: np.ndarray, coeffs: np.ndarray):
     """Products v -> A v and u -> A^H u by scipy CSR matrices, nnz entries each."""
-    A = _csr_matrix(m, *_triplets(targets, coeffs))
+    # scipy.sparse is imported here, not at module scope, so commands whose
+    # compressions all stay within TABLE_PRODUCT_MAX entries never load it
+    import scipy.sparse as sp
+
+    rows, cols, values = _triplets(targets, coeffs)
+    A = sp.csr_matrix((values, (rows, cols)), shape=(m, m))
     # A^H as A's transpose: triplets of its own would sit next to the table
     # and A (1 MB more at free(2) radius 8)
     AH = A.transpose().tocsr()
@@ -607,10 +582,6 @@ class NormBracket:
             raise ValueError("bracket endpoints must be nonnegative")
         if self.lower > self.upper:
             raise ValueError(f"empty bracket [{self.lower}, {self.upper}]")
-
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
 
 
 def opnorm_bracket(

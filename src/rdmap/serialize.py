@@ -99,7 +99,11 @@ def ring_from_json(obj) -> GroupRingElement:
     for item in _list_field(obj, "terms", "ring element"):
         try:
             elem = g.parse(item["elem"])
-            coeff = complex(float(item.get("re", 0.0)), float(item.get("im", 0.0)))
+            parts = (item.get("re", 0.0), item.get("im", 0.0))
+            # float() would also read the strings "1.5" and "inf" and the bools
+            if any(isinstance(p, bool) or not isinstance(p, (int, float)) for p in parts):
+                raise TypeError(f"coefficients {parts!r} are not JSON numbers")
+            coeff = complex(float(parts[0]), float(parts[1]))
         except (KeyError, TypeError, OverflowError) as exc:
             raise ValueError(f"malformed term {item!r}") from exc
         terms[elem] = terms.get(elem, 0j) + coeff

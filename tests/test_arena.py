@@ -2,7 +2,7 @@
 
 The per-pair builders that the integer paths replaced are kept here as
 reference implementations; the integer paths must reproduce them exactly
-(CSR arrays and kernel entries bit for bit), not within a tolerance.
+(compression triplets and kernel entries bit for bit), not within a tolerance.
 """
 
 import json
@@ -10,12 +10,12 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rdmap.cli import EXIT_USAGE, main
 from rdmap.groups import (
+    DEFAULT_BALL_CAP,
     BallCapError,
     CyclicGroup,
     FreeAbelianGroup,
@@ -23,7 +23,7 @@ from rdmap.groups import (
     GroupMismatchError,
 )
 from rdmap.kernels import length_kernel, schoenberg_kernel
-from rdmap.operators import GroupRingElement, compression_matrix
+from rdmap.operators import GroupRingElement, _compression_tables, _triplets, opnorm_lower
 from rdmap.serialize import ring_from_json
 
 F2 = FreeGroup(2)
@@ -50,7 +50,14 @@ def reference_pairwise(group, points, fn):
     return out
 
 
+def sorted_triplets(rows, cols, values):
+    """The (row, col, value) triplets ordered by column, then row."""
+    order = np.lexsort((rows, cols))
+    return rows[order], cols[order], values[order]
+
+
 def reference_compression(g, f, radius):
+    """Ball size and sorted triplets: row x, column y holds f(x y^-1)."""
     basis = g.ball(radius)
     index = {x: i for i, x in enumerate(basis)}
     rows, cols, data = [], [], []
@@ -61,15 +68,22 @@ def reference_compression(g, f, radius):
                 rows.append(i)
                 cols.append(j)
                 data.append(c)
-    m = len(basis)
-    return sp.csr_matrix((np.asarray(data, dtype=complex), (rows, cols)), shape=(m, m))
+    triplets = (np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64),
+                np.asarray(data, dtype=complex))
+    return len(basis), sorted_triplets(*triplets)
 
 
-def assert_same_csr(got, want):
-    for name in ("indptr", "indices", "data"):
-        a, b = getattr(got, name), getattr(want, name)
+def table_compression(g, f, radius):
+    """Ball size and sorted triplets of the table that every solver reads."""
+    m, targets, coeffs = _compression_tables(g, f, radius, DEFAULT_BALL_CAP)
+    return m, sorted_triplets(*_triplets(targets, coeffs))
+
+
+def assert_same_compression(got, want):
+    assert got[0] == want[0]
+    for name, a, b in zip(("rows", "cols", "values"), got[1], want[1]):
         assert a.dtype == b.dtype, name
-        assert np.array_equal(a, b), name
+        assert a.tobytes() == b.tobytes(), name
 
 
 def assert_same_bits(got, want):
@@ -163,9 +177,9 @@ def test_schoenberg_kernel_matches_pairwise_reference(case, r):
 @given(compression_cases())
 def test_compression_matches_per_pair_reference(case):
     group, radius, f = case
-    comp = compression_matrix(group, f, radius)
-    assert comp.shape[0] == len(group.ball(radius))
-    assert_same_csr(comp, reference_compression(group, f, radius))
+    comp = table_compression(group, f, radius)
+    assert comp[0] == len(group.ball(radius))
+    assert_same_compression(comp, reference_compression(group, f, radius))
 
 
 def test_kernel_points_shuffled_and_unreduced():
@@ -184,7 +198,7 @@ def test_compression_identical_at_larger_radius(group):
     pool = group.ball(4)
     picks = rng.choice(len(pool), size=min(6, len(pool)), replace=False)
     f = GroupRingElement(group, {pool[i]: complex(rng.normal(), rng.normal()) for i in picks})
-    assert_same_csr(compression_matrix(group, f, 5), reference_compression(group, f, 5))
+    assert_same_compression(table_compression(group, f, 5), reference_compression(group, f, 5))
 
 
 # ---------------------------------------------------------------------------
@@ -198,24 +212,25 @@ def test_z40_radius_one_does_not_overflow():
     assert len(ball) == 81
     gens = [tuple(sign * (k == j) for k in range(40)) for j in range(40) for sign in (1, -1)]
     f = GroupRingElement(Z40, {g: 1.0 for g in gens})
-    comp = compression_matrix(Z40, f, 1)
-    assert_same_csr(comp, reference_compression(Z40, f, 1))
-    assert comp.nnz == 160  # 80 in the identity column, 80 in the identity row
+    comp = table_compression(Z40, f, 1)
+    assert_same_compression(comp, reference_compression(Z40, f, 1))
+    assert len(comp[1][0]) == 160  # 80 in the identity column, 80 in the identity row
     corner = [tuple([1] * 20 + [-1] * 20), tuple([-1] * 20 + [1] * 20)]
     assert length_kernel(Z40, corner).entries[0, 1] == 80.0
 
 
 def test_free_product_cancels_then_lands_in_ball():
     f = GroupRingElement(F2, {"ab": 1.0})
-    comp = compression_matrix(F2, f, 2)
-    assert_same_csr(comp, reference_compression(F2, f, 2))
+    comp = table_compression(F2, f, 2)
+    assert_same_compression(comp, reference_compression(F2, f, 2))
     index = {x: i for i, x in enumerate(F2.ball(2))}
-    A = comp.toarray()
+    rows, cols, values = comp[1]
+    entries = dict(zip(zip(rows.tolist(), cols.tolist()), values.tolist()))
     # "ab" * "BA" cancels fully, "ab" * "Ba" cancels one letter and regrows
-    assert A[index[""], index["BA"]] == 1.0
-    assert A[index["aa"], index["Ba"]] == 1.0
+    assert entries[index[""], index["BA"]] == 1.0
+    assert entries[index["aa"], index["Ba"]] == 1.0
     # "ab" * "aa" passes through "baa", outside the ball, and stays outside
-    assert not A[:, index["aa"]].any()
+    assert index["aa"] not in cols
 
 
 def test_cap_checked_on_cached_arena():
@@ -223,20 +238,20 @@ def test_cap_checked_on_cached_arena():
     with pytest.raises(BallCapError):
         F2.ball(3, cap=52)
     with pytest.raises(BallCapError):
-        compression_matrix(F2, GroupRingElement(F2, {"a": 1.0}), 3, cap=52)
+        opnorm_lower(F2, GroupRingElement(F2, {"a": 1.0}), 3, cap=52)
 
 
 def test_mutating_a_returned_ball_changes_nothing():
     f = GroupRingElement(F2, {"a": 1.0, "B": 2.0})
-    before = compression_matrix(F2, f, 2)
+    before = table_compression(F2, f, 2)
     ball = F2.ball(2)
     expected = list(ball)
     ball.reverse()
     ball.append("zzz")
     assert F2.ball(2) == expected
-    after = compression_matrix(F2, f, 2)
-    assert_same_csr(after, before)
-    assert_same_csr(after, reference_compression(F2, f, 2))
+    after = table_compression(F2, f, 2)
+    assert_same_compression(after, before)
+    assert_same_compression(after, reference_compression(F2, f, 2))
 
 
 @pytest.mark.parametrize("group", [F2, Z2, CyclicGroup(7)], ids=repr)

@@ -449,6 +449,41 @@ def test_flag_prefixes_exit_usage(capsys, argv, prefix):
     assert "usage error" in err and prefix in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["norm", "--element-json", KESTEN_JSON, "--radius", "2", "--seed", "-1"],
+        ["rd-sample", "--group", "free:2", "--count", "3", "--seed", "-5"],
+        ["map-converge", "--element-json", KESTEN_JSON, "--epsilon", "0.3", "--seed", "-1"],
+    ],
+    ids=["norm", "rd-sample", "map-converge"],
+)
+def test_negative_seed_exits_usage(capsys, argv):
+    # on a ball of at most 64 elements the seed goes unused, so only the
+    # parser can refuse it there
+    code, out, err = run(capsys, argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "--seed" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,flag", [("norm", "--element"), ("check-cn", "--kernel")])
+@pytest.mark.parametrize("form", ["inline", "file"])
+def test_deeply_nested_json_exits_usage(capsys, tmp_path, command, flag, form):
+    nested = "[" * 200_000
+    if form == "file":
+        path = tmp_path / "nested.json"
+        path.write_text(nested)
+        argv = [command, flag, str(path)]
+    else:
+        flag += "-json"
+        argv = [command, flag, nested]
+    code, out, err = run(capsys, argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert flag in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["check-cn", "check-pd"])
 def test_seed_is_not_a_kernel_flag(capsys, command):
     # neither check draws anything at random, so neither takes a seed

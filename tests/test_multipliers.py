@@ -121,7 +121,7 @@ def test_truncation_consistency():
     cut = apply(HeatMultiplier(F2, 0.4, 3), f)
     assert cut.terms == full.terms
     shallow = apply(HeatMultiplier(F2, 0.4, 1), f)
-    assert all(F2.length(x) <= 1 for x in shallow.support)
+    assert all(F2.length(x) <= 1 for x in shallow.terms)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import math
 import sys
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -29,7 +30,6 @@ from rdmap.operators import (
     RdParams,
     UnsoundBoundError,
     builtin_rd_params,
-    compression_matrix,
     convolve,
     delta,
     l1_norm,
@@ -41,6 +41,7 @@ from rdmap.operators import (
     sobolev_norm,
     _character_norm,
     _clamp_crossing,
+    _compression_tables,
     _csr_products,
     _dense_top_singular,
     _free_abelian_constant,
@@ -48,6 +49,7 @@ from rdmap.operators import (
     _ritz_vector,
     _scaled_tables,
     _table_products,
+    _triplets,
     _zeta_minus_one,
 )
 
@@ -97,6 +99,16 @@ def translate_compression(g, f, points):
 
 def top_singular_value(A):
     return float(np.linalg.svd(A, compute_uv=False)[0])
+
+
+def assert_table_holds(g, f, radius, A):
+    """The translation table the solvers read holds exactly the nonzero entries of A."""
+    m, targets, coeffs = _compression_tables(g, f, radius, DEFAULT_BALL_CAP)
+    rows, cols, values = _triplets(targets, coeffs)
+    assert A.shape == (m, m)
+    assert len(values) <= len(f.terms) * m
+    assert np.count_nonzero(A) == len(values)
+    assert np.array_equal(A[rows, cols], values)
 
 
 # ---------------------------------------------------------------------------
@@ -311,20 +323,19 @@ def test_ring_element_rejects_non_finite_coefficients(terms):
 
 
 def test_compression_identity():
-    comp = compression_matrix(F2, delta(F2, ""), 2)
-    assert comp.shape[0] == 17
-    assert np.array_equal(comp.toarray(), np.eye(17, dtype=complex))
+    A = dense_compression(F2, delta(F2, ""), F2.ball(2))
+    assert np.array_equal(A, np.eye(17, dtype=complex))
+    assert_table_holds(F2, delta(F2, ""), 2, A)
 
 
 def test_compression_shift_pair_is_path_adjacency():
-    comp = compression_matrix(Z1, SHIFT_PAIR, 10)
-    assert comp.shape[0] == 21
+    A = dense_compression(Z1, SHIFT_PAIR, Z1.ball(10))
+    assert_table_holds(Z1, SHIFT_PAIR, 10, A)
     order = np.argsort([p[0] for p in Z1.ball(10)])
-    A = comp.toarray()[np.ix_(order, order)]
     expected = np.zeros((21, 21), dtype=complex)
     expected[np.arange(20), np.arange(1, 21)] = 1.0
     expected[np.arange(1, 21), np.arange(20)] = 1.0
-    assert np.array_equal(A, expected)
+    assert np.array_equal(A[np.ix_(order, order)], expected)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -332,10 +343,8 @@ def test_compression_shift_pair_is_path_adjacency():
 def test_compression_entries_match_definition(group, seed):
     rng = np.random.default_rng(seed)
     f = random_element(group, 2, rng)
-    comp = compression_matrix(group, f, 3)
-    assert comp.nnz <= len(f.terms) * comp.shape[0]
     A = dense_compression(group, f, group.ball(3))
-    assert np.array_equal(comp.toarray(), A)
+    assert_table_holds(group, f, 3, A)
     assert np.array_equal(translate_compression(group, f, group.ball(3)), A)
 
 
@@ -377,8 +386,7 @@ def test_opnorm_lower_matches_dense_svd():
     rng = np.random.default_rng(11)
     for group in (F2, Z1, CyclicGroup(8)):
         f = random_element(group, 2, rng)
-        comp = compression_matrix(group, f, 3)
-        oracle = top_singular_value(comp.toarray())
+        oracle = top_singular_value(dense_compression(group, f, group.ball(3)))
         got = opnorm_lower(group, f, 3)
         assert got == pytest.approx(max(oracle, l2_norm(f)), abs=1e-7)
         assert got <= max(oracle, l2_norm(f)) + 1e-9
@@ -426,7 +434,6 @@ def test_bracket_point_and_zero():
 
     z = opnorm_bracket(F2, GroupRingElement(F2, {}), rd, 2)
     assert (z.lower, z.upper) == (0.0, 0.0)
-    assert z.width == 0.0
 
 
 def test_bracket_contains_kesten_norm():
@@ -497,7 +504,7 @@ def test_random_element_reproducible():
     b = random_element(F2, 3, np.random.default_rng(42))
     assert a.terms == b.terms
     assert not a.is_zero()
-    assert all(F2.length(x) <= 3 for x in a.support)
+    assert all(F2.length(x) <= 3 for x in a.terms)
 
 
 # ---------------------------------------------------------------------------
@@ -548,19 +555,40 @@ def small_compressions(draw):
     return group, draw(st.integers(0, 3)), GroupRingElement(group, terms)
 
 
+def decided_top_singular_value(A, claimed):
+    """Top singular value of A, to decide whether `claimed` exceeds it by 8 ulps.
+
+    numpy's SVD is itself off by several ulps near a double singular value
+    (14 below the exact value in the @example of the test below).  Where
+    `claimed` lies above numpy's value by more than 8 ulps, the value comes
+    from mpmath's SVD at 40 digits instead.  That takes milliseconds at
+    5 x 5 but seconds at 53 x 53, so it runs only as this fallback.
+    """
+    exact = top_singular_value(A)
+    if claimed <= exact * (1 + 8 * EPS):
+        return exact
+    with mpmath.workdps(40):
+        return float(max(mpmath.svd_c(mpmath.matrix(A.tolist()), compute_uv=False)))
+
+
 @SOLVER_SETTINGS
 @given(small_compressions())
+# the direct solve reads 4.00000000000007 (the exact value to 0.16 ulp),
+# numpy's SVD 14 ulps less
+@example((FreeGroup(1), 2, GroupRingElement(FreeGroup(1), {"": 4.0, "A": 8.085682836131311e-14})))
 def test_solver_never_exceeds_dense_svd(case):
     group, radius, f = case
-    comp = compression_matrix(group, f, radius)
-    exact = top_singular_value(comp.toarray()) if comp.nnz else 0.0
+    A = dense_compression(group, f, group.ball(radius))
     m, targets, coeffs, e = _scaled_tables(group, f, radius, DEFAULT_BALL_CAP)
     products = _csr_products(m, targets, coeffs)
     value, iters, _ = _power_iteration(m, products, DEFAULT_MAX_ITERS, DEFAULT_POWER_TOL)
     value = math.ldexp(value, e)
+    lower = opnorm_lower(group, f, radius)
+    # a lower bound above the l2 floor is a solver value too
+    exact = decided_top_singular_value(A, max(value, lower) if lower > l2_norm(f) else value)
     assert value <= exact * (1 + 8 * EPS)
     assert 0 <= iters <= DEFAULT_MAX_ITERS
-    assert opnorm_lower(group, f, radius) <= max(exact, l2_norm(f)) * (1 + 8 * EPS)
+    assert lower <= max(exact, l2_norm(f)) * (1 + 8 * EPS)
 
 
 @st.composite
@@ -624,13 +652,15 @@ def directly_solved_compressions(draw):
 
 @SOLVER_SETTINGS
 @given(directly_solved_compressions())
+# the direct solve reads 1 + 1e-14/sqrt(2) to the last digit, numpy's SVD
+# 32 ulps less
+@example((F2, 1, GroupRingElement(F2, {"": 1.0, "A": 1e-14})))
 def test_direct_solve_matches_dense_svd(case):
     group, radius, f = case
     assert group.ball_size(radius) <= DIRECT_SOLVE_MAX
-    comp = compression_matrix(group, f, radius)
-    exact = top_singular_value(comp.toarray())
     m, targets, coeffs, e = _scaled_tables(group, f, radius, DIRECT_SOLVE_MAX)
     value = math.ldexp(_dense_top_singular(m, targets, coeffs), e)
+    exact = decided_top_singular_value(dense_compression(group, f, group.ball(radius)), value)
     assert value <= exact * (1 + 8 * EPS)
     assert value == pytest.approx(exact, rel=1e-12, abs=0.0)
 

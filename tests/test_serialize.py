@@ -124,8 +124,11 @@ def test_ring_json_errors():
         {"elem": "a", "im": -math.inf},
         {"elem": "a", "re": "inf"},
         {"elem": "a", "re": 10**400},
+        {"elem": "a", "re": "1.5"},
+        {"elem": "a", "re": True},
+        {"elem": "a", "im": False},
     ],
-    ids=["nan", "-inf", "inf-string", "huge-int"],
+    ids=["nan", "-inf", "inf-string", "huge-int", "numeric-string", "bool-re", "bool-im"],
 )
 def test_ring_json_rejects_non_finite_terms(term):
     with pytest.raises(ValueError, match="term"):
