@@ -4,8 +4,9 @@
 # Usage: .github/canonical_outputs.sh SRC_DIR
 #
 # SRC_DIR is the directory that holds the rdmap package (a checkout's src/).
-# For each command the script prints a header line, the command's stdout and
-# its exit code; stderr is dropped.  Two checkouts that print the same bytes
+# For each command, and then for each demo of the same checkout
+# (SRC_DIR/../demos), the script prints a header line, the stdout and the
+# exit code; stderr is dropped.  Two checkouts that print the same bytes
 # here agree on every canonical output the list covers.  Set
 # OPENBLAS_NUM_THREADS=1 first: the bytes repeat only at a fixed BLAS thread
 # count.
@@ -46,6 +47,13 @@ run map-converge --element-json "$kesten" --epsilon 0.3
 run map-converge --element-json "$kesten" --epsilon 0.3 --format csv
 run rd-sample --group free:2 --count 200 --seed 42
 run rd-sample --group free-abelian:1 --count 200 --seed 42
+run rd-sample --group free:2 --count 50 --seed 1 --C 0.2
 run check-cn --group free:2 --radius 3
 run check-cn --kernel-json "$counterexample"
 run check-pd --group free-abelian:2 --radius 4
+
+for demo in "$src"/../demos/*.py; do
+    echo "== demo $(basename "$demo")"
+    PYTHONPATH="$src" "$python" "$demo" 2>/dev/null
+    echo "== exit $?"
+done

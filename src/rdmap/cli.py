@@ -27,8 +27,10 @@ from .harness import (
     run_grid,
     select_epsilon,
 )
-from .kernels import cn_check_matrix, length_kernel, psd_check, schoenberg_kernel
+from .kernels import DEFAULT_TOL, cn_check_matrix, length_kernel, psd_check, schoenberg_kernel
 from .operators import (
+    DEFAULT_MAX_ITERS,
+    DEFAULT_POWER_TOL,
     RdParams,
     UnsoundBoundError,
     builtin_rd_params,
@@ -279,20 +281,20 @@ def _build_parser() -> _Parser:
     cn.add_argument("--radius", type=NONNEGATIVE_INT, default=None)
     cn.add_argument("--kernel", type=str, default=None)
     cn.add_argument("--kernel-json", type=str, default=None)
-    cn.add_argument("--tol", type=POSITIVE_FLOAT, default=1e-8)
+    cn.add_argument("--tol", type=POSITIVE_FLOAT, default=DEFAULT_TOL)
 
     pd = sub.add_parser("check-pd", help="positive definiteness of heat kernels")
     pd.add_argument("--group", type=_group, required=True)
     pd.add_argument("--radius", type=NONNEGATIVE_INT, required=True)
     pd.add_argument("--r", type=POSITIVE_FLOAT, action="append", default=None)
-    pd.add_argument("--tol", type=POSITIVE_FLOAT, default=1e-8)
+    pd.add_argument("--tol", type=POSITIVE_FLOAT, default=DEFAULT_TOL)
 
     norm = sub.add_parser("norm", help="certified operator-norm bracket")
     norm.add_argument("--element", type=str, default=None)
     norm.add_argument("--element-json", type=str, default=None)
     norm.add_argument("--radius", type=NONNEGATIVE_INT, default=6)
-    norm.add_argument("--max-iters", type=POSITIVE_INT, default=10_000)
-    norm.add_argument("--tol", type=POSITIVE_FLOAT, default=1e-10)
+    norm.add_argument("--max-iters", type=POSITIVE_INT, default=DEFAULT_MAX_ITERS)
+    norm.add_argument("--tol", type=POSITIVE_FLOAT, default=DEFAULT_POWER_TOL)
     norm.add_argument(
         "--seed", type=NONNEGATIVE_INT, default=0,
         help="seed of the power iteration's random start; unused on a ball that "

@@ -2,17 +2,15 @@
 
 Each grid point fixes a rate r and a truncation radius n, builds the
 rescaled truncated heat multiplier, and brackets the operator-norm defect
-of the identity-approximation step on a chosen test element.  Rows are
-deterministic given the seed; canonical exports zero the runtime column so
-reruns are byte-identical.
+of the identity-approximation step on a chosen test element.  Rows are plain
+values, deterministic given the seed; the exports keep a `runtime_ms` column
+fixed at 0.0 for the CSV/JSON format, not a timing.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -27,6 +25,7 @@ from .operators import (
     random_element,
     sobolev_norm,
 )
+from .serialize import canonical_json
 
 DEFAULT_R_VALUES = (0.5, 0.1, 0.02)
 
@@ -65,8 +64,8 @@ class GridSchedule:
         return math.ceil(depth)
 
 
-def default_schedule(rd: RdParams, r_values=DEFAULT_R_VALUES) -> GridSchedule:
-    return GridSchedule(r_values=tuple(r_values), rd=rd)
+def default_schedule(rd: RdParams) -> GridSchedule:
+    return GridSchedule(r_values=DEFAULT_R_VALUES, rd=rd)
 
 
 @dataclass(frozen=True)
@@ -77,7 +76,6 @@ class ConvergenceRow:
     K_n: float
     defect_lower: float
     defect_upper: float
-    runtime_ms: float
 
     def __post_init__(self):
         if self.defect_lower > self.defect_upper:
@@ -105,12 +103,10 @@ def run_grid(
         radius = _default_radius(g, f)
     rows = []
     for r in schedule.r_values:
-        start = time.perf_counter()
         n = schedule.n_rule(r)
         K_n = decay_certificate(r, rd.s).tail(n)
         rho = scaled_multiplier(g, r, rd.s, n, rd.C)
         bracket = map_defect(g, f, rho, rd, radius, cap=cap, seed=seed)
-        elapsed_ms = (time.perf_counter() - start) * 1000.0
         rows.append(
             ConvergenceRow(
                 r=r,
@@ -119,7 +115,6 @@ def run_grid(
                 K_n=K_n,
                 defect_lower=bracket.lower,
                 defect_upper=bracket.upper,
-                runtime_ms=elapsed_ms,
             )
         )
     return rows
@@ -136,7 +131,7 @@ def select_epsilon(rows: list, epsilon: float) -> Optional[ConvergenceRow]:
 
 
 def row_fields(row: ConvergenceRow) -> dict:
-    """The exported fields of a row; runtime is zeroed so reruns match."""
+    """The exported fields of a row, with the format's fixed `runtime_ms` column (0.0)."""
     return {
         "r": row.r,
         "n": row.n,
@@ -156,8 +151,7 @@ def rows_to_csv(rows: list) -> str:
 
 
 def rows_to_json(rows: list) -> str:
-    payload = [row_fields(row) for row in rows]
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return canonical_json([row_fields(row) for row in rows])
 
 
 @dataclass(frozen=True)
@@ -193,6 +187,8 @@ def rd_sample_report(
     """
     if count <= 0:
         raise ValueError("sample count must be positive")
+    if not 0.0 <= tolerance < math.inf:
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tolerance!r}")
     rng = np.random.default_rng(seed)
     worst = 0.0
     worst_element = None

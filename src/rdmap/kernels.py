@@ -46,14 +46,13 @@ DEFAULT_TOL = 1e-8
 
 @dataclass
 class KernelMatrix:
-    """Symmetric kernel on an ordered point set.
+    """Symmetric kernel matrix, finite and nonempty.
 
-    ``entries[i, j]`` holds ``k(x_i^-1 x_j)`` when the kernel comes from a
-    group; imported matrices may carry no points.
+    ``entries[i, j]`` holds ``k(x_i^-1 x_j)`` on the ordered points ``x_i`` of
+    a group kernel; the points themselves are not kept.
     """
 
     entries: np.ndarray
-    points: Optional[list] = None
 
     def __post_init__(self):
         self.entries = np.asarray(self.entries, dtype=float)
@@ -72,8 +71,6 @@ class KernelMatrix:
             or np.allclose(self.entries, self.entries.T, atol=1e-12, rtol=0.0)
         ):
             raise ValueError("kernel matrix must be symmetric")
-        if self.points is not None and len(self.points) != self.entries.shape[0]:
-            raise ValueError("point list length must match matrix size")
 
     @property
     def size(self) -> int:
@@ -102,7 +99,7 @@ class PsdVerdict:
 def length_kernel(group: Group, points: list) -> KernelMatrix:
     """Kernel ``l(x_i^-1 x_j)`` of the group's word length on ``points``."""
     entries = group.length_matrix(points).astype(float)
-    return KernelMatrix(entries, points=list(points))
+    return KernelMatrix(entries)
 
 
 def schoenberg_kernel(group: Group, points: list, r: float) -> KernelMatrix:
@@ -112,7 +109,7 @@ def schoenberg_kernel(group: Group, points: list, r: float) -> KernelMatrix:
     # one math.exp per length value, so each entry is bit for bit the scalar
     # exp(-r * l) (np.exp may round differently)
     table = np.array([math.exp(-r * k) for k in range(int(lengths.max(initial=0)) + 1)])
-    return KernelMatrix(table[lengths], points=list(points))
+    return KernelMatrix(table[lengths])
 
 
 def _nice_witness(c: np.ndarray, entries: np.ndarray, tol: float) -> np.ndarray:
@@ -146,8 +143,7 @@ def cn_check_matrix(kernel, tol: float = DEFAULT_TOL) -> CnVerdict:
     direction is returned as an explicit witness.  A single point passes
     trivially (the mean-zero subspace is zero).
     """
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    check_positive_finite(tol, "tolerance")
     if not isinstance(kernel, KernelMatrix):
         kernel = KernelMatrix(kernel)
     m = kernel.size
@@ -190,8 +186,7 @@ def cn_check(group: Group, points: list, tol: float = DEFAULT_TOL) -> CnVerdict:
 
 def psd_check(kernel, tol: float = DEFAULT_TOL) -> PsdVerdict:
     """Positive-semidefiniteness check: passes iff min eigenvalue >= -tol."""
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    check_positive_finite(tol, "tolerance")
     if not isinstance(kernel, KernelMatrix):
         kernel = KernelMatrix(kernel)
     smallest = float(np.linalg.eigvalsh(kernel.entries)[0])

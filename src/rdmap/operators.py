@@ -149,9 +149,6 @@ class GroupRingElement:
     def __sub__(self, other: "GroupRingElement") -> "GroupRingElement":
         return self + other.scale(-1.0)
 
-    def __neg__(self) -> "GroupRingElement":
-        return self.scale(-1.0)
-
 
 def delta(g: Group, elem, coeff: complex = 1.0) -> GroupRingElement:
     """The coefficient-`coeff` point mass at `elem`."""
@@ -502,17 +499,9 @@ def _ritz_vector(iterates: np.ndarray, gains: np.ndarray) -> np.ndarray:
     return y / np.linalg.norm(y)
 
 
-def opnorm_lower(
-    g: Group,
-    f: GroupRingElement,
-    radius: int,
-    max_iters: int = DEFAULT_MAX_ITERS,
-    tol: float = DEFAULT_POWER_TOL,
-    cap: int = DEFAULT_BALL_CAP,
-    seed: int = 0,
-) -> float:
-    """Certified lower bound for the convolution operator norm of f."""
-    value, _, _ = _opnorm_lower_info(g, f, radius, max_iters, tol, cap, seed)
+def opnorm_lower(g: Group, f: GroupRingElement, radius: int, cap: int = DEFAULT_BALL_CAP) -> float:
+    """Certified lower bound for the convolution operator norm of f (default solver)."""
+    value, _, _ = _opnorm_lower_info(g, f, radius, DEFAULT_MAX_ITERS, DEFAULT_POWER_TOL, cap, 0)
     return value
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import numpy as np
 
@@ -70,12 +71,11 @@ def parse_group_text(text: str) -> Group:
     kind, sep, param = text.partition(":")
     if not sep or not param:
         raise ValueError(f"group descriptor {text!r} must look like kind:parameter")
-    try:
-        value = int(param)
-    except ValueError as exc:
-        raise ValueError(f"group parameter {param!r} is not an integer") from exc
+    # int() would also read "1_0", " 2" and non-ASCII digits
+    if re.fullmatch(r"[+-]?[0-9]+", param) is None:
+        raise ValueError(f"group parameter {param!r} is not an integer")
     cls, _ = _group_kind(kind)
-    return cls(value)
+    return cls(int(param))
 
 
 # ---------------------------------------------------------------------------
@@ -123,18 +123,14 @@ def ring_from_json(obj) -> GroupRingElement:
 
 
 def kernel_from_json(obj) -> KernelMatrix:
-    """Parse a kernel; the type rejects non-finite entries and overflowing sizes."""
+    """Parse ``{"entries": ...}``, ignoring other keys; the type rejects bad entries."""
     if not isinstance(obj, dict) or "entries" not in obj:
         raise ValueError("kernel JSON needs an 'entries' field")
     try:
         entries = np.asarray(_list_field(obj, "entries", "kernel"), dtype=float)
     except TypeError as exc:
         raise ValueError(f"kernel entries must be numbers: {exc}") from None
-    points = None
-    if "points" in obj and "group" in obj:
-        g = group_from_json(obj["group"])
-        points = [g.parse(p) for p in _list_field(obj, "points", "kernel")]
-    return KernelMatrix(entries, points=points)
+    return KernelMatrix(entries)
 
 
 def cn_verdict_to_json(verdict: CnVerdict) -> dict:

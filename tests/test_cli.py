@@ -293,9 +293,8 @@ def test_check_cn_rejects_bad_kernel_entries(capsys, entries):
         {"entries": {}},
         {"entries": None},
         {"entries": [[0, {}], [{}, 0]]},
-        {"entries": [[0, 1], [1, 0]], "group": {"kind": "free", "rank": 2}, "points": 5},
     ],
-    ids=["entries-object", "entries-null", "entry-object", "points-int"],
+    ids=["entries-object", "entries-null", "entry-object"],
 )
 def test_check_cn_rejects_malformed_kernel_containers(capsys, payload):
     code, out, err = run(capsys, ["check-cn", "--kernel-json", json.dumps(payload)])
@@ -512,6 +511,22 @@ def test_non_finite_float_flags_exit_usage(capsys, argv, flag):
     assert code == EXIT_USAGE
     assert out == ""
     assert flag in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rd-sample", "--group", "free:1_0", "--count", "3", "--seed", "1"],
+        ["check-cn", "--group", "cyclic:\uff11\uff12", "--radius", "2"],
+    ],
+    ids=["underscore", "fullwidth-digits"],
+)
+def test_group_parameter_must_be_ascii_digits(capsys, argv):
+    # int() reads both, as free(10) and Z/12
+    code, out, err = run(capsys, argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "--group" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

@@ -57,9 +57,9 @@ def test_schedule_validation():
 
 def test_convergence_row_validation():
     with pytest.raises(ValueError):
-        ConvergenceRow(0.5, 160, 1.0, 0.0, 0.5, 0.4, 0.0)
+        ConvergenceRow(0.5, 160, 1.0, 0.0, 0.5, 0.4)
     with pytest.raises(ValueError):
-        ConvergenceRow(0.5, 160, 0.9, 0.0, 0.1, 0.4, 0.0)
+        ConvergenceRow(0.5, 160, 0.9, 0.0, 0.1, 0.4)
 
 
 def test_run_grid_kesten_column():
@@ -124,9 +124,13 @@ def test_csv_round_trip_and_determinism():
 
 def test_csv_runtime_column_zeroed():
     rows = run_grid(F2, KESTEN, default_schedule(RD))
-    assert any(row.runtime_ms > 0.0 for row in rows)
     values = [float(line.split(",")[6]) for line in rows_to_csv(rows).strip().split("\n")[1:]]
     assert values == [0.0] * len(rows)
+
+
+def test_run_grid_rows_are_plain_values():
+    # a row holds no timing, so two runs of one grid give equal rows
+    assert run_grid(F2, KESTEN, default_schedule(RD)) == run_grid(F2, KESTEN, default_schedule(RD))
 
 
 def test_json_mirror():
@@ -159,6 +163,12 @@ def test_rd_sample_report_rejects_bogus_constant():
 def test_rd_sample_report_validation():
     with pytest.raises(ValueError):
         rd_sample_report(F2, RD, count=0, seed=1)
+    # an infinite tolerance let a constant 100x too small pass; zero stays valid
+    bogus = RdParams(C=0.01, s=2.0)
+    assert not rd_sample_report(F2, bogus, count=5, seed=0, tolerance=0.0).passed
+    for tolerance in (math.inf, math.nan, -1e-9):
+        with pytest.raises(ValueError, match=f"tolerance must be finite and nonnegative, got {tolerance}"):
+            rd_sample_report(F2, bogus, count=5, seed=0, tolerance=tolerance)
 
 
 def test_rd_sample_other_group():

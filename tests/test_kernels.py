@@ -337,6 +337,22 @@ def test_kernel_matrix_validation():
             call()
 
 
+@pytest.mark.parametrize("tol", [math.inf, math.nan])
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda tol: cn_check(F2, F2.ball(2), tol),
+        lambda tol: cn_check_matrix(COUNTEREXAMPLE, tol),
+        lambda tol: psd_check(np.array([[-5.0, 0.0], [0.0, 1.0]]), tol),
+    ],
+    ids=["cn_check", "cn_check_matrix", "psd_check"],
+)
+def test_tolerance_must_be_finite(check, tol):
+    # an infinite tolerance passed the counterexample, a NaN one failed every kernel
+    with pytest.raises(ValueError, match=f"tolerance must be positive and finite, got {tol}"):
+        check(tol)
+
+
 @pytest.mark.parametrize(
     "check,entries",
     [

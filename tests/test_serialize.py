@@ -54,7 +54,10 @@ def test_parse_group_text(text, expected):
     assert parse_group_text(text) == expected
 
 
-@pytest.mark.parametrize("bad", ["free", "free:x", "ring:3", "free:"])
+@pytest.mark.parametrize(
+    # int() alone would read the last three as free(10), free(2) and Z/12
+    "bad", ["free", "free:x", "ring:3", "free:", "free:1_0", "free: 2", "cyclic:\uff11\uff12"]
+)
 def test_parse_group_text_errors(bad):
     with pytest.raises(ValueError):
         parse_group_text(bad)
@@ -154,16 +157,15 @@ def test_kernel_round_trip_with_points():
     )
     back = kernel_from_json(obj)
     assert np.array_equal(back.entries, kernel.entries)
-    assert back.points == kernel.points
-    # points without a group descriptor are ignored
+    # keys other than "entries" are ignored
     del obj["group"]
-    assert kernel_from_json(obj).points is None
+    assert np.array_equal(kernel_from_json(obj).entries, kernel.entries)
 
 
 def test_kernel_import_without_group():
     raw = {"entries": [[0.0, 10.0, 1.0], [10.0, 0.0, 1.0], [1.0, 1.0, 0.0]]}
     kernel = kernel_from_json(raw)
-    assert kernel.points is None
+    assert np.array_equal(kernel.entries, raw["entries"])
     verdict = cn_check_matrix(kernel.entries)
     assert not verdict.passed
     with pytest.raises(ValueError):
