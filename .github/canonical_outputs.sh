@@ -29,6 +29,9 @@ cyclic='{"group": {"kind": "cyclic", "order": 4001}, "terms": [
   {"elem": 1, "re": 1.0}, {"elem": 4000, "re": 1.0}, {"elem": 7, "im": 0.5}]}'
 cyclic2000='{"group": {"kind": "cyclic", "order": 2000}, "terms": [
   {"elem": 1, "re": 1.0}, {"elem": 1999, "re": 1.0}, {"elem": 7, "im": 0.5}]}'
+free2complex='{"group": {"kind": "free", "rank": 2}, "terms": [
+  {"elem": "a", "re": 1.0, "im": 0.5}, {"elem": "bA", "re": -0.25, "im": 1.0},
+  {"elem": "B", "im": -0.75}]}'
 counterexample='{"entries": [[0, 10, 1], [10, 0, 1], [1, 1, 0]]}'
 
 run() {
@@ -51,6 +54,8 @@ run rd-sample --group free:2 --count 50 --seed 1 --C 0.2
 run check-cn --group free:2 --radius 3
 run check-cn --kernel-json "$counterexample"
 run check-pd --group free-abelian:2 --radius 4
+run norm --element-json "$free2complex" --radius 8 --max-iters 100
+run norm --element-json "$kesten" --radius 6 --seed 3
 
 for demo in "$src"/../demos/*.py; do
     echo "== demo $(basename "$demo")"

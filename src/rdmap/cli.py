@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from typing import Optional
 
@@ -72,6 +73,11 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# the ASCII numerals a flag may spell; int() and float() would also read
+# "1_0", " 2" and non-ASCII digits
+_NUMERALS = {int: r"[+-]?[0-9]+", float: r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?"}
+
+
 def _number(kind, sign: str):
     """argparse type: a finite ``kind`` value that is "positive" or "nonnegative".
 
@@ -80,10 +86,9 @@ def _number(kind, sign: str):
     """
 
     def convert(text: str):
-        try:
-            value = kind(text)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
+        if re.fullmatch(_NUMERALS[kind], text) is None:
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}")
+        value = kind(text)
         if kind is float and not math.isfinite(value):
             raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
         if value < 0 or (sign == "positive" and value == 0):

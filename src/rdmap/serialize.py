@@ -41,6 +41,12 @@ _GROUP_KINDS = {
 }
 
 
+def _is_number(value) -> bool:
+    """Whether a parsed JSON value is a number; float() would also read the
+    strings "1e1" and "inf" and the bools."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _group_kind(kind) -> tuple:
     if not isinstance(kind, str) or kind not in _GROUP_KINDS:
         raise ValueError(f"unknown group kind {kind!r}")
@@ -100,8 +106,7 @@ def ring_from_json(obj) -> GroupRingElement:
         try:
             elem = g.parse(item["elem"])
             parts = (item.get("re", 0.0), item.get("im", 0.0))
-            # float() would also read the strings "1.5" and "inf" and the bools
-            if any(isinstance(p, bool) or not isinstance(p, (int, float)) for p in parts):
+            if not all(map(_is_number, parts)):
                 raise TypeError(f"coefficients {parts!r} are not JSON numbers")
             coeff = complex(float(parts[0]), float(parts[1]))
         except (KeyError, TypeError, OverflowError) as exc:
@@ -123,14 +128,18 @@ def ring_from_json(obj) -> GroupRingElement:
 
 
 def kernel_from_json(obj) -> KernelMatrix:
-    """Parse ``{"entries": ...}``, ignoring other keys; the type rejects bad entries."""
+    """Parse ``{"entries": ...}``, ignoring other keys.
+
+    Entries must be JSON numbers; the type rejects a matrix that is not
+    square, symmetric and finite.
+    """
     if not isinstance(obj, dict) or "entries" not in obj:
         raise ValueError("kernel JSON needs an 'entries' field")
-    try:
-        entries = np.asarray(_list_field(obj, "entries", "kernel"), dtype=float)
-    except TypeError as exc:
-        raise ValueError(f"kernel entries must be numbers: {exc}") from None
-    return KernelMatrix(entries)
+    rows = _list_field(obj, "entries", "kernel")
+    bad = [x for row in rows for x in (row if isinstance(row, list) else [row]) if not _is_number(x)]
+    if bad:
+        raise ValueError(f"kernel entries must be JSON numbers, got {', '.join(map(repr, bad[:3]))}")
+    return KernelMatrix(np.asarray(rows, dtype=float))
 
 
 def cn_verdict_to_json(verdict: CnVerdict) -> dict:

@@ -1,12 +1,23 @@
 """Exit codes and payloads for every CLI subcommand."""
 
+import argparse
 import json
 import math
 
 import pytest
 
 import rdmap.cli
-from rdmap.cli import EXIT_MATH_FAIL, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main
+from rdmap.cli import (
+    EXIT_MATH_FAIL,
+    EXIT_OK,
+    EXIT_RESOURCE,
+    EXIT_USAGE,
+    NONNEGATIVE_FLOAT,
+    NONNEGATIVE_INT,
+    POSITIVE_FLOAT,
+    POSITIVE_INT,
+    main,
+)
 from rdmap.groups import FreeAbelianGroup
 from rdmap.operators import RdParams, builtin_rd_params
 
@@ -288,6 +299,19 @@ def test_check_cn_rejects_bad_kernel_entries(capsys, entries):
 
 
 @pytest.mark.parametrize(
+    "entries",
+    [[["0", "1e1"], ["10", False]], [[0, True], [True, 0]]],
+    ids=["numeric-strings", "booleans"],
+)
+def test_check_cn_rejects_kernel_entries_that_are_not_numbers(capsys, entries):
+    # np.asarray(..., dtype=float) reads both, as [[0, 10], [10, 0]] and [[0, 1], [1, 0]]
+    code, out, err = run(capsys, ["check-cn", "--kernel-json", json.dumps({"entries": entries})])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "kernel entries" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "payload",
     [
         {"entries": {}},
@@ -527,6 +551,50 @@ def test_group_parameter_must_be_ascii_digits(capsys, argv):
     assert code == EXIT_USAGE
     assert out == ""
     assert "--group" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", ["1_0", "\uff12", "\u0662", " 2", "2 ", "2\n", "1.0", "0x10", ""])
+def test_integer_flags_take_ascii_digits_only(text):
+    # int() reads the first six, as 10, 2, 2, 2, 2 and 2
+    with pytest.raises(argparse.ArgumentTypeError, match="invalid int"):
+        NONNEGATIVE_INT(text)
+
+
+@pytest.mark.parametrize("text,value", [("10", 10), ("+3", 3), ("007", 7)])
+def test_integer_flags_read_signed_ascii_digits(text, value):
+    assert POSITIVE_INT(text) == value
+
+
+@pytest.mark.parametrize(
+    "text", ["1_0.5", "1e-1_0", "\uff10.3", "0.\u0663", " 0.3", "0.3 ", "nan", "inf", "-Infinity", "0x1p-3", "."]
+)
+def test_float_flags_take_ascii_numerals_only(text):
+    with pytest.raises(argparse.ArgumentTypeError, match="invalid float"):
+        NONNEGATIVE_FLOAT(text)
+
+
+@pytest.mark.parametrize(
+    "text,value", [("1e-3", 1e-3), (".5", 0.5), ("0.3", 0.3), ("5.", 5.0), ("2E+2", 200.0), ("7", 7.0)]
+)
+def test_float_flags_read_decimal_numerals(text, value):
+    assert POSITIVE_FLOAT(text) == value
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["check-cn", "--group", "free:2", "--radius", "1_0", "--ball-cap", "5"], "--radius"),
+        (["check-cn", "--group", "free:2", "--radius", "\uff12"], "--radius"),
+        (["norm", "--element-json", KESTEN_JSON, "--max-iters", "1_00"], "--max-iters"),
+        (["norm", "--element-json", KESTEN_JSON, "--tol", " 1e-8"], "--tol"),
+    ],
+    ids=["radius-underscore", "radius-fullwidth", "max-iters-underscore", "tol-space"],
+)
+def test_number_flags_refuse_what_int_and_float_would_read(capsys, argv, flag):
+    code, out, err = run(capsys, argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert flag in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

@@ -47,6 +47,7 @@ from rdmap.operators import (
     _free_abelian_constant,
     _power_iteration,
     _ritz_vector,
+    _scale_into,
     _scaled_tables,
     _table_products,
     _triplets,
@@ -890,6 +891,124 @@ def test_capped_values_grow_with_the_cap():
     values = [solve(M, max_iters=n, tol=0.0)[0] for n in range(1, 3 * RITZ_BLOCK + 2)]
     assert values == sorted(values)
     assert values[-1] <= top_singular_value(M) * (1 + 8 * EPS)
+
+
+# ---------------------------------------------------------------------------
+# the in-place solver loop against the loop it replaced
+
+
+def reference_ritz_vector(iterates, gains):
+    """_ritz_vector as first written, ending in y / np.linalg.norm(y)."""
+    k = len(gains)
+    gram = iterates.conj() @ iterates.T
+    d, q = np.linalg.eigh(gram[:k, :k])
+    keep = d > rdmap.operators.RITZ_GRAM_CUTOFF * d[-1]
+    basis = q[:, keep] / np.sqrt(d[keep])
+    projected = gram[:k, 1:] * gains
+    projected = (projected + projected.conj().T) / 2
+    _, z = np.linalg.eigh(basis.conj().T @ projected @ basis)
+    y = (basis @ z[:, -1]) @ iterates[:k]
+    return y / np.linalg.norm(y)
+
+
+def reference_power_iteration(m, products, max_iters, tol, seed=0):
+    """_power_iteration as first written: np.linalg.norm, a complex division
+    and a copy of v into the iterate buffer on every step.
+
+    The in-place loop must give the same values bit for bit.  A change that
+    alters the solver's arithmetic on purpose replaces this reference.
+    """
+    apply, apply_adjoint = products
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=m) + 1j * rng.normal(size=m)
+    v /= np.linalg.norm(v)
+    iterates = np.empty((RITZ_BLOCK + 1, m), dtype=complex)
+    gains = np.empty(RITZ_BLOCK)
+    best = sigma = rel = 0.0
+    k = 0
+    for k in range(1, max_iters + 1):
+        w = apply(v)
+        sigma_new = float(np.linalg.norm(w))
+        rel = abs(sigma_new - sigma) / sigma_new if sigma_new else 0.0
+        best = max(best, sigma_new)
+        if sigma_new == 0.0 or (k > 1 and rel <= tol):
+            break
+        sigma = sigma_new
+        j = (k - 1) % RITZ_BLOCK
+        iterates[j] = v
+        u = apply_adjoint(w)
+        gains[j] = np.linalg.norm(u)
+        v = u / gains[j]
+        if j == RITZ_BLOCK - 1:
+            iterates[RITZ_BLOCK] = v
+            v = reference_ritz_vector(iterates, gains)
+    return best, k, rel
+
+
+def matrix_family(family, m, rng):
+    if family == "complex":
+        return rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+    if family == "real":
+        return rng.normal(size=(m, m)).astype(complex)
+    if family == "sparse":
+        # about 80% zeros, so some columns of A and entries of A^H A v are zero
+        mask = rng.random((m, m)) < 0.2
+        return (rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))) * mask
+    # a diagonal whose entries are scaled by 2^60 or 2^-60
+    return np.diag(rng.normal(size=m) * 2.0 ** rng.choice([-60, 60], size=m)).astype(complex)
+
+
+# uncapped, capped at 37 steps (four restarts and a partial block), never stopping
+RUN_SETTINGS = [(DEFAULT_MAX_ITERS, DEFAULT_POWER_TOL), (37, 0.0), (25, -1.0)]
+
+
+@pytest.mark.parametrize("family", ["complex", "real", "sparse", "diagonal"])
+@pytest.mark.parametrize("m", [1, 2, RITZ_BLOCK, RITZ_BLOCK + 1, 33, 65, 119])
+def test_power_iteration_matches_the_reference_loop(family, m):
+    rng = np.random.default_rng(1000 * m + len(family))
+    A = matrix_family(family, m, rng)
+    products = (A.__matmul__, A.conj().T.__matmul__)
+    for seed, (max_iters, tol) in enumerate(RUN_SETTINGS):
+        got = _power_iteration(m, products, max_iters, tol, seed)
+        assert got == reference_power_iteration(m, products, max_iters, tol, seed)
+
+
+@pytest.mark.parametrize(
+    "group, radius, f",
+    [
+        (F2, 4, KESTEN),
+        (F2, 5, GroupRingElement(F2, {"a": 1 + 0.5j, "bA": -0.25 + 1j, "B": -0.75j})),
+        (FreeAbelianGroup(2), 12, GroupRingElement(FreeAbelianGroup(2), {(1, 0): 1.0, (0, -2): 0.5j})),
+        (CyclicGroup(501), 100, GroupRingElement(CyclicGroup(501), {1: 1.0, 7: 0.5j})),
+    ],
+    ids=["kesten-r4", "free2-complex-r5", "z2-r12", "cyclic-501-r100"],
+)
+@pytest.mark.parametrize("build", [_table_products, _csr_products], ids=["table", "csr"])
+def test_compression_runs_match_the_reference_loop(group, radius, f, build):
+    m, targets, coeffs, _ = _scaled_tables(group, f, radius, DEFAULT_BALL_CAP)
+    products = build(m, targets, coeffs)
+    for seed, (max_iters, tol) in enumerate(RUN_SETTINGS):
+        got = _power_iteration(m, products, max_iters, tol, seed)
+        assert got == reference_power_iteration(m, products, max_iters, tol, seed)
+
+
+@pytest.mark.parametrize("gain", [1.0, 3.0, 0.7071067811865476, 2.0**-300, 2.0**300, 12345.678])
+def test_scale_into_is_the_complex_division(gain):
+    rng = np.random.default_rng(11)
+    x = (rng.normal(size=200) + 1j * rng.normal(size=200)) * 2.0 ** rng.integers(-300, 300, 200)
+    x[:3] = [5e-324 + 1j, -1.0 - 5e-324j, 2.0**-1000 - 3.0j]
+    out = np.empty_like(x)
+    _scale_into(out, x, gain)
+    # no entry is zero: the same bits
+    assert out.tobytes() == (x / gain).tobytes()
+    # zero parts may come out as zeros of the other sign, equal under ==
+    x[3:9] = [0.0, -0.0, 0.0 + 1j, -0.0 - 1j, 1.0 + 0.0j, complex(-1.0, -0.0)]
+    _scale_into(out, x, gain)
+    assert np.array_equal(out, x / gain)
+    # in place, as _ritz_vector uses it
+    y = x.copy()
+    _scale_into(y, y, gain)
+    assert np.array_equal(y, x / gain)
 
 
 # ---------------------------------------------------------------------------

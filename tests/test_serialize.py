@@ -172,6 +172,29 @@ def test_kernel_import_without_group():
         kernel_from_json({"rows": []})
 
 
+@pytest.mark.parametrize(
+    "entries, named",
+    [
+        ([["0", "1e1"], ["10", False]], "'0', '1e1', '10'"),
+        ([[0, True], [True, 0]], "True, True"),
+        ([[0, None], [None, 0]], "None, None"),
+        (["01", "10"], "'01', '10'"),
+        ([[[0]]], "[0]"),
+    ],
+    ids=["numeric-strings", "booleans", "nulls", "string-rows", "nested"],
+)
+def test_kernel_json_refuses_entries_that_are_not_numbers(entries, named):
+    # as ring_from_json does for coefficients; float() would read the strings and bools
+    with pytest.raises(ValueError, match="kernel entries must be JSON numbers") as info:
+        kernel_from_json({"entries": entries})
+    assert named in str(info.value)
+
+
+def test_kernel_json_reads_ints_and_floats():
+    kernel = kernel_from_json({"entries": [[0, 2.5], [2.5, 0.0]]})
+    assert kernel.entries.tolist() == [[0.0, 2.5], [2.5, 0.0]]
+
+
 def test_verdict_payloads():
     raw = np.array([[0.0, 10.0, 1.0], [10.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
     cn = cn_verdict_to_json(cn_check_matrix(raw))
