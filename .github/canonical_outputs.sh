@@ -32,6 +32,15 @@ cyclic2000='{"group": {"kind": "cyclic", "order": 2000}, "terms": [
 free2complex='{"group": {"kind": "free", "rank": 2}, "terms": [
   {"elem": "a", "re": 1.0, "im": 0.5}, {"elem": "bA", "re": -0.25, "im": 1.0},
   {"elem": "B", "im": -0.75}]}'
+# elements written in forms that Group.parse normalizes: integral-float
+# coordinates, and residues outside [0, m)
+z2float='{"group": {"kind": "free-abelian", "rank": 2}, "terms": [
+  {"elem": [1.0, 0], "re": 1.0}, {"elem": [-1, 0.0], "re": 1.0},
+  {"elem": [0.0, 1.0], "re": 0.5}, {"elem": [0, -1], "re": 0.5},
+  {"elem": [2.0, -1.0], "im": 0.25}]}'
+cyclicwrap='{"group": {"kind": "cyclic", "order": 101}, "terms": [
+  {"elem": -1, "re": 1.0}, {"elem": 102, "re": 1.0}, {"elem": 208, "im": 0.5},
+  {"elem": -300, "re": -0.25}]}'
 counterexample='{"entries": [[0, 10, 1], [10, 0, 1], [1, 1, 0]]}'
 
 run() {
@@ -56,6 +65,8 @@ run check-cn --kernel-json "$counterexample"
 run check-pd --group free-abelian:2 --radius 4
 run norm --element-json "$free2complex" --radius 8 --max-iters 100
 run norm --element-json "$kesten" --radius 6 --seed 3
+run norm --element-json "$z2float" --radius 10
+run norm --element-json "$cyclicwrap" --radius 40
 
 for demo in "$src"/../demos/*.py; do
     echo "== demo $(basename "$demo")"

@@ -30,6 +30,7 @@ computes all pairwise lengths ``l(x^-1 y)`` of a point list in closed form.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 from math import comb, inf
 from typing import ClassVar, Optional
@@ -66,12 +67,26 @@ class BallCapError(RuntimeError):
 
 
 def integer_or_none(v) -> Optional[int]:
-    """``v`` as an int if it is one or an integral float such as 2.0 (a bool is neither)."""
-    if isinstance(v, int) and not isinstance(v, bool):
-        return v
-    if isinstance(v, float) and v.is_integer():
+    """``v`` as a plain int if it is an integer (numpy's too, not a bool) or an integral float."""
+    if type(v) is int or (isinstance(v, numbers.Integral) and not isinstance(v, bool)):
         return int(v)
-    return None
+    return int(v) if isinstance(v, float) and v.is_integer() else None
+
+
+def check_integer(v, name: str, low: int = 0) -> int:
+    """``v`` as an int, or a ValueError naming ``name`` unless it is an integer >= ``low``."""
+    value = integer_or_none(v)
+    if value is None or value < low:
+        kind = "a nonnegative integer" if low == 0 else f"an integer >= {low}"
+        raise ValueError(f"{name} must be {kind}, got {v!r}")
+    return value
+
+
+def is_number(value) -> bool:
+    """Any numbers.Number but a bool; complex() would also read "1.5" and True."""
+    if type(value) in (int, float, complex):  # spares the slower abstract-class check
+        return True
+    return isinstance(value, numbers.Number) and not isinstance(value, bool)
 
 
 def check_positive_finite(value, name: str) -> None:
@@ -176,17 +191,20 @@ class Group:
     def parse(self, obj):
         """Normalize an outside value into the canonical element payload.
 
-        The one rule by which values become elements: ring elements, point
-        masses, coefficient lookups, multipliers and the JSON codecs all
-        apply it.  Free groups reduce words, free-abelian groups take integer
-        or integral-float coordinates, cyclic groups wrap any integer modulo
-        the order; anything else raises GroupMismatchError.
+        The one rule by which values become elements: every element method
+        (encode, multiply, inverse, length, sort_key) applies it to each
+        argument, as do ring elements, point masses, coefficient lookups,
+        multipliers and the JSON codecs.  Free groups reduce words,
+        free-abelian groups take d integer coordinates, cyclic groups wrap
+        an integer modulo the order, an integer being any value that
+        :func:`integer_or_none` reads (2.0 but not 2.5 or True); anything
+        else raises GroupMismatchError.
         """
         raise NotImplementedError
 
     def encode(self, x):
         """JSON-friendly encoding of an element (inverse of :meth:`parse`)."""
-        raise NotImplementedError
+        return self.parse(x)
 
     def sort_key(self, x):
         """Key realizing the canonical (length, lexicographic) element order."""
@@ -213,8 +231,7 @@ class Group:
         Raises :class:`BallCapError` when the ball would hold more than
         ``cap`` elements, on every call, cached ball or not.
         """
-        if n < 0:
-            raise ValueError(f"ball radius must be nonnegative, got {n}")
+        n = check_integer(n, "ball radius")
         size = self.ball_size(n)
         if size > cap:
             raise BallCapError(
@@ -252,21 +269,14 @@ class FreeGroup(Group):
     kind: ClassVar[str] = "free"
 
     def __post_init__(self):
-        if not 1 <= self.rank <= len(_ALPHABET):
-            raise ValueError(f"free rank must be in [1, 26], got {self.rank}")
+        object.__setattr__(self, "rank", check_integer(self.rank, "free rank", 1))
+        if self.rank > len(_ALPHABET):
+            raise ValueError(f"free rank must be at most {len(_ALPHABET)}, got {self.rank}")
 
     @property
     def letters(self) -> str:
         """The 2k letters in canonical order: a, A, b, B, ..."""
         return "".join(c + c.upper() for c in _ALPHABET[: self.rank])
-
-    def _check_letters(self, x):
-        if not isinstance(x, str):
-            raise GroupMismatchError(f"free group element must be a word, got {x!r}")
-        for c in x:
-            idx = _ALPHABET.find(c.lower())
-            if idx < 0 or idx >= self.rank:
-                raise GroupMismatchError(f"letter {c!r} not valid in rank {self.rank}")
 
     @staticmethod
     def _reduce(word: str) -> str:
@@ -282,24 +292,22 @@ class FreeGroup(Group):
         return ""
 
     def parse(self, obj) -> str:
-        self._check_letters(obj)
+        if not isinstance(obj, str):
+            raise GroupMismatchError(f"free group element must be a word, got {obj!r}")
+        for c in obj:
+            idx = _ALPHABET.find(c.lower())
+            if idx < 0 or idx >= self.rank:
+                raise GroupMismatchError(f"letter {c!r} not valid in rank {self.rank}")
         return self._reduce(obj)
 
-    def encode(self, x) -> str:
-        return self.parse(x)
-
     def multiply(self, x: str, y: str) -> str:
-        self._check_letters(x)
-        self._check_letters(y)
-        return self._reduce(x + y)
+        return self._reduce(self.parse(x) + self.parse(y))
 
     def inverse(self, x: str) -> str:
-        self._check_letters(x)
-        return self._reduce(x)[::-1].swapcase()
+        return self.parse(x)[::-1].swapcase()
 
     def length(self, x: str) -> int:
-        self._check_letters(x)
-        return len(self._reduce(x))
+        return len(self.parse(x))
 
     def sort_key(self, x: str):
         word = self.parse(x)
@@ -307,8 +315,7 @@ class FreeGroup(Group):
         return (len(word), tuple(order.index(c) for c in word))
 
     def ball_size(self, n: int) -> int:
-        if n < 0:
-            raise ValueError("radius must be nonnegative")
+        n = check_integer(n, "radius")
         k = self.rank
         if k == 1:
             return 2 * n + 1
@@ -390,55 +397,36 @@ class FreeAbelianGroup(Group):
     kind: ClassVar[str] = "free-abelian"
 
     def __post_init__(self):
-        if self.rank < 1:
-            raise ValueError(f"free-abelian rank must be >= 1, got {self.rank}")
-
-    def _check(self, x):
-        if (
-            not isinstance(x, tuple)
-            or len(x) != self.rank
-            or not all(isinstance(v, int) and not isinstance(v, bool) for v in x)
-        ):
-            raise GroupMismatchError(
-                f"expected an integer {self.rank}-tuple, got {x!r}"
-            )
+        object.__setattr__(self, "rank", check_integer(self.rank, "free-abelian rank", 1))
 
     def identity(self) -> tuple:
         return (0,) * self.rank
 
     def parse(self, obj) -> tuple:
-        if isinstance(obj, (list, tuple)):
-            coords = tuple(integer_or_none(v) for v in obj)
-            if None in coords:
-                raise GroupMismatchError(f"coordinates must be integers, got {obj!r}")
-            obj = coords
-        self._check(obj)
-        return obj
+        if isinstance(obj, (list, tuple)) and len(obj) == self.rank:
+            coords = tuple(map(integer_or_none, obj))
+            if None not in coords:
+                return coords
+        raise GroupMismatchError(f"expected {self.rank} integer coordinates, got {obj!r}")
 
     def encode(self, x) -> list:
-        self._check(x)
-        return list(x)
+        return list(self.parse(x))
 
     def multiply(self, x: tuple, y: tuple) -> tuple:
-        self._check(x)
-        self._check(y)
-        return tuple(a + b for a, b in zip(x, y))
+        return tuple(a + b for a, b in zip(self.parse(x), self.parse(y)))
 
     def inverse(self, x: tuple) -> tuple:
-        self._check(x)
-        return tuple(-a for a in x)
+        return tuple(-a for a in self.parse(x))
 
     def length(self, x: tuple) -> int:
-        self._check(x)
-        return sum(abs(a) for a in x)
+        return sum(map(abs, self.parse(x)))
 
     def sort_key(self, x: tuple):
-        self._check(x)
-        return (self.length(x), x)
+        x = self.parse(x)
+        return (sum(map(abs, x)), x)
 
     def ball_size(self, n: int) -> int:
-        if n < 0:
-            raise ValueError("radius must be nonnegative")
+        n = check_integer(n, "radius")
         d = self.rank
         return sum(2**i * comb(d, i) * comb(n, i) for i in range(0, min(d, n) + 1))
 
@@ -480,46 +468,33 @@ class CyclicGroup(Group):
     kind: ClassVar[str] = "cyclic"
 
     def __post_init__(self):
-        if self.order < 2:
-            raise ValueError(f"cyclic order must be >= 2, got {self.order}")
-
-    def _check(self, x):
-        if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < self.order:
-            raise GroupMismatchError(
-                f"expected a residue in [0, {self.order}), got {x!r}"
-            )
+        object.__setattr__(self, "order", check_integer(self.order, "cyclic order", 2))
 
     def identity(self) -> int:
         return 0
 
     def parse(self, obj) -> int:
-        if not isinstance(obj, int) or isinstance(obj, bool):
+        value = integer_or_none(obj)
+        if value is None:
             raise GroupMismatchError(f"cyclic element must be an integer, got {obj!r}")
-        return obj % self.order
-
-    def encode(self, x) -> int:
-        self._check(x)
-        return x
+        return value % self.order
 
     def multiply(self, x: int, y: int) -> int:
-        self._check(x)
-        self._check(y)
-        return (x + y) % self.order
+        return (self.parse(x) + self.parse(y)) % self.order
 
     def inverse(self, x: int) -> int:
-        self._check(x)
-        return (-x) % self.order
+        return -self.parse(x) % self.order
 
     def length(self, x: int) -> int:
-        self._check(x)
+        x = self.parse(x)
         return min(x, self.order - x)
 
     def sort_key(self, x: int):
-        return (self.length(x), x)
+        x = self.parse(x)
+        return (min(x, self.order - x), x)
 
     def ball_size(self, n: int) -> int:
-        if n < 0:
-            raise ValueError("radius must be nonnegative")
+        n = check_integer(n, "radius")
         return min(self.order, 2 * n + 1)
 
     def _enumerate_ball(self, n: int) -> list[int]:

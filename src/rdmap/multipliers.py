@@ -17,7 +17,13 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .groups import DEFAULT_BALL_CAP, Group, GroupMismatchError, check_positive_finite
+from .groups import (
+    DEFAULT_BALL_CAP,
+    Group,
+    GroupMismatchError,
+    check_integer,
+    check_positive_finite,
+)
 from .kernels import DecayCertificate, decay_certificate
 from .operators import (
     GroupRingElement,
@@ -45,15 +51,14 @@ class HeatMultiplier:
 
     def __post_init__(self):
         check_positive_finite(self.r, "rate r")
-        # type() rather than isinstance: a bool is an int, and True is no radius
-        if self.n is not None and not (type(self.n) is int and self.n >= 0):
-            raise ValueError(f"truncation radius n must be a nonnegative integer, got {self.n!r}")
+        if self.n is not None:
+            object.__setattr__(self, "n", check_integer(self.n, "truncation radius n"))
         if self.U is not None and not self.U >= 1.0:
             raise ValueError("scale U must satisfy U >= 1")
 
     def eval(self, elem):
         """Pointwise value at a group element."""
-        length = self.group.length(self.group.parse(elem))
+        length = self.group.length(elem)
         if self.n is not None and length > self.n:
             return 0.0
         value = math.exp(-self.r * length)

@@ -25,7 +25,9 @@ from .groups import (
     FreeGroup,
     Group,
     GroupMismatchError,
+    check_integer,
     check_positive_finite,
+    is_number,
 )
 
 DEFAULT_MAX_ITERS = 10_000
@@ -110,8 +112,8 @@ class GroupRingElement:
 
     Coefficients are stored in a plain dict keyed by normal-form elements.
     Keys go through :meth:`Group.parse` on construction, so equal elements
-    merge; zero coefficients are then dropped, and a NaN or infinite one is
-    rejected.
+    merge; coefficients must be numbers (:func:`rdmap.groups.is_number`),
+    zero ones are then dropped, and a NaN or infinite one is rejected.
     """
 
     group: Group
@@ -121,8 +123,9 @@ class GroupRingElement:
         clean: dict = {}
         for elem, coeff in self.terms.items():
             key = self.group.parse(elem)
-            value = clean.get(key, 0j) + complex(coeff)
-            clean[key] = value
+            if not is_number(coeff):
+                raise ValueError(f"coefficient {coeff!r} of term {elem!r} is not a number")
+            clean[key] = clean.get(key, 0j) + complex(coeff)
         clean = {k: v for k, v in clean.items() if v != 0}
         for key, value in clean.items():
             if not cmath.isfinite(value):
@@ -611,6 +614,10 @@ def opnorm_bracket(
     cap: int = DEFAULT_BALL_CAP,
     seed: int = 0,
 ) -> NormBracket:
+    radius = check_integer(radius, "radius")
+    max_iters = check_integer(max_iters, "max_iters", 1)
+    check_positive_finite(tol, "tol")
+    seed = check_integer(seed, "seed")
     lower, iters, rel = _opnorm_lower_info(g, f, radius, max_iters, tol, cap, seed)
     upper = opnorm_upper(g, f, rd)
     return NormBracket(

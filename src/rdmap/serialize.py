@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import re
 
 import numpy as np
 
-from .groups import CyclicGroup, FreeAbelianGroup, FreeGroup, Group, integer_or_none
+from .groups import CyclicGroup, FreeAbelianGroup, FreeGroup, Group, integer_or_none, is_number
 from .kernels import CnVerdict, KernelMatrix, PsdVerdict
 from .operators import GroupRingElement, NormBracket, l1_norm, l2_norm
 
@@ -41,10 +42,11 @@ _GROUP_KINDS = {
 }
 
 
-def _is_number(value) -> bool:
-    """Whether a parsed JSON value is a number; float() would also read the
-    strings "1e1" and "inf" and the bools."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _is_real(value) -> bool:
+    """A real number by :func:`is_number`; float() would drop the imaginary
+    part of a numpy complex with a warning only.  The type test first spares
+    JSON's ints and floats the slower abstract-class checks."""
+    return type(value) in (int, float) or (is_number(value) and isinstance(value, numbers.Real))
 
 
 def _group_kind(kind) -> tuple:
@@ -106,7 +108,7 @@ def ring_from_json(obj) -> GroupRingElement:
         try:
             elem = g.parse(item["elem"])
             parts = (item.get("re", 0.0), item.get("im", 0.0))
-            if not all(map(_is_number, parts)):
+            if not all(map(_is_real, parts)):
                 raise TypeError(f"coefficients {parts!r} are not JSON numbers")
             coeff = complex(float(parts[0]), float(parts[1]))
         except (KeyError, TypeError, OverflowError) as exc:
@@ -130,15 +132,18 @@ def ring_from_json(obj) -> GroupRingElement:
 def kernel_from_json(obj) -> KernelMatrix:
     """Parse ``{"entries": ...}``, ignoring other keys.
 
-    Entries must be JSON numbers; the type rejects a matrix that is not
-    square, symmetric and finite.
+    Entries must be JSON numbers in a square list of rows; the type rejects
+    a matrix that is not symmetric and finite.
     """
     if not isinstance(obj, dict) or "entries" not in obj:
         raise ValueError("kernel JSON needs an 'entries' field")
     rows = _list_field(obj, "entries", "kernel")
-    bad = [x for row in rows for x in (row if isinstance(row, list) else [row]) if not _is_number(x)]
+    bad = [x for row in rows for x in (row if isinstance(row, list) else [row]) if not _is_real(x)]
     if bad:
         raise ValueError(f"kernel entries must be JSON numbers, got {', '.join(map(repr, bad[:3]))}")
+    # np.asarray would refuse ragged rows with a message that names no kernel
+    if not all(isinstance(row, list) and len(row) == len(rows) for row in rows):
+        raise ValueError("kernel entries must form a square matrix")
     return KernelMatrix(np.asarray(rows, dtype=float))
 
 

@@ -516,6 +516,34 @@ def test_seed_is_not_a_kernel_flag(capsys, command):
     assert "--seed" in err
 
 
+def test_check_cn_rejects_ragged_kernel_rows(capsys):
+    # np.asarray refused them with "inhomogeneous shape", naming no kernel
+    code, out, err = run(capsys, ["check-cn", "--kernel-json", '{"entries": [[0, 1], [1]]}'])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "kernel entries must form a square matrix" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["check-pd", "--group", "free:2", "--radius", "2", "--r", "1e999"], "--r"),
+        (["map-converge", "--element-json", KESTEN_JSON, "--epsilon", "0.3", "--r", "1e999"], "--r"),
+        (["norm", "--element-json", KESTEN_JSON, "--tol", "1e999"], "--tol"),
+        (["check-cn", "--group", "free:2", "--radius", "2", "--tol", "1e999"], "--tol"),
+        (["rd-sample", "--group", "free:2", "--seed", "1", "--C", "1e999"], "--C"),
+    ],
+    ids=["pd-r", "mc-r", "norm-tol", "cn-tol", "rd-C"],
+)
+def test_overflowing_float_flags_exit_usage(capsys, argv, flag):
+    # a numeral that passes the ASCII rule but reads as inf
+    code, out, err = run(capsys, argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert f"argument {flag}: must be a finite number, got '1e999'" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "argv,flag",
     [

@@ -1,6 +1,7 @@
 """Group models: normal forms, word lengths, canonical balls."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -237,8 +238,9 @@ def test_mismatch_errors():
         F2.multiply("a", "c")  # rank-2 group has no letter c
     with pytest.raises(GroupMismatchError):
         Z3.length((1, 2))
+    assert C5.length(9) == C5.length(4)  # residues wrap, as parse wraps them
     with pytest.raises(GroupMismatchError):
-        C5.length(9)
+        C5.length(2.5)
     with pytest.raises(GroupMismatchError):
         F2.length(3)
 
@@ -250,3 +252,119 @@ def test_descriptor_validation():
         FreeAbelianGroup(0)
     with pytest.raises(ValueError):
         CyclicGroup(1)
+
+
+# ---------------------------------------------------------------------------
+# one element rule: every method takes exactly what parse takes
+
+
+Z2 = FreeAbelianGroup(2)
+
+# (group, values parse accepts, values it rejects)
+ELEMENT_RULE = [
+    (F2, ["", "a", "abB", "aA", "BAab", np.str_("ba")], [3, None, "c", "a b", ["a"], b"a", ("a",)]),
+    (
+        Z2,
+        [(0, 0), (1, -2), [3, 0], (2.0, 1), [np.int64(-4), 5], (np.int32(1), -0.0)],
+        [(1,), (1, 2, 3), (1.5, 0), (True, 0), ("1", 0), (None, 0), 5, "ab", None, np.array([1, 0])],
+    ),
+    (
+        C5,
+        [0, 4, 9, -1, 2.0, np.int64(7), 10**30],
+        [2.5, True, "3", None, (1,), [2], 1j, np.float32(2.0)],
+    ),
+]
+
+ELEMENT_METHODS = {
+    "parse": lambda g, v: g.parse(v),
+    "encode": lambda g, v: g.encode(v),
+    "multiply-left": lambda g, v: g.multiply(v, g.ball(1)[1]),
+    "multiply-right": lambda g, v: g.multiply(g.ball(1)[1], v),
+    "multiply-both": lambda g, v: g.multiply(v, v),
+    "inverse": lambda g, v: g.inverse(v),
+    "length": lambda g, v: g.length(v),
+    "sort_key": lambda g, v: g.sort_key(v),
+}
+
+
+def _element_cases(column):
+    return [
+        pytest.param(group, value, id=f"{group.kind}-{value!r}")
+        for group, *values in ELEMENT_RULE
+        for value in values[column]
+    ]
+
+
+@pytest.mark.parametrize("method", ELEMENT_METHODS)
+@pytest.mark.parametrize("group,value", _element_cases(0))
+def test_every_method_takes_what_parse_takes(group, value, method):
+    call = ELEMENT_METHODS[method]
+    parsed = group.parse(value)
+    got = call(group, value)
+    assert got == call(group, parsed)
+    assert type(got) is type(call(group, parsed))
+    # plain payloads: the JSON encoding of a numpy-typed input needs no cast
+    assert json.dumps(group.encode(value)) == json.dumps(group.encode(parsed))
+
+
+@pytest.mark.parametrize("method", ELEMENT_METHODS)
+@pytest.mark.parametrize("group,value", _element_cases(1))
+def test_every_method_rejects_what_parse_rejects(group, value, method):
+    with pytest.raises(GroupMismatchError):
+        ELEMENT_METHODS[method](group, value)
+
+
+# ---------------------------------------------------------------------------
+# one integer rule for group parameters and ball radii
+
+
+@pytest.mark.parametrize(
+    "make,value,name",
+    [
+        (FreeGroup, 2.5, "free rank"),
+        (FreeGroup, True, "free rank"),
+        (FreeGroup, "2", "free rank"),
+        (FreeGroup, 0, "free rank"),
+        (FreeGroup, 27, "free rank"),
+        (FreeAbelianGroup, 2.5, "free-abelian rank"),
+        (FreeAbelianGroup, False, "free-abelian rank"),
+        (CyclicGroup, 1, "cyclic order"),
+        (CyclicGroup, 5.5, "cyclic order"),
+        (CyclicGroup, np.float32(5.0), "cyclic order"),
+    ],
+    ids=repr,
+)
+def test_group_parameters_must_be_integers(make, value, name):
+    with pytest.raises(ValueError, match=name):
+        make(value)
+
+
+@pytest.mark.parametrize(
+    "make,field,value,plain",
+    [
+        (FreeGroup, "rank", 2.0, 2),
+        (FreeGroup, "rank", np.int64(2), 2),
+        (FreeAbelianGroup, "rank", np.uint8(3), 3),
+        (CyclicGroup, "order", np.int64(5), 5),
+        (CyclicGroup, "order", 5.0, 5),
+    ],
+    ids=repr,
+)
+def test_group_parameters_are_stored_as_int(make, field, value, plain):
+    group = make(value)
+    assert type(getattr(group, field)) is int and getattr(group, field) == plain
+    assert group == make(plain)
+    assert group.ball(2) == make(plain).ball(2)
+
+
+@pytest.mark.parametrize("radius", [2.5, True, -1, "2", None], ids=repr)
+def test_ball_radii_must_be_nonnegative_integers(radius):
+    for call in (F2.ball_size, F2.ball, F2.arena, Z3.ball_size, C5.ball_size):
+        with pytest.raises(ValueError, match="radius"):
+            call(radius)
+
+
+def test_integral_radii_are_read_as_int():
+    assert F2.ball_size(2.0) == F2.ball_size(np.int64(2)) == 17
+    assert F2.ball(2.0) == F2.ball(2)
+    assert F2.arena(np.int32(3)) is F2.arena(3)

@@ -128,6 +128,14 @@ def test_truncation_consistency():
 # norm bounds
 
 
+@pytest.mark.parametrize("n", [2.0, np.int64(2), np.uint8(2)], ids=repr)
+def test_truncation_radius_follows_the_integer_rule(n):
+    # the same rule as ball radii: integral values are kept as a plain int
+    phi = HeatMultiplier(F2, 1.0, n)
+    assert type(phi.n) is int and phi == HeatMultiplier(F2, 1.0, 2)
+    assert lemma_norm_bound(phi, RD).rank_bound == F2.ball_size(2)
+
+
 def test_lemma_bound_heat():
     bound = lemma_norm_bound(HeatMultiplier(F2, 1.0), RD)
     assert bound.upper == pytest.approx(RD.C * 4.0 / math.e, abs=1e-12)
@@ -155,6 +163,19 @@ def test_lemma_bound_truncated():
     # below the peak the sup sits at the cut itself
     shallow = lemma_norm_bound(HeatMultiplier(F2, 4.0, 0), RD)
     assert shallow.upper == pytest.approx(RD.C)
+
+
+def test_lemma_bound_truncated_below_the_peak():
+    # e^{-0.1 x} (1 + x)^2 peaks at x = 2 / 0.1 - 1 = 19 and rises on [0, 19],
+    # so its sup over the ball of radius 5 sits at x = 5: e^{-0.5} * 36
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        rise = mp.diff(lambda x: mp.exp(-mp.mpf(0.1) * x) * (1 + x) ** 2, 5)
+        want = RD.C * mp.exp(-mp.mpf(0.1) * 5) * 36
+    assert rise > 0
+    got = lemma_norm_bound(HeatMultiplier(F2, 0.1, 5), RD).upper
+    assert abs(got - want) <= 4 * math.ulp(got)
+    assert got < lemma_norm_bound(HeatMultiplier(F2, 0.1), RD).upper
 
 
 def test_lemma_bound_scaled_is_contraction():

@@ -2,6 +2,7 @@
 
 import math
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
@@ -18,6 +19,7 @@ from rdmap.groups import (
     FreeGroup,
     GroupMismatchError,
 )
+from rdmap.multipliers import table_multiplier
 from rdmap.operators import (
     BRACKET_ROUNDING_SLACK,
     DEFAULT_MAX_ITERS,
@@ -322,6 +324,35 @@ def test_ring_element_rejects_non_finite_coefficients(terms):
     # "aaA" reduces to "a": the two finite coefficients merge to inf
     with pytest.raises(ValueError, match="non-finite coefficient"):
         GroupRingElement(F2, terms)
+
+
+@pytest.mark.parametrize("coeff", ["1.5", " 3 ", True, False, None, b"1", [1.0]], ids=repr)
+def test_ring_element_coefficients_must_be_numbers(coeff):
+    # complex() reads the first four (False as a zero term); ring_from_json
+    # refuses them, and so does every other entry point now
+    with pytest.raises(ValueError, match=r"coefficient .* of term 'ab' is not a number"):
+        GroupRingElement(F2, {"ab": coeff})
+    with pytest.raises(ValueError, match="term 'ab'"):
+        delta(F2, "ab", coeff)
+    with pytest.raises(ValueError, match="term 'ab'"):
+        table_multiplier(F2, {"ab": coeff})
+
+
+@pytest.mark.parametrize(
+    "coeff,value",
+    [
+        (3, 3),
+        (np.float64(1.5), 1.5),
+        (np.int64(-2), -2),
+        (np.complex128(1 - 2j), 1 - 2j),
+        (Fraction(1, 4), 0.25),
+        (Decimal("0.5"), 0.5),
+    ],
+    ids=repr,
+)
+def test_ring_element_takes_every_number(coeff, value):
+    assert GroupRingElement(F2, {"a": coeff}).terms == {"a": complex(value)}
+    assert delta(F2, "a", coeff).terms == {"a": complex(value)}
 
 
 # ---------------------------------------------------------------------------
@@ -1054,3 +1085,43 @@ def test_extreme_magnitudes_keep_a_sound_bracket(c):
     assert bracket.lower <= 2.0 * math.sqrt(3.0) * c <= bracket.upper
     assert bracket.lower == pytest.approx(base.lower * c, rel=1e-12)
     assert bracket.upper == pytest.approx(4.0 * c, rel=4 * EPS)
+
+
+# ---------------------------------------------------------------------------
+# settings of opnorm_bracket, checked as the CLI checks its flags
+
+
+@pytest.mark.parametrize(
+    "setting,value",
+    [
+        ("max_iters", 0),
+        ("max_iters", -3),
+        ("max_iters", 2.5),
+        ("max_iters", True),
+        ("tol", math.nan),
+        ("tol", 0.0),
+        ("tol", -1e-10),
+        ("tol", math.inf),
+        ("seed", -1),
+        ("seed", 1.5),
+        ("seed", True),
+        ("radius", True),
+        ("radius", 2.5),
+        ("radius", -1),
+    ],
+    ids=repr,
+)
+def test_bracket_settings_are_checked(setting, value):
+    # max_iters=0 used to return the l2 floor 2.0 with iterations=0, tol=nan
+    # ran all 10,000 steps, and radius=True was reported as the ball radius
+    kwargs = {"radius": 6, setting: value}
+    with pytest.raises(ValueError, match=setting):
+        opnorm_bracket(F2, KESTEN, builtin_rd_params(F2), **kwargs)
+
+
+def test_bracket_settings_take_integral_values_as_int():
+    rd = builtin_rd_params(F2)
+    want = opnorm_bracket(F2, KESTEN, rd, 6, max_iters=30, seed=3)
+    got = opnorm_bracket(F2, KESTEN, rd, np.int64(6), max_iters=30.0, seed=np.uint16(3))
+    assert got == want
+    assert type(got.lower_ball_radius) is int

@@ -33,6 +33,21 @@ def test_group_round_trip(group):
     assert group_from_json(group_to_json(group)) == group
 
 
+@pytest.mark.parametrize(
+    "group,plain",
+    [
+        (CyclicGroup(np.int64(5)), CyclicGroup(5)),
+        (FreeGroup(2.0), F2),
+        (FreeAbelianGroup(np.int32(3)), FreeAbelianGroup(3)),
+    ],
+    ids=repr,
+)
+def test_group_with_an_integral_parameter_serializes_as_int(group, plain):
+    # np.int64(5) used to reach json.dumps, which raised TypeError
+    assert canonical_json(group_to_json(group)) == canonical_json(group_to_json(plain))
+    assert group_from_json(group_to_json(group)) == plain
+
+
 def test_group_json_errors():
     with pytest.raises(ValueError):
         group_from_json({"rank": 2})
@@ -231,3 +246,13 @@ def test_canonical_json_is_stable():
 def test_canonical_json_refuses_non_finite(value):
     with pytest.raises(ValueError):
         canonical_json({"lower": value})
+
+
+@pytest.mark.parametrize("value", [1j, np.complex128(1 + 1j)], ids=repr)
+def test_json_parts_must_be_real(value):
+    # a coefficient part or kernel entry is real; float() would keep only the
+    # real part of a numpy complex, with a ComplexWarning
+    with pytest.raises(ValueError, match="term"):
+        ring_from_json({"group": group_to_json(F2), "terms": [{"elem": "a", "re": value}]})
+    with pytest.raises(ValueError, match="kernel entries must be JSON numbers"):
+        kernel_from_json({"entries": [[0, value], [value, 0]]})
