@@ -41,6 +41,9 @@ z2float='{"group": {"kind": "free-abelian", "rank": 2}, "terms": [
 cyclicwrap='{"group": {"kind": "cyclic", "order": 101}, "terms": [
   {"elem": -1, "re": 1.0}, {"elem": 102, "re": 1.0}, {"elem": 208, "im": 0.5},
   {"elem": -300, "re": -0.25}]}'
+# a point mass whose defect rows, phi(0) c - c, cancel when formed by subtraction
+z1point='{"group": {"kind": "free-abelian", "rank": 1}, "terms": [
+  {"elem": [0], "re": 0.1}]}'
 counterexample='{"entries": [[0, 10, 1], [10, 0, 1], [1, 1, 0]]}'
 
 run() {
@@ -67,6 +70,8 @@ run norm --element-json "$free2complex" --radius 8 --max-iters 100
 run norm --element-json "$kesten" --radius 6 --seed 3
 run norm --element-json "$z2float" --radius 10
 run norm --element-json "$cyclicwrap" --radius 40
+run map-converge --element-json "$z1point" --epsilon 0.3 --format csv
+run map-converge --element-json "$free2complex" --epsilon 0.3 --format csv
 
 for demo in "$src"/../demos/*.py; do
     echo "== demo $(basename "$demo")"

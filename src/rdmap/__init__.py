@@ -48,7 +48,6 @@ from .multipliers import (
     certified_scale,
     lemma_norm_bound,
     map_defect,
-    pointwise_defect_bound,
     scaled_multiplier,
     table_multiplier,
     tail_bound,
@@ -111,7 +110,6 @@ __all__ = [
     "opnorm_bracket",
     "opnorm_lower",
     "opnorm_upper",
-    "pointwise_defect_bound",
     "psd_check",
     "random_element",
     "rd_sample_report",

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .groups import DEFAULT_BALL_CAP, Group, check_positive_finite
+from .groups import DEFAULT_BALL_CAP, Group, check_integer, check_positive_finite
 from .kernels import decay_certificate
 from .multipliers import map_defect, scaled_multiplier
 from .operators import (
@@ -185,8 +185,8 @@ def rd_sample_report(
     The reported ratio is lower / (C * Sobolev); the sweep passes when no
     sample pushes it above 1 beyond the tolerance.
     """
-    if count <= 0:
-        raise ValueError("sample count must be positive")
+    count = check_integer(count, "sample count", 1)
+    seed = check_integer(seed, "seed")
     if not 0.0 <= tolerance < math.inf:
         raise ValueError(f"tolerance must be finite and nonnegative, got {tolerance!r}")
     rng = np.random.default_rng(seed)

@@ -25,14 +25,7 @@ from .groups import (
     check_positive_finite,
 )
 from .kernels import DecayCertificate, decay_certificate
-from .operators import (
-    GroupRingElement,
-    NormBracket,
-    RdParams,
-    _clamp_crossing,
-    l1_norm,
-    opnorm_bracket,
-)
+from .operators import GroupRingElement, NormBracket, RdParams, opnorm_bracket
 
 @dataclass(frozen=True)
 class HeatMultiplier:
@@ -88,14 +81,20 @@ def table_multiplier(g: Group, table: dict) -> TableMultiplier:
     return TableMultiplier(g, table)
 
 
-def apply(
+def _require_same_group(
     phi: HeatMultiplier | TableMultiplier, f: GroupRingElement
-) -> GroupRingElement:
-    """The multiplier action: coordinatewise product phi * f."""
+) -> None:
     if f.group != phi.group:
         raise GroupMismatchError(
             f"multiplier on {phi.group!r} applied to element of {f.group!r}"
         )
+
+
+def apply(
+    phi: HeatMultiplier | TableMultiplier, f: GroupRingElement
+) -> GroupRingElement:
+    """The multiplier action: coordinatewise product phi * f."""
+    _require_same_group(phi, f)
     return GroupRingElement(
         f.group, {x: phi.eval(x) * c for x, c in f.terms.items()}
     )
@@ -176,16 +175,6 @@ def scaled_multiplier(g: Group, r: float, s: float, n: int, C: float) -> HeatMul
     return HeatMultiplier(g, r, n, certified_scale(r, s, n, C))
 
 
-def pointwise_defect_bound(
-    phi: HeatMultiplier | TableMultiplier, f: GroupRingElement
-) -> float:
-    """Cheap defect bound sup over supp f of |phi - 1| times the l1 norm."""
-    if f.is_zero():
-        return 0.0
-    worst = max(abs(phi.eval(x) - 1.0) for x in f.terms)
-    return worst * l1_norm(f)
-
-
 def map_defect(
     g: Group,
     f: GroupRingElement,
@@ -197,20 +186,14 @@ def map_defect(
 ) -> NormBracket:
     """Certified bracket for the operator norm of phi*f - f.
 
-    The lower end comes from a ball compression of the difference, the
-    upper end from the smaller of the l1/Sobolev bounds and the pointwise
-    bound sup |phi - 1| * l1(f) over the support of f.  The difference is
-    formed in floats, so a crossing of the two ends is judged against the
-    l1 masses of phi*f and f it was rounded from.
+    The defect is formed as (phi - 1)*f, coefficient by coefficient: phi - 1
+    is exact for phi in [1/2, 2] (Sterbenz), so nothing cancels where phi is
+    close to 1, as it would in phi*f - f.  The bracket is opnorm_bracket's
+    as is.  Its l1 upper end l1((phi - 1)*f) <= sup |phi - 1| * l1(f), so
+    no pointwise bound is needed on top.
     """
-    product = apply(phi, f)
-    bracket = opnorm_bracket(g, product - f, rd, radius, cap=cap, seed=seed)
-    cheap = pointwise_defect_bound(phi, f)
-    upper = min(bracket.upper, cheap)
-    return NormBracket(
-        lower=_clamp_crossing(bracket.lower, upper, l1_norm(product) + l1_norm(f)),
-        upper=upper,
-        lower_ball_radius=bracket.lower_ball_radius,
-        iterations=bracket.iterations,
-        achieved_tol=bracket.achieved_tol,
+    _require_same_group(phi, f)
+    defect = GroupRingElement(
+        f.group, {x: (phi.eval(x) - 1.0) * c for x, c in f.terms.items()}
     )
+    return opnorm_bracket(g, defect, rd, radius, cap=cap, seed=seed)

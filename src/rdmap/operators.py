@@ -149,9 +149,6 @@ class GroupRingElement:
             out[k] = out.get(k, 0j) + v
         return GroupRingElement(self.group, out)
 
-    def __sub__(self, other: "GroupRingElement") -> "GroupRingElement":
-        return self + other.scale(-1.0)
-
 
 def delta(g: Group, elem, coeff: complex = 1.0) -> GroupRingElement:
     """The coefficient-`coeff` point mass at `elem`."""

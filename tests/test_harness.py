@@ -171,6 +171,21 @@ def test_rd_sample_report_validation():
             rd_sample_report(F2, bogus, count=5, seed=0, tolerance=tolerance)
 
 
+@pytest.mark.parametrize(
+    "count, seed, name",
+    [(True, 1, "sample count"), (2.5, 1, "sample count"), (0, 1, "sample count"),
+     (5, -1, "seed"), (5, 1.5, "seed")],
+)
+def test_rd_sample_report_counts_and_seeds_are_integers(count, seed, name):
+    with pytest.raises(ValueError, match=f"{name} must be"):
+        rd_sample_report(F2, RD, count=count, seed=seed)
+
+
+def test_rd_sample_report_stores_count_as_int():
+    report = rd_sample_report(F2, RD, count=np.int64(2), seed=1.0)
+    assert type(report.count) is int and report.count == 2
+
+
 def test_rd_sample_other_group():
     g = FreeAbelianGroup(1)
     report = rd_sample_report(g, builtin_rd_params(g), count=25, seed=7)

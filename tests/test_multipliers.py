@@ -2,11 +2,14 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rdmap.groups import CyclicGroup, FreeAbelianGroup, FreeGroup, GroupMismatchError
-from rdmap.harness import default_schedule
+from rdmap.harness import DEFAULT_R_VALUES, default_schedule
 from rdmap.multipliers import (
     HeatMultiplier,
     MultiplierNormBound,
@@ -14,7 +17,6 @@ from rdmap.multipliers import (
     certified_scale,
     lemma_norm_bound,
     map_defect,
-    pointwise_defect_bound,
     scaled_multiplier,
     table_multiplier,
     tail_bound,
@@ -253,21 +255,61 @@ def test_map_defect_point_mass_closed_form():
     assert expected == pytest.approx(0.23728347529820926, abs=1e-15)
 
 
-@pytest.mark.parametrize(
-    "group", [F2, FreeAbelianGroup(1), FreeAbelianGroup(2), CyclicGroup(7)], ids=repr
-)
-@pytest.mark.parametrize("coeff", [1.0, 3.7 + 1.0j])
-def test_map_defect_point_mass_rows_stay_sound(group, coeff):
-    # lower and upper agree up to rounding here, and at r = 0.5 the
-    # difference phi(e) c - c cancels down to a few ulps of |c|
+DEFECT_GROUPS = [F2, FreeAbelianGroup(1), FreeAbelianGroup(2), CyclicGroup(7)]
+
+
+def default_grid_multiplier(group, r):
     rd = builtin_rd_params(group)
-    schedule = default_schedule(rd)
-    for r in schedule.r_values:
-        rho = scaled_multiplier(group, r, rd.s, schedule.n_rule(r), rd.C)
+    return scaled_multiplier(group, r, rd.s, default_schedule(rd).n_rule(r), rd.C)
+
+
+@pytest.mark.parametrize("group", DEFECT_GROUPS, ids=repr)
+@pytest.mark.parametrize("coeff", [1.0, 3.7 + 1.0j, 0.1, 1 / 3])
+def test_map_defect_point_mass_rows_stay_sound(group, coeff):
+    # lower and upper agree up to rounding here: both are |phi(e) - 1| |c|
+    rd = builtin_rd_params(group)
+    for r in default_schedule(rd).r_values:
+        rho = default_grid_multiplier(group, r)
         bracket = map_defect(group, delta(group, group.identity(), coeff), rho, rd, 3)
-        expected = (rho.U - 1.0) / rho.U * abs(coeff)
+        with mpmath.workdps(40):
+            exact = float(abs(mpmath.mpf(rho.eval(group.identity())) - 1) * abs(mpmath.mpc(coeff)))
         assert bracket.lower <= bracket.upper
-        assert bracket.upper == pytest.approx(expected, rel=1e-9, abs=1e-14)
+        assert abs(bracket.upper - exact) <= 4 * math.ulp(exact), r
+        assert abs(bracket.lower - exact) <= 4 * math.ulp(exact), r
+
+
+@st.composite
+def defect_cases(draw):
+    """A group, a default-grid rate and an element on its ball of radius 2."""
+    group = draw(st.sampled_from(DEFECT_GROUPS))
+    r = draw(st.sampled_from(DEFAULT_R_VALUES))
+    elems = draw(st.lists(st.sampled_from(group.ball(2)), min_size=1, max_size=4, unique=True))
+    scale = 10.0 ** draw(st.integers(-6, 6))
+    part = st.floats(-1.0, 1.0)
+    return group, r, {x: scale * complex(draw(part), draw(part)) for x in elems}
+
+
+# 0.1 delta_0 on Z at r = 0.5 (n = 80) and r = 0.1 (n = 400): phi(0) c - c
+# formed in floats lost 6.25% and 1.04% of the defect to cancellation
+@example((FreeAbelianGroup(1), 0.5, {(0,): 0.1}))
+@example((FreeAbelianGroup(1), 0.1, {(0,): 0.1}))
+@settings(max_examples=60, deadline=None)
+@given(defect_cases())
+def test_map_defect_brackets_the_exact_defect(case):
+    group, r, terms = case
+    rd = builtin_rd_params(group)
+    rho = default_grid_multiplier(group, r)
+    bracket = map_defect(group, GroupRingElement(group, terms), rho, rd, 3)
+    eps = 2.0**-52
+    with mpmath.workdps(40):
+        d = {x: (mpmath.mpf(rho.eval(x)) - 1) * mpmath.mpc(c) for x, c in terms.items()}
+        l1 = mpmath.fsum(abs(c) for c in d.values())
+        l2 = mpmath.sqrt(mpmath.fsum(abs(c) ** 2 for c in d.values()))
+        sob = mpmath.sqrt(
+            mpmath.fsum(abs(c) ** 2 * (1 + group.length(x)) ** (2 * mpmath.mpf(rd.s)) for x, c in d.items())
+        )
+        assert bracket.upper >= l2 * (1 - 8 * eps)
+        assert bracket.lower <= min(l1, rd.C * sob) * (1 + 8 * eps)
 
 
 def test_map_defect_unsound_constant_raises():
@@ -285,8 +327,15 @@ def test_map_defect_zero_element():
 def test_map_defect_cheap_bound_controls_upper():
     rho = scaled_multiplier(F2, 0.1, 2.0, 40, RD.C)
     bracket = map_defect(F2, KESTEN, rho, RD, 4)
-    assert bracket.upper <= pointwise_defect_bound(rho, KESTEN) + 1e-12
+    pointwise = max(abs(rho.eval(x) - 1.0) for x in KESTEN.terms) * l1_norm(KESTEN)
+    assert bracket.upper <= pointwise + 1e-12
     assert bracket.lower <= bracket.upper
+
+
+def test_map_defect_rejects_a_multiplier_on_another_group():
+    rho = scaled_multiplier(FreeGroup(3), 0.5, 2.0, 4, RD.C)
+    with pytest.raises(GroupMismatchError):
+        map_defect(F2, KESTEN, rho, RD, 4)
 
 
 def test_map_defect_monotone_in_truncation():

@@ -176,7 +176,7 @@ def test_element_arithmetic():
     g = delta(F2, "b") + delta(F2, "a", -2.0)
     total = f + g
     assert total.terms == {"b": 1 + 0j}
-    assert (f - f).is_zero()
+    assert (f + f.scale(-1.0)).is_zero()
     assert f.scale(-1.0).terms == {"a": -2 + 0j}
     assert f.scale(1j).terms == {"a": 2j}
 
