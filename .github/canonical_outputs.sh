@@ -44,6 +44,9 @@ cyclicwrap='{"group": {"kind": "cyclic", "order": 101}, "terms": [
 # a point mass whose defect rows, phi(0) c - c, cancel when formed by subtraction
 z1point='{"group": {"kind": "free-abelian", "rank": 1}, "terms": [
   {"elem": [0], "re": 0.1}]}'
+# coefficients whose defect rows, (phi - 1) c, are subnormal
+free2subnormal='{"group": {"kind": "free", "rank": 2}, "terms": [
+  {"elem": "a", "im": 5e-323}, {"elem": "bA", "re": 5e-324}]}'
 counterexample='{"entries": [[0, 10, 1], [10, 0, 1], [1, 1, 0]]}'
 
 run() {
@@ -72,6 +75,7 @@ run norm --element-json "$z2float" --radius 10
 run norm --element-json "$cyclicwrap" --radius 40
 run map-converge --element-json "$z1point" --epsilon 0.3 --format csv
 run map-converge --element-json "$free2complex" --epsilon 0.3 --format csv
+run map-converge --element-json "$free2subnormal" --epsilon 0.3 --format csv
 
 for demo in "$src"/../demos/*.py; do
     echo "== demo $(basename "$demo")"

@@ -18,12 +18,11 @@ from rdmap import (
     HeatMultiplier,
     apply,
     builtin_rd_params,
-    certified_scale,
+    decay_certificate,
     delta,
     lemma_norm_bound,
     map_defect,
     scaled_multiplier,
-    tail_bound,
 )
 
 F2 = FreeGroup(2)
@@ -44,8 +43,8 @@ print("truncated at n=5: same K, finite rank:", trunc.rank_bound)
 # Tail bounds decay fast once n passes the envelope peak s/r - 1.
 print("\nn      C*K_n          U = 1 + C*K_n")
 for n in (0, 1, 2, 5, 10, 20, 40):
-    t = tail_bound(1.0, rd.s, n, rd.C)
-    print(f"{n:3d}   {t:.6e}   {certified_scale(1.0, rd.s, n, rd.C):.12f}")
+    t = rd.C * decay_certificate(1.0, rd.s).tail(n)
+    print(f"{n:3d}   {t:.6e}   {scaled_multiplier(F2, 1.0, rd.s, n, rd.C).U:.12f}")
 
 # The rescaled truncation is a guaranteed contraction: its value at the
 # identity is 1/U < 1, and a point mass measures the defect exactly.

@@ -45,12 +45,10 @@ from .multipliers import (
     MultiplierNormBound,
     TableMultiplier,
     apply,
-    certified_scale,
     lemma_norm_bound,
     map_defect,
     scaled_multiplier,
     table_multiplier,
-    tail_bound,
 )
 from .operators import (
     GroupRingElement,
@@ -95,7 +93,6 @@ __all__ = [
     "UnsoundBoundError",
     "apply",
     "builtin_rd_params",
-    "certified_scale",
     "cn_check",
     "cn_check_matrix",
     "convolve",
@@ -121,5 +118,4 @@ __all__ = [
     "select_epsilon",
     "sobolev_norm",
     "table_multiplier",
-    "tail_bound",
 ]

@@ -232,6 +232,7 @@ class Group:
         ``cap`` elements, on every call, cached ball or not.
         """
         n = check_integer(n, "ball radius")
+        cap = check_integer(cap, "ball cap", 1)
         size = self.ball_size(n)
         if size > cap:
             raise BallCapError(

@@ -14,18 +14,12 @@ norm, is the central design choice of this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
-from .groups import (
-    DEFAULT_BALL_CAP,
-    Group,
-    GroupMismatchError,
-    check_integer,
-    check_positive_finite,
-)
+from .groups import DEFAULT_BALL_CAP, Group, check_integer, check_positive_finite
 from .kernels import DecayCertificate, decay_certificate
-from .operators import GroupRingElement, NormBracket, RdParams, opnorm_bracket
+from .operators import GroupRingElement, NormBracket, RdParams, _require_same_group, opnorm_bracket
 
 @dataclass(frozen=True)
 class HeatMultiplier:
@@ -34,7 +28,7 @@ class HeatMultiplier:
     With n set it is cut to the ball of radius n (zero beyond), a
     finite-rank operator.  With U set it is divided by U >= 1; U must be a
     certified bound for the norm of the undivided operator (see
-    certified_scale), and only then is the result a certified contraction.
+    scaled_multiplier), and only then is the result a certified contraction.
     """
 
     group: Group
@@ -81,20 +75,11 @@ def table_multiplier(g: Group, table: dict) -> TableMultiplier:
     return TableMultiplier(g, table)
 
 
-def _require_same_group(
-    phi: HeatMultiplier | TableMultiplier, f: GroupRingElement
-) -> None:
-    if f.group != phi.group:
-        raise GroupMismatchError(
-            f"multiplier on {phi.group!r} applied to element of {f.group!r}"
-        )
-
-
 def apply(
     phi: HeatMultiplier | TableMultiplier, f: GroupRingElement
 ) -> GroupRingElement:
     """The multiplier action: coordinatewise product phi * f."""
-    _require_same_group(phi, f)
+    _require_same_group(phi.group, f)
     return GroupRingElement(
         f.group, {x: phi.eval(x) * c for x, c in f.terms.items()}
     )
@@ -149,30 +134,30 @@ def lemma_norm_bound(
     return MultiplierNormBound(upper=upper, rank_bound=rank)
 
 
-def tail_bound(r: float, s: float, n: int, C: float) -> float:
-    """C * K_n, a certified norm bound for the discarded heat tail."""
-    check_positive_finite(C, "constant C")
-    return C * decay_certificate(r, s).tail(n)
-
-
-def certified_scale(r: float, s: float, n: int, C: float) -> float:
-    """U = 1 + C * K_n, a certified norm bound for the truncated heat operator.
-
-    The full heat operator is a contraction when the length is
-    conditionally negative, and the truncation differs from it by an
-    operator of norm at most C * K_n, so the triangle inequality gives
-    norm(truncated) <= U.  U >= 1 always, and U -> 1 as n grows.
-    """
-    return 1.0 + tail_bound(r, s, n, C)
-
-
 def scaled_multiplier(g: Group, r: float, s: float, n: int, C: float) -> HeatMultiplier:
-    """The truncated heat multiplier divided by its certified scale.
+    """The truncated heat multiplier divided by U = 1 + C * K_n.
 
-    A finite-rank contraction by construction: support is the ball of
-    radius n, and every operator-norm bound is divided by U >= norm.
+    U is a certified norm bound for the truncated heat operator: the full
+    heat operator is a contraction when the length is conditionally
+    negative, and the truncation differs from it by an operator of norm at
+    most C * K_n, so the triangle inequality gives norm(truncated) <= U.
+    U >= 1 always, and U -> 1 as n grows.  The result is a finite-rank
+    contraction by construction: support is the ball of radius n, and every
+    operator-norm bound is divided by U >= norm.
     """
-    return HeatMultiplier(g, r, n, certified_scale(r, s, n, C))
+    check_positive_finite(C, "constant C")
+    return HeatMultiplier(g, r, n, 1.0 + C * decay_certificate(r, s).tail(n))
+
+
+def _ldexp(z: complex, e: int) -> complex:
+    """z * 2^e, part by part: exact unless a part becomes subnormal."""
+    return complex(math.ldexp(z.real, e), math.ldexp(z.imag, e))
+
+
+def _split(z: complex) -> tuple[complex, int]:
+    """(z * 2^-e, e) with the larger part of z * 2^-e in [0.5, 1)."""
+    e = math.frexp(max(abs(z.real), abs(z.imag)))[1]
+    return _ldexp(z, -e), e
 
 
 def map_defect(
@@ -186,14 +171,27 @@ def map_defect(
 ) -> NormBracket:
     """Certified bracket for the operator norm of phi*f - f.
 
-    The defect is formed as (phi - 1)*f, coefficient by coefficient: phi - 1
-    is exact for phi in [1/2, 2] (Sterbenz), so nothing cancels where phi is
-    close to 1, as it would in phi*f - f.  The bracket is opnorm_bracket's
-    as is.  Its l1 upper end l1((phi - 1)*f) <= sup |phi - 1| * l1(f), so
-    no pointwise bound is needed on top.
+    The defect is formed as (phi - 1)*f: phi - 1 is exact for phi in [1/2, 2]
+    (Sterbenz), so nothing cancels where phi is close to 1, and
+    l1((phi - 1)*f) <= sup |phi - 1| * l1(f) needs no pointwise bound on top.
+    Each product is formed from factors scaled into [0.5, 1) by powers of two,
+    then scaled by 2^-top, top the largest product exponent, so none
+    underflows beside the largest.  The bracket is scaled back by 2^top, each
+    end one ulp outward where that rounds; in normal range all is exact.
     """
-    _require_same_group(phi, f)
-    defect = GroupRingElement(
-        f.group, {x: (phi.eval(x) - 1.0) * c for x, c in f.terms.items()}
-    )
-    return opnorm_bracket(g, defect, rd, radius, cap=cap, seed=seed)
+    _require_same_group(phi.group, f)
+    scaled = {}
+    for x, c in f.terms.items():
+        a = complex(phi.eval(x) - 1.0)
+        if a:
+            (a, ea), (c, ec) = _split(a), _split(c)
+            scaled[x] = (a * c, ea + ec)
+    top = max((e for _, e in scaled.values()), default=0)
+    defect = GroupRingElement(f.group, {x: _ldexp(p, e - top) for x, (p, e) in scaled.items()})
+    bracket = opnorm_bracket(g, defect, rd, radius, cap=cap, seed=seed)
+    lower, upper = math.ldexp(bracket.lower, top), math.ldexp(bracket.upper, top)
+    if math.ldexp(lower, -top) != bracket.lower:
+        lower = math.nextafter(lower, 0.0)
+    if math.ldexp(upper, -top) != bracket.upper:
+        upper = math.nextafter(upper, math.inf)
+    return replace(bracket, lower=lower, upper=upper)

@@ -139,16 +139,6 @@ class GroupRingElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def scale(self, c: complex) -> "GroupRingElement":
-        return GroupRingElement(self.group, {k: c * v for k, v in self.terms.items()})
-
-    def __add__(self, other: "GroupRingElement") -> "GroupRingElement":
-        _require_same_group(self.group, other)
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, 0j) + v
-        return GroupRingElement(self.group, out)
-
 
 def delta(g: Group, elem, coeff: complex = 1.0) -> GroupRingElement:
     """The coefficient-`coeff` point mass at `elem`."""
@@ -304,13 +294,15 @@ def builtin_rd_params(g: Group) -> RdParams:
 # compressions and norm brackets
 
 
-def _compression_tables(g: Group, f: GroupRingElement, radius: int, cap: int):
-    """Ball size m, translation table and coefficients of the compression.
+def _scaled_tables(g: Group, f: GroupRingElement, radius: int, cap: int):
+    """(m, targets, coeffs, e): ball size, translation table, coefficients * 2^-e.
 
-    ``targets[i, y]`` is the position of ``s_i y`` in the ball, m outside
-    it, for each retained support element ``s_i`` with coefficient
-    ``coeffs[i]``.  A row holds no position below m twice: ``y -> s_i y`` is
-    injective.
+    ``targets[i, y]`` is the position of ``s_i y`` in the ball, m outside it,
+    for the i-th retained support element ``s_i``.  A row holds no position
+    below m twice: ``y -> s_i y`` is injective.  The exact power-of-two scale
+    puts the largest |coeffs[i]| in [0.5, 1), so no square of an entry
+    overflows or underflows; e is clamped so that 2^-e stays finite for
+    subnormal coefficients.
     """
     arena = g.arena(radius, cap=cap)
     m = len(arena)
@@ -321,7 +313,8 @@ def _compression_tables(g: Group, f: GroupRingElement, radius: int, cap: int):
         [g.left_translate(arena, s) for s in support], dtype=np.int64
     ).reshape(len(support), m)
     coeffs = np.array([f.terms[s] for s in support], dtype=complex)
-    return m, targets, coeffs
+    e = max(math.frexp(float(np.abs(coeffs).max(initial=0.0)))[1], -1023)
+    return m, targets, coeffs * math.ldexp(1.0, -e), e
 
 
 def _triplets(targets: np.ndarray, coeffs: np.ndarray):
@@ -329,24 +322,6 @@ def _triplets(targets: np.ndarray, coeffs: np.ndarray):
     hit = targets < targets.shape[1]
     values = np.broadcast_to(coeffs[:, None], targets.shape)[hit]
     return targets[hit], np.nonzero(hit)[1], values
-
-
-def _scale_exponent(values: np.ndarray) -> int:
-    """Exponent e with the largest |value| * 2^-e in [0.5, 1).
-
-    Scaling by a power of two is exact; with the largest entry so scaled no
-    square formed from the entries overflows or underflows.  The exponent is
-    clamped so that the factor 2^-e stays finite for subnormal entries.
-    """
-    _, e = math.frexp(float(np.abs(values).max(initial=0.0)))
-    return max(e, -1023)
-
-
-def _scaled_tables(g: Group, f: GroupRingElement, radius: int, cap: int):
-    """(m, targets, coeffs, e) with coeffs scaled by 2^-e, as every solver gets them."""
-    m, targets, coeffs = _compression_tables(g, f, radius, cap)
-    e = _scale_exponent(coeffs)
-    return m, targets, coeffs * math.ldexp(1.0, -e), e
 
 
 def _norm(x: np.ndarray) -> float:

@@ -23,7 +23,7 @@ from rdmap.groups import (
     GroupMismatchError,
 )
 from rdmap.kernels import length_kernel, schoenberg_kernel
-from rdmap.operators import GroupRingElement, _compression_tables, _triplets, opnorm_lower
+from rdmap.operators import GroupRingElement, _scaled_tables, _triplets, opnorm_lower
 from rdmap.serialize import ring_from_json
 
 F2 = FreeGroup(2)
@@ -75,8 +75,8 @@ def reference_compression(g, f, radius):
 
 def table_compression(g, f, radius):
     """Ball size and sorted triplets of the table that every solver reads."""
-    m, targets, coeffs = _compression_tables(g, f, radius, DEFAULT_BALL_CAP)
-    return m, sorted_triplets(*_triplets(targets, coeffs))
+    m, targets, coeffs, e = _scaled_tables(g, f, radius, DEFAULT_BALL_CAP)
+    return m, sorted_triplets(*_triplets(targets, coeffs * math.ldexp(1.0, e)))
 
 
 def assert_same_compression(got, want):

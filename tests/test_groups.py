@@ -203,6 +203,21 @@ def test_ball_cap():
     assert len(F2.ball(11, cap=400_000)) == F2.ball_size(11) == 354_293
 
 
+@pytest.mark.parametrize(
+    "cap,ok",
+    [(True, False), (2.5, False), (53.5, False), (0, False), (-1, False),
+     (53.0, True), (np.int64(53), True)],
+    ids=repr,
+)
+def test_ball_cap_follows_the_integer_rule(cap, ok):
+    # the free(2) ball of radius 3 holds 53 elements
+    if ok:
+        assert len(F2.arena(3, cap=cap)) == 53
+    else:
+        with pytest.raises(ValueError, match="ball cap"):
+            F2.arena(3, cap=cap)
+
+
 def test_ball_size_closed_forms():
     for n in range(7):
         assert FreeGroup(1).ball_size(n) == 2 * n + 1

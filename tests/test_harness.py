@@ -19,7 +19,7 @@ from rdmap.harness import (
     run_grid,
     select_epsilon,
 )
-from rdmap.multipliers import certified_scale
+from rdmap.multipliers import scaled_multiplier
 from rdmap.operators import (
     GroupRingElement,
     RdParams,
@@ -84,7 +84,7 @@ def test_run_grid_point_mass_closed_form():
     assert [row.n for row in rows] == [2, 4]
     for row in rows:
         expected = (row.U - 1.0) / row.U
-        assert row.U == pytest.approx(certified_scale(row.r, rd.s, row.n, rd.C))
+        assert row.U == pytest.approx(scaled_multiplier(F2, row.r, rd.s, row.n, rd.C).U)
         # n is past the peak s/r - 1 < 0, so K_n is the envelope at n
         assert row.U == pytest.approx(1.0 + rd.C * math.exp(-row.r * row.n) * (1.0 + row.n) ** rd.s)
         assert row.U > 1.1

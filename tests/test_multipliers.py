@@ -10,16 +10,15 @@ from hypothesis import strategies as st
 
 from rdmap.groups import CyclicGroup, FreeAbelianGroup, FreeGroup, GroupMismatchError
 from rdmap.harness import DEFAULT_R_VALUES, default_schedule
+from rdmap.kernels import decay_certificate
 from rdmap.multipliers import (
     HeatMultiplier,
     MultiplierNormBound,
     apply,
-    certified_scale,
     lemma_norm_bound,
     map_defect,
     scaled_multiplier,
     table_multiplier,
-    tail_bound,
 )
 from rdmap.operators import (
     GroupRingElement,
@@ -28,6 +27,7 @@ from rdmap.operators import (
     builtin_rd_params,
     delta,
     l1_norm,
+    opnorm_bracket,
     opnorm_lower,
     opnorm_upper,
     random_element,
@@ -75,7 +75,7 @@ def test_multiplier_validation():
         with pytest.raises(ValueError, match="nonnegative integer"):
             HeatMultiplier(F2, 1.0, n)
     with pytest.raises(ValueError, match="constant C must be positive and finite, got inf"):
-        tail_bound(1.0, 2.0, 3, math.inf)
+        scaled_multiplier(F2, 1.0, 2.0, 3, math.inf)
     with pytest.raises(ValueError):
         HeatMultiplier(F2, 1.0, 2, 0.5)
     with pytest.raises(ValueError):
@@ -209,22 +209,24 @@ def test_norm_bound_validation():
 
 
 def test_tail_bound_examples():
-    value = tail_bound(1.0, 2.0, 5, RD.C)
+    # C * K_n, the certified norm bound for the discarded heat tail
+    cert = decay_certificate(1.0, 2.0)
+    value = RD.C * cert.tail(5)
     assert value == pytest.approx(RD.C * 36.0 * math.exp(-5.0), abs=1e-12)
     assert value == pytest.approx(0.3111, abs=5e-5)
     # oracle: dense grid over the tail region
     assert value == pytest.approx(RD.C * grid_sup(1.0, 2.0, 5.0, 60.0), abs=1e-9)
 
-    assert tail_bound(1.0, 2.0, 0, RD.C) == pytest.approx(RD.C * 4.0 / math.e)
-    assert tail_bound(1.0, 2.0, 200, RD.C) < 1e-70
+    assert RD.C * cert.tail(0) == pytest.approx(RD.C * 4.0 / math.e)
+    assert RD.C * cert.tail(200) < 1e-70
 
 
 def test_certified_scale():
-    U = certified_scale(1.0, 2.0, 5, RD.C)
+    U = scaled_multiplier(F2, 1.0, 2.0, 5, RD.C).U
     assert U == pytest.approx(1.3111031000554014, abs=1e-15)
     assert U >= 1.0
-    assert certified_scale(0.02, 2.0, 4000, RD.C) - 1.0 < 1e-10
-    values = [certified_scale(0.5, 2.0, n, RD.C) for n in range(3, 40)]
+    assert scaled_multiplier(F2, 0.02, 2.0, 4000, RD.C).U - 1.0 < 1e-10
+    values = [scaled_multiplier(F2, 0.5, 2.0, n, RD.C).U for n in range(3, 40)]
     for a, b in zip(values, values[1:]):
         assert b <= a
     assert values[-1] < values[0]
@@ -232,7 +234,7 @@ def test_certified_scale():
 
 def test_scaled_multiplier_values():
     rho = scaled_multiplier(F2, 1.0, 2.0, 5, RD.C)
-    U = certified_scale(1.0, 2.0, 5, RD.C)
+    U = 1.0 + RD.C * decay_certificate(1.0, 2.0).tail(5)
     assert rho.U == U
     assert rho.eval("") == pytest.approx(1.0 / U)
     assert rho.eval("") <= 1.0
@@ -293,6 +295,13 @@ def defect_cases(draw):
 # formed in floats lost 6.25% and 1.04% of the defect to cancellation
 @example((FreeAbelianGroup(1), 0.5, {(0,): 0.1}))
 @example((FreeAbelianGroup(1), 0.1, {(0,): 0.1}))
+# subnormal defects: (phi(a) - 1) c formed in floats rounded to 0 (bracket
+# [0, 0] against an exact 1.97e-324) and to 2e-323 (lower end above 1.94e-323)
+@example((F2, 0.5, {"a": 5e-324j}))
+@example((F2, 0.5, {"a": 5e-323j}))
+# U == 1 at r = 0.02, so the 2^600 term has no defect; scaled by one exponent
+# taken from the largest coefficient, the 2^-500 term would underflow to 0
+@example((F2, 0.02, {"": 2.0**600, "a": 2.0**-500}))
 @settings(max_examples=60, deadline=None)
 @given(defect_cases())
 def test_map_defect_brackets_the_exact_defect(case):
@@ -310,6 +319,53 @@ def test_map_defect_brackets_the_exact_defect(case):
         )
         assert bracket.upper >= l2 * (1 - 8 * eps)
         assert bracket.lower <= min(l1, rd.C * sob) * (1 + 8 * eps)
+
+
+SUBNORMAL_DEFECTS = [
+    {"a": 5e-324j},
+    {"a": 5e-323j},
+    {"a": 5e-323j, "bA": 5e-324},
+    {"": 1e-310, "ab": -3e-320 + 7e-322j},
+]
+
+
+@pytest.mark.parametrize("terms", SUBNORMAL_DEFECTS, ids=repr)
+@pytest.mark.parametrize("r", DEFAULT_R_VALUES)
+def test_map_defect_contains_subnormal_defects_exactly(terms, r):
+    # no relative slack: each end must hold the exact defect norm, which
+    # lies between its l2 norm and min(l1, C * Sobolev) (mpmath, 60 digits)
+    rho = default_grid_multiplier(F2, r)
+    bracket = map_defect(F2, GroupRingElement(F2, terms), rho, RD, 3)
+    with mpmath.workdps(60):
+        d = {x: (mpmath.mpf(rho.eval(x)) - 1) * mpmath.mpc(c) for x, c in terms.items()}
+        l1 = mpmath.fsum(abs(c) for c in d.values())
+        l2 = mpmath.sqrt(mpmath.fsum(abs(c) ** 2 for c in d.values()))
+        weights = {x: (1 + F2.length(x)) ** (2 * mpmath.mpf(RD.s)) for x in d}
+        sob = mpmath.sqrt(mpmath.fsum(abs(c) ** 2 * weights[x] for x, c in d.items()))
+        assert 0 < l2
+        assert bracket.upper >= l2
+        assert bracket.lower <= min(l1, mpmath.mpf(RD.C) * sob)
+        # within a few subnormal steps of the exact value, not merely sound
+        assert bracket.upper - bracket.lower <= l1 - l2 + 4 * mpmath.mpf(2) ** -1074
+
+
+@pytest.mark.parametrize("k", [-560, -470, 510])
+@pytest.mark.parametrize(
+    "f",
+    [KESTEN, GroupRingElement(F2, {"a": 1 + 0.5j, "bA": -0.25 + 1j, "B": -0.75j})],
+    ids=["kesten", "complex"],
+)
+def test_map_defect_scales_by_powers_of_two_exactly(f, k):
+    rho = scaled_multiplier(F2, 0.5, 2.0, 6, RD.C)
+    base = map_defect(F2, f, rho, RD, 4)
+    # in normal range the bracket is opnorm_bracket's of (phi - 1) f, bit for bit
+    direct = {x: (rho.eval(x) - 1.0) * c for x, c in f.terms.items()}
+    assert base == opnorm_bracket(F2, GroupRingElement(F2, direct), RD, 4)
+    scaled = GroupRingElement(F2, {x: math.ldexp(1.0, k) * c for x, c in f.terms.items()})
+    got = map_defect(F2, scaled, rho, RD, 4)
+    assert got.lower == math.ldexp(base.lower, k)
+    assert got.upper == math.ldexp(base.upper, k)
+    assert (got.iterations, got.achieved_tol) == (base.iterations, base.achieved_tol)
 
 
 def test_map_defect_unsound_constant_raises():
