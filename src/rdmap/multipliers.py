@@ -14,12 +14,13 @@ norm, is the central design choice of this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from .groups import DEFAULT_BALL_CAP, Group, check_integer, check_positive_finite
 from .kernels import DecayCertificate, decay_certificate
-from .operators import GroupRingElement, NormBracket, RdParams, _require_same_group, opnorm_bracket
+from .operators import (GroupRingElement, NormBracket, RdParams, _ldexp, _require_same_group,
+                        _scale_bracket, opnorm_bracket)
 
 @dataclass(frozen=True)
 class HeatMultiplier:
@@ -149,11 +150,6 @@ def scaled_multiplier(g: Group, r: float, s: float, n: int, C: float) -> HeatMul
     return HeatMultiplier(g, r, n, 1.0 + C * decay_certificate(r, s).tail(n))
 
 
-def _ldexp(z: complex, e: int) -> complex:
-    """z * 2^e, part by part: exact unless a part becomes subnormal."""
-    return complex(math.ldexp(z.real, e), math.ldexp(z.imag, e))
-
-
 def _split(z: complex) -> tuple[complex, int]:
     """(z * 2^-e, e) with the larger part of z * 2^-e in [0.5, 1)."""
     e = math.frexp(max(abs(z.real), abs(z.imag)))[1]
@@ -188,10 +184,4 @@ def map_defect(
             scaled[x] = (a * c, ea + ec)
     top = max((e for _, e in scaled.values()), default=0)
     defect = GroupRingElement(f.group, {x: _ldexp(p, e - top) for x, (p, e) in scaled.items()})
-    bracket = opnorm_bracket(g, defect, rd, radius, cap=cap, seed=seed)
-    lower, upper = math.ldexp(bracket.lower, top), math.ldexp(bracket.upper, top)
-    if math.ldexp(lower, -top) != bracket.lower:
-        lower = math.nextafter(lower, 0.0)
-    if math.ldexp(upper, -top) != bracket.upper:
-        upper = math.nextafter(upper, math.inf)
-    return replace(bracket, lower=lower, upper=upper)
+    return _scale_bracket(opnorm_bracket(g, defect, rd, radius, cap=cap, seed=seed), top)

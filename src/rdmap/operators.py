@@ -13,7 +13,7 @@ import cmath
 import functools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -325,13 +325,14 @@ def _triplets(targets: np.ndarray, coeffs: np.ndarray):
 
 
 def _norm(x: np.ndarray) -> float:
-    """Euclidean norm of a 1-D complex vector, as np.linalg.norm forms it.
+    """Euclidean norm of a contiguous 1-D complex vector.
 
-    The same two BLAS dot products and square root as numpy's fast path,
-    without its argument checks: 18.7 against 25.6 us at m = 13,121 (2-vCPU
-    host, one BLAS thread).
+    One BLAS dot of the float view, which interleaves the real and imaginary
+    parts: 3.5 us at m = 13,121, against 16.2 us for the two strided dots
+    of x.real and x.imag (2-vCPU host, one BLAS thread).
     """
-    return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+    r = x.view(float)
+    return math.sqrt(r.dot(r))
 
 
 def _scale_into(out: np.ndarray, x: np.ndarray, gain) -> None:
@@ -361,7 +362,11 @@ def _dense_top_singular(m: int, targets: np.ndarray, coeffs: np.ndarray) -> floa
     A = np.zeros((m, m), dtype=complex)
     A[rows, cols] = values
     x = np.linalg.eigh(A.conj().T @ A)[1][:, -1]
-    return _norm(A @ x) / _norm(x)
+    # x is a strided eigh column, which has no float view: two dots each
+    y = A @ x
+    return math.sqrt(y.real.dot(y.real) + y.imag.dot(y.imag)) / math.sqrt(
+        x.real.dot(x.real) + x.imag.dot(x.imag)
+    )
 
 
 def _sum_of_squares_norm(x: np.ndarray) -> float:
@@ -485,19 +490,26 @@ def _ritz_vector(iterates: np.ndarray, gains: np.ndarray) -> np.ndarray:
 
     With B v_j = gains[j] * v_{j+1}, both the Gram matrix of the span and
     the projection of B come from one Gram product of the iterate buffer,
-    so no matrix-vector product is spent.  The span is orthonormalized
-    through the eigendecomposition of its Gram matrix, dropping directions
-    below RITZ_GRAM_CUTOFF of the largest.
+    so no matrix-vector product is spent.  For Hermitian B that Gram is
+    real: v_j = B^j v_0 / P_j for positive P_j, so <v_i, v_j> =
+    <v_0, B^(i+j) v_0> / (P_i P_j).  Its imaginary part is rounding noise,
+    and the real part is one product of the float view with its own
+    transpose (BLAS syrk: no conjugate copy, a quarter of the flops of the
+    complex product).  The span is orthonormalized through the eigenvalues
+    of the Gram matrix, dropping directions below RITZ_GRAM_CUTOFF of the
+    largest, and the Ritz problem is solved as a real symmetric one.  The
+    result is a real combination of the iterates, scaled to unit length.
     """
     k = len(gains)
-    gram = iterates.conj() @ iterates.T
+    flat = iterates.view(float)
+    gram = flat @ flat.T
     d, q = np.linalg.eigh(gram[:k, :k])
     keep = d > RITZ_GRAM_CUTOFF * d[-1]
     basis = q[:, keep] / np.sqrt(d[keep])
     projected = gram[:k, 1:] * gains
-    projected = (projected + projected.conj().T) / 2
-    _, z = np.linalg.eigh(basis.conj().T @ projected @ basis)
-    y = (basis @ z[:, -1]) @ iterates[:k]
+    projected = (projected + projected.T) / 2
+    _, z = np.linalg.eigh(basis.T @ projected @ basis)
+    y = ((basis @ z[:, -1]) @ flat[:k]).view(complex)
     _scale_into(y, y, _norm(y))
     return y
 
@@ -557,10 +569,15 @@ class NormBracket:
     the exact norm up to rounding, whatever the seed.  Any other larger
     ball is solved by the Ritz-restarted power iteration: `iterations`
     counts its A/A^H product pairs, and `achieved_tol` is the relative change
-    between its last two values, not a distance to the norm.  Its products
+    between its last two values, not a distance to the norm.  Its restarts
+    and norms run in real arithmetic (see _ritz_vector), and its `lower` is
+    still the norm of A on an explicit unit vector.  Its products
     are gathered through the table while that holds at most
     TABLE_PRODUCT_MAX entries, and taken from scipy CSR matrices built from
-    the same table beyond; only that last regime imports scipy.
+    the same table beyond; only that last regime imports scipy.  An element
+    whose coefficient parts are all subnormal is bracketed scaled into
+    normal range by a power of two, and both ends are scaled back, each one
+    ulp outward where that rounds.
     """
 
     lower: float
@@ -590,6 +607,11 @@ def opnorm_bracket(
     max_iters = check_integer(max_iters, "max_iters", 1)
     check_positive_finite(tol, "tol")
     seed = check_integer(seed, "seed")
+    # an element whose parts are all subnormal is bracketed in normal range
+    top = math.frexp(max((max(abs(c.real), abs(c.imag)) for c in f.terms.values()), default=1.0))[1]
+    if top < sys.float_info.min_exp:
+        normal = GroupRingElement(f.group, {x: _ldexp(c, -top) for x, c in f.terms.items()})
+        return _scale_bracket(opnorm_bracket(g, normal, rd, radius, max_iters, tol, cap, seed), top)
     lower, iters, rel = _opnorm_lower_info(g, f, radius, max_iters, tol, cap, seed)
     upper = opnorm_upper(g, f, rd)
     return NormBracket(
@@ -599,6 +621,25 @@ def opnorm_bracket(
         iterations=iters,
         achieved_tol=rel,
     )
+
+
+def _ldexp(z: complex, e: int) -> complex:
+    """z * 2^e, part by part: exact unless a part becomes subnormal."""
+    return complex(math.ldexp(z.real, e), math.ldexp(z.imag, e))
+
+
+def _scale_bracket(bracket: NormBracket, e: int) -> NormBracket:
+    """The bracket times 2^e, each end one ulp outward where that rounds.
+
+    A bracket of f * 2^-e taken in normal range so encloses the norm of f
+    even where that norm is subnormal; where no end rounds it is exact.
+    """
+    lower, upper = math.ldexp(bracket.lower, e), math.ldexp(bracket.upper, e)
+    if math.ldexp(lower, -e) != bracket.lower:
+        lower = math.nextafter(lower, 0.0)
+    if math.ldexp(upper, -e) != bracket.upper:
+        upper = math.nextafter(upper, math.inf)
+    return replace(bracket, lower=lower, upper=upper)
 
 
 def random_element(
