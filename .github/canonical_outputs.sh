@@ -29,6 +29,10 @@ cyclic='{"group": {"kind": "cyclic", "order": 4001}, "terms": [
   {"elem": 1, "re": 1.0}, {"elem": 4000, "re": 1.0}, {"elem": 7, "im": 0.5}]}'
 cyclic2000='{"group": {"kind": "cyclic", "order": 2000}, "terms": [
   {"elem": 1, "re": 1.0}, {"elem": 1999, "re": 1.0}, {"elem": 7, "im": 0.5}]}'
+# real coefficients: a covering cyclic ball, solved on its complex top
+# character, and a table-regime ball, iterated in float64
+cyclic2000real='{"group": {"kind": "cyclic", "order": 2000}, "terms": [
+  {"elem": 1, "re": 1.0}, {"elem": 1999, "re": 1.0}]}'
 free2complex='{"group": {"kind": "free", "rank": 2}, "terms": [
   {"elem": "a", "re": 1.0, "im": 0.5}, {"elem": "bA", "re": -0.25, "im": 1.0},
   {"elem": "B", "im": -0.75}]}'
@@ -76,6 +80,8 @@ run norm --element-json "$cyclicwrap" --radius 40
 run map-converge --element-json "$z1point" --epsilon 0.3 --format csv
 run map-converge --element-json "$free2complex" --epsilon 0.3 --format csv
 run map-converge --element-json "$free2subnormal" --epsilon 0.3 --format csv
+run norm --element-json "$cyclic2000real" --radius 1000
+run norm --element-json "$z2" --radius 20
 
 for demo in "$src"/../demos/*.py; do
     echo "== demo $(basename "$demo")"

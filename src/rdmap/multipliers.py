@@ -173,7 +173,7 @@ def map_defect(
     Each product is formed from factors scaled into [0.5, 1) by powers of two,
     then scaled by 2^-top, top the largest product exponent, so none
     underflows beside the largest.  The bracket is scaled back by 2^top, each
-    end one ulp outward where that rounds; in normal range all is exact.
+    end one ulp outward where it rounded inward; in normal range all is exact.
     """
     _require_same_group(phi.group, f)
     scaled = {}

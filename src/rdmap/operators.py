@@ -325,24 +325,26 @@ def _triplets(targets: np.ndarray, coeffs: np.ndarray):
 
 
 def _norm(x: np.ndarray) -> float:
-    """Euclidean norm of a contiguous 1-D complex vector.
+    """Euclidean norm of a contiguous 1-D complex or float64 vector.
 
     One BLAS dot of the float view, which interleaves the real and imaginary
-    parts: 3.5 us at m = 13,121, against 16.2 us for the two strided dots
-    of x.real and x.imag (2-vCPU host, one BLAS thread).
+    parts of a complex x and is x itself for a float64 one: 3.5 us at
+    m = 13,121, against 16.2 us for the two strided dots of x.real and
+    x.imag (2-vCPU host, one BLAS thread).
     """
     r = x.view(float)
     return math.sqrt(r.dot(r))
 
 
 def _scale_into(out: np.ndarray, x: np.ndarray, gain) -> None:
-    """Write x / gain into out, for contiguous complex x and out and a real gain.
+    """Write x / gain into out, for contiguous x and out of one dtype and a real gain.
 
     numpy divides a complex entry by a real scalar as (re + im * 0) * (1 / gain)
     (Smith's formula at ratio 0), so multiplying the real view by 1 / gain
     gives the same bits, except perhaps the sign of a part that is exactly
-    zero: 9.3 against 72.4 us at m = 13,121 (same host).  The numpy scalar
-    makes a zero gain give inf and NaN entries, as the division does, not
+    zero: 9.3 against 72.4 us at m = 13,121 (same host).  A float64 x is
+    scaled the same way, by the reciprocal.  The numpy scalar makes a zero
+    gain give inf and NaN entries, as the division does, not
     ZeroDivisionError.
     """
     np.multiply(x.view(float), np.float64(1.0) / gain, out=out.view(float))
@@ -422,13 +424,14 @@ def _table_products(m: int, targets: np.ndarray, coeffs: np.ndarray):
     With ``targets[s, y]`` the position of ``s y`` and ``inverse[s, x]`` that
     of ``s^-1 x`` (index m where it leaves the ball, which reads a trailing
     zero): ``A v = c @ v[inverse]`` and ``A^H u = conj(c) @ u[targets]``.
+    The products take and return vectors of the dtype of ``coeffs``.
     """
     coeffs_conj = coeffs.conj()
     rows, cols = np.nonzero(targets < m)
     # built contiguous: gathering through a strided table took 1.6x as long
     inverse = np.full_like(targets, m)
     inverse[rows, targets[rows, cols]] = cols
-    buffer = np.zeros(m + 1, dtype=complex)
+    buffer = np.zeros(m + 1, dtype=coeffs.dtype)
 
     def apply(v):
         buffer[:m] = v
@@ -441,7 +444,7 @@ def _table_products(m: int, targets: np.ndarray, coeffs: np.ndarray):
     return apply, apply_adjoint
 
 
-def _power_iteration(m: int, products, max_iters: int, tol: float, seed: int = 0):
+def _power_iteration(m: int, products, max_iters: int, tol: float, seed: int = 0, dtype=complex):
     """Largest singular value of an m x m matrix A from below.
 
     ``products`` is the pair of callables v -> A v and u -> A^H u.  Power
@@ -452,16 +455,23 @@ def _power_iteration(m: int, products, max_iters: int, tol: float, seed: int = 0
     singular value.  The largest such value is returned together with the
     step count and the relative change between the last two values.
 
-    The iterates are written in place into one buffer: each step scales
-    A^H A v straight into the next row, and v is a view of its row.
+    The iterates are written in place into one buffer of the given dtype:
+    each step scales A^H A v straight into the next row, and v is a view of
+    its row.  A real A runs in float64 from the real part of the seeded
+    complex start.  That is as sound as the complex run, since every value
+    is still |A x| for an explicit unit x, and loses nothing: for real A,
+    |A(x + iy)|^2 = |A x|^2 + |A y|^2, so a real unit vector attains the
+    largest singular value.
     """
     apply, apply_adjoint = products
     rng = np.random.default_rng(seed)
     # rows 0..RITZ_BLOCK-1 hold the unit iterates of the current block and
     # the last row the next one, so that B v_j = gains[j] * v_{j+1}
-    iterates = np.empty((RITZ_BLOCK + 1, m), dtype=complex)
+    iterates = np.empty((RITZ_BLOCK + 1, m), dtype=dtype)
     gains = np.empty(RITZ_BLOCK)
-    v = rng.normal(size=m) + 1j * rng.normal(size=m)
+    v = rng.normal(size=m)
+    if iterates.dtype == complex:
+        v = v + 1j * rng.normal(size=m)
     _scale_into(iterates[0], v, _norm(v))
     v = iterates[0]
     best = sigma = rel = 0.0
@@ -498,7 +508,8 @@ def _ritz_vector(iterates: np.ndarray, gains: np.ndarray) -> np.ndarray:
     complex product).  The span is orthonormalized through the eigenvalues
     of the Gram matrix, dropping directions below RITZ_GRAM_CUTOFF of the
     largest, and the Ritz problem is solved as a real symmetric one.  The
-    result is a real combination of the iterates, scaled to unit length.
+    result is a real combination of the iterates, scaled to unit length, of
+    their dtype (for float64 iterates the float view is the buffer itself).
     """
     k = len(gains)
     flat = iterates.view(float)
@@ -509,15 +520,14 @@ def _ritz_vector(iterates: np.ndarray, gains: np.ndarray) -> np.ndarray:
     projected = gram[:k, 1:] * gains
     projected = (projected + projected.T) / 2
     _, z = np.linalg.eigh(basis.T @ projected @ basis)
-    y = ((basis @ z[:, -1]) @ flat[:k]).view(complex)
+    y = ((basis @ z[:, -1]) @ flat[:k]).view(iterates.dtype)
     _scale_into(y, y, _norm(y))
     return y
 
 
 def opnorm_lower(g: Group, f: GroupRingElement, radius: int, cap: int = DEFAULT_BALL_CAP) -> float:
     """Certified lower bound for the convolution operator norm of f (default solver)."""
-    value, _, _ = _opnorm_lower_info(g, f, radius, DEFAULT_MAX_ITERS, DEFAULT_POWER_TOL, cap, 0)
-    return value
+    return opnorm_bracket(g, f, None, radius, cap=cap).lower
 
 
 def _opnorm_lower_info(g, f, radius, max_iters, tol, cap, seed):
@@ -532,9 +542,14 @@ def _opnorm_lower_info(g, f, radius, max_iters, tol, cap, seed):
     elif m <= DIRECT_SOLVE_MAX:
         sigma, iters, rel = _dense_top_singular(m, targets, coeffs), 0, 0.0
     else:
+        covering = isinstance(g, CyclicGroup) and m == g.order
+        # a real A is iterated in float64; the characters of a covering ball
+        # are complex, so its products stay complex
+        if not covering and not coeffs.imag.any():
+            coeffs = coeffs.real
         build = _table_products if targets.size <= TABLE_PRODUCT_MAX else _csr_products
         products = build(m, targets, coeffs)
-        if isinstance(g, CyclicGroup) and m == g.order:
+        if covering:
             # the ball covers Z/m; it starts at the identity, so column 0 of
             # the table holds the position of each support element
             residues = g.arena(radius, cap=cap).coords[:, 0]
@@ -543,7 +558,7 @@ def _opnorm_lower_info(g, f, radius, max_iters, tol, cap, seed):
         else:
             # the products keep what they need; free the table before iterating
             del targets
-            sigma, iters, rel = _power_iteration(m, products, max_iters, tol, seed=seed)
+            sigma, iters, rel = _power_iteration(m, products, max_iters, tol, seed, coeffs.dtype)
     return max(math.ldexp(sigma, e), l2_norm(f)), iters, rel
 
 
@@ -571,13 +586,16 @@ class NormBracket:
     counts its A/A^H product pairs, and `achieved_tol` is the relative change
     between its last two values, not a distance to the norm.  Its restarts
     and norms run in real arithmetic (see _ritz_vector), and its `lower` is
-    still the norm of A on an explicit unit vector.  Its products
-    are gathered through the table while that holds at most
+    still the norm of A on an explicit unit vector.  An element whose
+    coefficients are all real (heat functions, sphere indicators, Kesten's
+    sum of generators) has a real A, which attains its norm on a real unit
+    vector, so its whole iteration runs in float64 (see _power_iteration).
+    The products are gathered through the table while that holds at most
     TABLE_PRODUCT_MAX entries, and taken from scipy CSR matrices built from
     the same table beyond; only that last regime imports scipy.  An element
     whose coefficient parts are all subnormal is bracketed scaled into
     normal range by a power of two, and both ends are scaled back, each one
-    ulp outward where that rounds.
+    ulp outward where the scaling rounded inward.
     """
 
     lower: float
@@ -596,13 +614,18 @@ class NormBracket:
 def opnorm_bracket(
     g: Group,
     f: GroupRingElement,
-    rd: RdParams,
+    rd: RdParams | None,
     radius: int,
     max_iters: int = DEFAULT_MAX_ITERS,
     tol: float = DEFAULT_POWER_TOL,
     cap: int = DEFAULT_BALL_CAP,
     seed: int = 0,
 ) -> NormBracket:
+    """Bracket of the operator norm of f; without rd the upper end is inf.
+
+    opnorm_lower is the lower end of the bracket without rd, so both take
+    the same subnormal scaling and the same outward rounding.
+    """
     radius = check_integer(radius, "radius")
     max_iters = check_integer(max_iters, "max_iters", 1)
     check_positive_finite(tol, "tol")
@@ -613,7 +636,7 @@ def opnorm_bracket(
         normal = GroupRingElement(f.group, {x: _ldexp(c, -top) for x, c in f.terms.items()})
         return _scale_bracket(opnorm_bracket(g, normal, rd, radius, max_iters, tol, cap, seed), top)
     lower, iters, rel = _opnorm_lower_info(g, f, radius, max_iters, tol, cap, seed)
-    upper = opnorm_upper(g, f, rd)
+    upper = math.inf if rd is None else opnorm_upper(g, f, rd)
     return NormBracket(
         lower=_clamp_crossing(lower, upper, l1_norm(f)),
         upper=upper,
@@ -629,15 +652,17 @@ def _ldexp(z: complex, e: int) -> complex:
 
 
 def _scale_bracket(bracket: NormBracket, e: int) -> NormBracket:
-    """The bracket times 2^e, each end one ulp outward where that rounds.
+    """The bracket times 2^e, each end one ulp outward where it rounded inward.
 
-    A bracket of f * 2^-e taken in normal range so encloses the norm of f
-    even where that norm is subnormal; where no end rounds it is exact.
+    Scaling a result back by 2^-e is exact, so it shows which way ldexp
+    rounded.  A bracket of f * 2^-e taken in normal range so encloses the
+    norm of f even where that norm is subnormal, and loses no step of the
+    subnormal grid that it need not; where no end rounds it is exact.
     """
     lower, upper = math.ldexp(bracket.lower, e), math.ldexp(bracket.upper, e)
-    if math.ldexp(lower, -e) != bracket.lower:
+    if math.ldexp(lower, -e) > bracket.lower:
         lower = math.nextafter(lower, 0.0)
-    if math.ldexp(upper, -e) != bracket.upper:
+    if math.ldexp(upper, -e) < bracket.upper:
         upper = math.nextafter(upper, math.inf)
     return replace(bracket, lower=lower, upper=upper)
 

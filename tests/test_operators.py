@@ -1,5 +1,6 @@
 """Ring arithmetic and norm brackets against dense-eigensolver oracles."""
 
+import itertools
 import math
 import sys
 from decimal import Decimal
@@ -559,6 +560,37 @@ def cyclic_oracle(f):
     return math.ldexp(float(np.abs(np.fft.fft(vec)).max()), e)
 
 
+def iterated_coeffs(coeffs):
+    """The coefficients the power iteration runs on, as _opnorm_lower_info
+    takes them on a ball that does not cover a cyclic group: real where
+    every imaginary part is zero."""
+    return coeffs if coeffs.imag.any() else coeffs.real
+
+
+def normal_range(f):
+    """(f * 2^-top, top) where every coefficient part of f is subnormal, else
+    (f, 0): the element whose lower bound opnorm_lower computes."""
+    parts = (max(abs(c.real), abs(c.imag)) for c in f.terms.values())
+    top = math.frexp(max(parts, default=1.0))[1]
+    if top >= sys.float_info.min_exp:
+        return f, 0
+    scaled = {x: complex(math.ldexp(c.real, -top), math.ldexp(c.imag, -top)) for x, c in f.terms.items()}
+    return GroupRingElement(f.group, scaled), top
+
+
+def scaled_back(lower, top):
+    """lower * 2^top, one step down where that rounded up, as opnorm_lower reports it."""
+    value = math.ldexp(lower, top)
+    return math.nextafter(value, 0.0) if math.ldexp(value, -top) > lower else value
+
+
+def coefficients(draw):
+    """Complex coefficients up to 10 in modulus, or, on half the draws, real ones."""
+    if draw(st.booleans()):
+        return st.floats(-10.0, 10.0).map(complex)
+    return st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
+
+
 def solve(M, max_iters=DEFAULT_MAX_ITERS, tol=DEFAULT_POWER_TOL):
     A = np.asarray(M, dtype=complex)
     return _power_iteration(len(A), (A.__matmul__, A.conj().T.__matmul__), max_iters, tol)
@@ -576,14 +608,7 @@ def small_compressions(draw):
     else:
         group = CyclicGroup(draw(st.integers(2, 12)))
         word = st.integers(0, group.order - 1)
-    terms = draw(
-        st.dictionaries(
-            word.map(group.parse),
-            st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False),
-            min_size=1,
-            max_size=6,
-        )
-    )
+    terms = draw(st.dictionaries(word.map(group.parse), coefficients(draw), min_size=1, max_size=6))
     return group, draw(st.integers(0, 3)), GroupRingElement(group, terms)
 
 
@@ -612,8 +637,11 @@ def test_solver_never_exceeds_dense_svd(case):
     group, radius, f = case
     A = dense_compression(group, f, group.ball(radius))
     m, targets, coeffs, e = _scaled_tables(group, f, radius, DEFAULT_BALL_CAP)
+    coeffs = iterated_coeffs(coeffs)
     products = _csr_products(m, targets, coeffs)
-    value, iters, _ = _power_iteration(m, products, DEFAULT_MAX_ITERS, DEFAULT_POWER_TOL)
+    value, iters, _ = _power_iteration(
+        m, products, DEFAULT_MAX_ITERS, DEFAULT_POWER_TOL, 0, coeffs.dtype
+    )
     value = math.ldexp(value, e)
     lower = opnorm_lower(group, f, radius)
     # a lower bound above the l2 floor is a solver value too
@@ -719,7 +747,8 @@ def table_compressions(draw):
     free(2) at radius 4 (161 elements), Z^2 at radius 6 to 9 (85 to 181) and
     Z/m for m in 65..181 on a covering or a smaller ball.  Support words
     reach past the radius, and on free(2) and Z^2 past twice the radius,
-    where they drop out of the compression.
+    where they drop out of the compression.  Half the draws have real
+    coefficients, which the solver iterates in float64.
     """
     family = draw(st.sampled_from(["free", "abelian", "cyclic"]))
     if family == "free":
@@ -732,21 +761,26 @@ def table_compressions(draw):
         group = CyclicGroup(draw(st.integers(DIRECT_SOLVE_MAX + 1, 181)))
         radius = draw(st.integers(DIRECT_SOLVE_MAX // 2, group.order // 2))
         word = st.integers(0, group.order - 1)
-    terms = draw(
-        st.dictionaries(
-            word.map(group.parse),
-            st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False),
-            min_size=1,
-            max_size=6,
-        )
-    )
+    terms = draw(st.dictionaries(word.map(group.parse), coefficients(draw), min_size=1, max_size=6))
     return group, radius, GroupRingElement(group, terms)
 
 
 @settings(max_examples=40, deadline=None)
 @given(table_compressions())
+# all parts subnormal: opnorm_lower solves 2^1032 f and rounds the value back
+# down, one step below the solver's value on f itself
+@example(
+    (
+        CyclicGroup(66),
+        32,
+        GroupRingElement(CyclicGroup(66), {0: 2.225073858507e-311, 2: 2.225073858507e-311}),
+    )
+)
 def test_table_products_match_the_dense_compression(case):
-    group, radius, f = case
+    group, radius, element = case
+    # the checks run on the element whose lower bound opnorm_lower computes:
+    # an element whose parts are all subnormal is solved scaled by 2^-top
+    f, top = normal_range(element)
     m, targets, coeffs, e = _scaled_tables(group, f, radius, DEFAULT_BALL_CAP)
     assert m > DIRECT_SOLVE_MAX and targets.size <= TABLE_PRODUCT_MAX
     A = translate_compression(group, f, group.ball(radius))
@@ -758,8 +792,16 @@ def test_table_products_match_the_dense_compression(case):
     # tol 1e-13, Z/114 on radius 32 with a gap of 2e-5 stops 1.3e-9 short)
     below = sigma[sigma < sigma[0] * (1 - 1e-9)]
     gap = 1 - (below[0] / sigma[0]) ** 2 if below.size else 1.0
+    # a ball that covers Z/m is solved on its top character, through complex
+    # products; any other by the power iteration from the seeded start, in
+    # float64 where every coefficient is real
+    covering = isinstance(group, CyclicGroup) and m == group.order
+    if not covering:
+        coeffs = iterated_coeffs(coeffs)
     rng = np.random.default_rng(0)
-    v = rng.normal(size=m) + 1j * rng.normal(size=m)
+    v = rng.normal(size=m)
+    if coeffs.dtype == complex:
+        v = v + 1j * rng.normal(size=m)
     # the CSR products take the same tables and must pass the same checks
     for build in (_table_products, _csr_products):
         products = apply, apply_adjoint = build(m, targets, coeffs)
@@ -770,15 +812,16 @@ def test_table_products_match_the_dense_compression(case):
         ):
             assert np.linalg.norm(got * scale - want) <= 1e-13 * np.linalg.norm(size)
         if build is _table_products:
-            # a ball that covers Z/m is solved on its top character, any
-            # other by the power iteration from the seeded start
-            if isinstance(group, CyclicGroup) and m == group.order:
+            if covering:
                 residues = group.arena(radius).coords[:, 0]
                 solved = _character_norm(residues, targets[:, 0], coeffs, apply)
             else:
-                solved = _power_iteration(m, products, DEFAULT_MAX_ITERS, DEFAULT_POWER_TOL)[0]
-            assert opnorm_lower(group, f, radius) == max(solved * scale, l2_norm(f))
-        value, iters, _ = _power_iteration(m, products, DEFAULT_MAX_ITERS, 1e-13)
+                solved = _power_iteration(
+                    m, products, DEFAULT_MAX_ITERS, DEFAULT_POWER_TOL, 0, coeffs.dtype
+                )[0]
+            lower = opnorm_lower(group, element, radius)
+            assert lower == scaled_back(max(solved * scale, l2_norm(f)), top)
+        value, iters, _ = _power_iteration(m, products, DEFAULT_MAX_ITERS, 1e-13, 0, coeffs.dtype)
         value *= scale
         assert value <= sigma[0] * (1 + 8 * EPS)
         if iters < DEFAULT_MAX_ITERS and gap >= 1e-3:
@@ -803,10 +846,27 @@ BIG_CYCLIC = CyclicGroup(10**12)
 def test_balls_that_do_not_cover_keep_the_seeded_start(group, radius, f, seed):
     m, targets, coeffs, e = _scaled_tables(group, f, radius, DEFAULT_BALL_CAP)
     assert m > DIRECT_SOLVE_MAX and m < getattr(group, "order", math.inf)
+    coeffs = iterated_coeffs(coeffs)
     build = _table_products if targets.size <= TABLE_PRODUCT_MAX else _csr_products
-    run = _power_iteration(m, build(m, targets, coeffs), 40, DEFAULT_POWER_TOL, seed)
+    run = _power_iteration(m, build(m, targets, coeffs), 40, DEFAULT_POWER_TOL, seed, coeffs.dtype)
     lower = bracket_lower(group, f, radius, max_iters=40, seed=seed)
     assert lower == max(math.ldexp(run[0], e), l2_norm(f))
+
+
+@pytest.mark.parametrize("order", [DIRECT_SOLVE_MAX + 1, 2000, TABLE_PRODUCT_MAX // 2 + 3])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_real_elements_on_covering_balls_keep_complex_characters(order, sign):
+    # delta_1 + sign delta_-1 has real coefficients, but its top character is
+    # complex where sign = -1; the covering ball multiplies it by complex
+    # products, in the table regime and (2 x 4099 entries) in CSR
+    group = CyclicGroup(order)
+    f = GroupRingElement(group, {1: 1.0, order - 1: sign})
+    bracket = opnorm_bracket(group, f, builtin_rd_params(group), order // 2)
+    assert bracket.iterations == 0
+    exact = cyclic_oracle(f)
+    assert exact * (1 - 8 * EPS) <= bracket.lower <= exact * (1 + 8 * EPS)
+    if sign > 0:
+        assert bracket.lower == 2.0
 
 
 def test_the_seed_does_not_reach_a_covering_ball():
@@ -1010,6 +1070,12 @@ def reference_norm(x):
     return math.sqrt(np.dot(r, r))
 
 
+def reference_scale(x, gain):
+    """x / gain as numpy divides a complex vector by a real gain, which is a
+    multiplication by 1 / gain; a float64 vector is scaled the same way."""
+    return x / gain if x.dtype == complex else x * (1.0 / gain)
+
+
 def reference_ritz_vector(iterates, gains):
     """_ritz_vector written out: the real Gram of the float view, both Ritz
     problems real symmetric, and y / |y| at the end."""
@@ -1022,22 +1088,25 @@ def reference_ritz_vector(iterates, gains):
     projected = gram[:k, 1:] * gains
     projected = (projected + projected.T) / 2
     _, z = np.linalg.eigh(basis.T @ projected @ basis)
-    y = ((basis @ z[:, -1]) @ flat[:k]).view(complex)
-    return y / reference_norm(y)
+    y = ((basis @ z[:, -1]) @ flat[:k]).view(iterates.dtype)
+    return reference_scale(y, reference_norm(y))
 
 
-def reference_power_iteration(m, products, max_iters, tol, seed=0):
-    """_power_iteration written out: a complex division and a copy of v into
-    the iterate buffer on every step.
+def reference_power_iteration(m, products, max_iters, tol, seed=0, dtype=complex):
+    """_power_iteration written out: a division and a copy of v into the
+    iterate buffer on every step.  A float64 run starts from the real part
+    of the complex start.
 
     The in-place loop must give the same values bit for bit.  A change that
     alters the solver's arithmetic on purpose replaces this reference.
     """
     apply, apply_adjoint = products
     rng = np.random.default_rng(seed)
-    v = rng.normal(size=m) + 1j * rng.normal(size=m)
-    v /= reference_norm(v)
-    iterates = np.empty((RITZ_BLOCK + 1, m), dtype=complex)
+    v = rng.normal(size=m)
+    if dtype == complex:
+        v = v + 1j * rng.normal(size=m)
+    v = reference_scale(v, reference_norm(v))
+    iterates = np.empty((RITZ_BLOCK + 1, m), dtype=dtype)
     gains = np.empty(RITZ_BLOCK)
     best = sigma = rel = 0.0
     k = 0
@@ -1053,7 +1122,7 @@ def reference_power_iteration(m, products, max_iters, tol, seed=0):
         iterates[j] = v
         u = apply_adjoint(w)
         gains[j] = reference_norm(u)
-        v = u / gains[j]
+        v = reference_scale(u, gains[j])
         if j == RITZ_BLOCK - 1:
             iterates[RITZ_BLOCK] = v
             v = reference_ritz_vector(iterates, gains)
@@ -1065,6 +1134,10 @@ def matrix_family(family, m, rng):
         return rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
     if family == "real":
         return rng.normal(size=(m, m)).astype(complex)
+    if family == "float64":
+        return rng.normal(size=(m, m))
+    if family == "float64-sparse":
+        return rng.normal(size=(m, m)) * (rng.random((m, m)) < 0.2)
     if family == "sparse":
         # about 80% zeros, so some columns of A and entries of A^H A v are zero
         mask = rng.random((m, m)) < 0.2
@@ -1077,15 +1150,18 @@ def matrix_family(family, m, rng):
 RUN_SETTINGS = [(DEFAULT_MAX_ITERS, DEFAULT_POWER_TOL), (37, 0.0), (25, -1.0)]
 
 
-@pytest.mark.parametrize("family", ["complex", "real", "sparse", "diagonal"])
+@pytest.mark.parametrize(
+    "family", ["complex", "real", "sparse", "diagonal", "float64", "float64-sparse"]
+)
 @pytest.mark.parametrize("m", [1, 2, RITZ_BLOCK, RITZ_BLOCK + 1, 33, 65, 119])
 def test_power_iteration_matches_the_reference_loop(family, m):
+    # "real" is a real matrix in complex arithmetic, "float64" in float64
     rng = np.random.default_rng(1000 * m + len(family))
     A = matrix_family(family, m, rng)
     products = (A.__matmul__, A.conj().T.__matmul__)
     for seed, (max_iters, tol) in enumerate(RUN_SETTINGS):
-        got = _power_iteration(m, products, max_iters, tol, seed)
-        assert got == reference_power_iteration(m, products, max_iters, tol, seed)
+        got = _power_iteration(m, products, max_iters, tol, seed, A.dtype)
+        assert got == reference_power_iteration(m, products, max_iters, tol, seed, A.dtype)
 
 
 @pytest.mark.parametrize(
@@ -1100,11 +1176,13 @@ def test_power_iteration_matches_the_reference_loop(family, m):
 )
 @pytest.mark.parametrize("build", [_table_products, _csr_products], ids=["table", "csr"])
 def test_compression_runs_match_the_reference_loop(group, radius, f, build):
+    # Kesten's element is real and runs in float64, the others in complex
     m, targets, coeffs, _ = _scaled_tables(group, f, radius, DEFAULT_BALL_CAP)
+    coeffs = iterated_coeffs(coeffs)
     products = build(m, targets, coeffs)
     for seed, (max_iters, tol) in enumerate(RUN_SETTINGS):
-        got = _power_iteration(m, products, max_iters, tol, seed)
-        assert got == reference_power_iteration(m, products, max_iters, tol, seed)
+        got = _power_iteration(m, products, max_iters, tol, seed, coeffs.dtype)
+        assert got == reference_power_iteration(m, products, max_iters, tol, seed, coeffs.dtype)
 
 
 @pytest.mark.parametrize("gain", [1.0, 3.0, 0.7071067811865476, 2.0**-300, 2.0**300, 12345.678])
@@ -1191,10 +1269,13 @@ def subnormal_elements(draw):
 # both ends used to round to 4e-323, below the norm 4.19e-323
 @example((F2, 2, GroupRingElement(F2, {"A": 3e-323 * (1 + 1j)})))
 @example((F2, 2, GroupRingElement(F2, {"ba": -3.5e-323 + 2e-323j})))
+# opnorm_lower returned 8.4e-323, above the norm 8.3846e-323
+@example((F2, 2, GroupRingElement(F2, {"ba": 6e-323 + 6e-323j})))
 def test_subnormal_elements_keep_a_sound_bracket(case):
     group, radius, f = case
     rd = builtin_rd_params(group)
     bracket = opnorm_bracket(group, f, rd, radius)
+    assert opnorm_lower(group, f, radius) == bracket.lower
     with mpmath.workdps(50):
         moduli = [abs(mpmath.mpc(c)) for c in f.terms.values()]
         l1 = mpmath.fsum(moduli)
@@ -1206,6 +1287,24 @@ def test_subnormal_elements_keep_a_sound_bracket(case):
         assert bracket.upper >= l2
         if len(moduli) == 1:
             assert bracket.lower <= moduli[0] <= bracket.upper
+
+
+def test_subnormal_point_masses_read_the_grid_steps_around_their_norm():
+    # c delta_ba with c = (a + b i) 2^-1074 has norm sqrt(a^2 + b^2) steps of
+    # the subnormal grid: both ends are the nearest steps around it.  192 of
+    # these lower ends used to lie above the norm in opnorm_lower, and
+    # 3e-323 (1 + i) read 3.5e-323 where its floor 4e-323 is sound
+    rd = builtin_rd_params(F2)
+    step = math.ulp(0.0)
+    for a, b in itertools.product(range(-12, 13), repeat=2):
+        if a == b == 0:
+            continue
+        f = GroupRingElement(F2, {"ba": complex(a * step, b * step)})
+        floor = math.isqrt(a * a + b * b)
+        ceiling = floor + (floor * floor != a * a + b * b)
+        bracket = opnorm_bracket(F2, f, rd, 2)
+        assert (bracket.lower, bracket.upper) == (floor * step, ceiling * step)
+        assert opnorm_lower(F2, f, 2) == bracket.lower
 
 
 # ---------------------------------------------------------------------------
