@@ -7,9 +7,10 @@
 # For each command, and then for each demo of the same checkout
 # (SRC_DIR/../demos), the script prints a header line, the stdout and the
 # exit code; stderr is dropped.  Two checkouts that print the same bytes
-# here agree on every canonical output the list covers.  Set
-# OPENBLAS_NUM_THREADS=1 first: the bytes repeat only at a fixed BLAS thread
-# count.
+# here agree on every canonical output the list covers.  The bytes do not
+# depend on the BLAS thread count (CI compares one thread with two), but
+# checkouts whose solver still summed through threaded BLAS do: compare
+# against those at OPENBLAS_NUM_THREADS=1.
 set -u
 
 if [ $# -ne 1 ] || [ ! -d "$1/rdmap" ]; then

@@ -55,13 +55,29 @@ DIRECT_SOLVE_MAX = 64
 # gather of millions of entries.
 TABLE_PRODUCT_MAX = 8192
 
+# OpenBLAS runs a gemv on one thread up to 4,096 complex or 9,216 float64
+# entries and splits a larger one between threads, which changes the bits of
+# its sums.  So a complex table product of more entries runs as one gemv per
+# block of columns of at most ZGEMV_SERIAL_MAX entries.
+ZGEMV_SERIAL_MAX = 4096
+
 # The lower-bound solver restarts its power iteration every RITZ_BLOCK steps
 # from the Rayleigh-Ritz vector of the stored iterates.  Directions of the
 # iterate span whose Gram eigenvalue falls below RITZ_GRAM_CUTOFF times the
-# largest one (about 45 ulps, just above the rounding of the Gram product)
+# largest one (about 45 ulps, just above the rounding that each Gram entry
+# carries: the moments it is formed from, and the products and scalings
+# that make the stored iterates a Krylov sequence only up to rounding)
 # count as numerically dependent and are dropped.
 RITZ_BLOCK = 8
 RITZ_GRAM_CUTOFF = 1e-14
+# _HANKEL[i, j] = i + j for i, j <= RITZ_BLOCK: the Gram matrix of a Krylov
+# block is a Hankel matrix of its moments (see _ritz_vector)
+_HANKEL = np.add.outer(np.arange(RITZ_BLOCK + 1), np.arange(RITZ_BLOCK + 1))
+
+# A dot product of at most NORM_CHUNK floats runs on one BLAS thread (OpenBLAS
+# threads ddot only above 10,000 entries), so _norm sums longer vectors as
+# chunks of this size, which keeps its bits independent of the thread count.
+NORM_CHUNK = 8192
 
 # Both ends of a bracket are certified in exact arithmetic but come out of
 # different float computations, so a sound pair may cross by rounding.  A
@@ -330,10 +346,16 @@ def _norm(x: np.ndarray) -> float:
     One BLAS dot of the float view, which interleaves the real and imaginary
     parts of a complex x and is x itself for a float64 one: 3.5 us at
     m = 13,121, against 16.2 us for the two strided dots of x.real and
-    x.imag (2-vCPU host, one BLAS thread).
+    x.imag (2-vCPU host, one BLAS thread).  A view longer than NORM_CHUNK
+    floats is split into chunks of NORM_CHUNK, each one dot, and the chunk
+    sums are added by math.fsum: a single dot of 236,194 floats differed in
+    its last bits between one and two BLAS threads, the chunks did not.
     """
     r = x.view(float)
-    return math.sqrt(r.dot(r))
+    if r.size <= NORM_CHUNK:
+        return math.sqrt(r.dot(r))
+    chunks = (r[i : i + NORM_CHUNK] for i in range(0, r.size, NORM_CHUNK))
+    return math.sqrt(math.fsum(c.dot(c) for c in chunks))
 
 
 def _scale_into(out: np.ndarray, x: np.ndarray, gain) -> None:
@@ -424,7 +446,9 @@ def _table_products(m: int, targets: np.ndarray, coeffs: np.ndarray):
     With ``targets[s, y]`` the position of ``s y`` and ``inverse[s, x]`` that
     of ``s^-1 x`` (index m where it leaves the ball, which reads a trailing
     zero): ``A v = c @ v[inverse]`` and ``A^H u = conj(c) @ u[targets]``.
-    The products take and return vectors of the dtype of ``coeffs``.
+    The products take and return vectors of the dtype of ``coeffs``.  A
+    complex table of more than ZGEMV_SERIAL_MAX entries is multiplied block
+    by block, so that no gemv is split between BLAS threads.
     """
     coeffs_conj = coeffs.conj()
     rows, cols = np.nonzero(targets < m)
@@ -432,14 +456,27 @@ def _table_products(m: int, targets: np.ndarray, coeffs: np.ndarray):
     inverse = np.full_like(targets, m)
     inverse[rows, targets[rows, cols]] = cols
     buffer = np.zeros(m + 1, dtype=coeffs.dtype)
+    blocks = inverse_parts = targets_parts = None
+    if coeffs.dtype == complex and targets.size > ZGEMV_SERIAL_MAX:
+        width = ZGEMV_SERIAL_MAX // len(coeffs)
+        blocks = [slice(a, a + width) for a in range(0, m, width)]
+        # contiguous blocks of each table, for the same reason
+        inverse_parts = [inverse[:, block].copy() for block in blocks]
+        targets_parts = [targets[:, block].copy() for block in blocks]
+
+    def blockwise(c, parts):
+        out = np.empty(m, dtype=complex)
+        for block, part in zip(blocks, parts):
+            np.matmul(c, buffer[part], out=out[block])
+        return out
 
     def apply(v):
         buffer[:m] = v
-        return coeffs @ buffer[inverse]
+        return coeffs @ buffer[inverse] if blocks is None else blockwise(coeffs, inverse_parts)
 
     def apply_adjoint(u):
         buffer[:m] = u
-        return coeffs_conj @ buffer[targets]
+        return coeffs_conj @ buffer[targets] if blocks is None else blockwise(coeffs_conj, targets_parts)
 
     return apply, apply_adjoint
 
@@ -457,7 +494,10 @@ def _power_iteration(m: int, products, max_iters: int, tol: float, seed: int = 0
 
     The iterates are written in place into one buffer of the given dtype:
     each step scales A^H A v straight into the next row, and v is a view of
-    its row.  A real A runs in float64 from the real part of the seeded
+    its row.  The two norms of each step, |A v| and |A^H A v|, are kept for
+    the restart, which forms its Ritz problem from them (see _ritz_vector)
+    and writes its vector into the first row in place of the block's last
+    A^H A v.  A real A runs in float64 from the real part of the seeded
     complex start.  That is as sound as the complex run, since every value
     is still |A x| for an explicit unit x, and loses nothing: for real A,
     |A(x + iy)|^2 = |A x|^2 + |A y|^2, so a real unit vector attains the
@@ -465,10 +505,12 @@ def _power_iteration(m: int, products, max_iters: int, tol: float, seed: int = 0
     """
     apply, apply_adjoint = products
     rng = np.random.default_rng(seed)
-    # rows 0..RITZ_BLOCK-1 hold the unit iterates of the current block and
-    # the last row the next one, so that B v_j = gains[j] * v_{j+1}
-    iterates = np.empty((RITZ_BLOCK + 1, m), dtype=dtype)
-    gains = np.empty(RITZ_BLOCK)
+    # the rows hold the unit iterates of the current block, with
+    # B v_j = gains[j] * v_{j+1} and |A v_j| = sigmas[j]; the restart needs
+    # no row for the block's last B v_j, only its gain
+    iterates = np.empty((RITZ_BLOCK, m), dtype=dtype)
+    gains = [0.0] * RITZ_BLOCK
+    sigmas = [0.0] * RITZ_BLOCK
     v = rng.normal(size=m)
     if iterates.dtype == complex:
         v = v + 1j * rng.normal(size=m)
@@ -485,49 +527,90 @@ def _power_iteration(m: int, products, max_iters: int, tol: float, seed: int = 0
             break
         sigma = sigma_new
         j = (k - 1) % RITZ_BLOCK
+        sigmas[j] = sigma
         u = apply_adjoint(w)
         gains[j] = _norm(u)
-        _scale_into(iterates[j + 1], u, gains[j])
-        v = iterates[j + 1]
         if j == RITZ_BLOCK - 1:
-            iterates[0] = _ritz_vector(iterates, gains)
+            iterates[0] = _ritz_vector(iterates, gains, sigmas)
             v = iterates[0]
+        else:
+            _scale_into(iterates[j + 1], u, gains[j])
+            v = iterates[j + 1]
     return best, k, rel
 
 
-def _ritz_vector(iterates: np.ndarray, gains: np.ndarray) -> np.ndarray:
+def _ritz_vector(iterates: np.ndarray, gains, sigmas) -> np.ndarray:
     """Unit vector of largest Rayleigh quotient for B in the span of v_0..v_{K-1}.
 
-    With B v_j = gains[j] * v_{j+1}, both the Gram matrix of the span and
-    the projection of B come from one Gram product of the iterate buffer,
-    so no matrix-vector product is spent.  For Hermitian B that Gram is
-    real: v_j = B^j v_0 / P_j for positive P_j, so <v_i, v_j> =
-    <v_0, B^(i+j) v_0> / (P_i P_j).  Its imaginary part is rounding noise,
-    and the real part is one product of the float view with its own
-    transpose (BLAS syrk: no conjugate copy, a quarter of the flops of the
-    complex product).  The span is orthonormalized through the eigenvalues
-    of the Gram matrix, dropping directions below RITZ_GRAM_CUTOFF of the
-    largest, and the Ritz problem is solved as a real symmetric one.  The
-    result is a real combination of the iterates, scaled to unit length, of
-    their dtype (for float64 iterates the float view is the buffer itself).
+    The iterates are the unit Krylov block v_j = B^j v_0 / P_j of B = A^H A,
+    with B v_j = gains[j] * v_{j+1} and |A v_j| = sigmas[j], so
+    P_{j+1} = P_j gains[j] from P_0 = 1.  Its Gram matrix is Hankel in the
+    moments mu_n = <v_0, B^n v_0>, <v_i, v_j> = mu_{i+j} / (P_i P_j), and
+    the steps already hold every moment it needs: mu_{2a} = P_a^2 and
+    mu_{2a+1} = sigmas[a]^2 P_a^2 (Golub and Meurant, Matrices, Moments and
+    Quadrature, 2010).  So the Gram of v_0..v_K comes from these scalars in
+    one scalar loop, with no product of the iterate buffer and no BLAS sum
+    whose order depends on the thread count; v_K itself needs no row of the
+    buffer.  P_a and mu_n are formed divided by rho^a and rho^n, rho =
+    gains[-1] the largest gain (the gains of a power iteration on a positive
+    semidefinite B never fall), so nothing overflows and the powers of rho
+    cancel.  The projection of B is that Gram shifted by one column times
+    the gains, <v_i, B v_j> = gains[j] <v_i, v_{j+1}>: taken from the same
+    rounded entries, the two matrices stay those of one set of vectors,
+    which keeps the Ritz problem stable where the block is nearly dependent
+    (read from the moments directly, the projection drifted there: Z/4001
+    at radius 1000 ran into the 10,000-step cap).
+
+    The span is orthonormalized through the eigenvalues of the Gram matrix,
+    dropping directions below RITZ_GRAM_CUTOFF of the largest, and the Ritz
+    problem is solved as a real symmetric one.  The result is a real
+    combination of the iterates, summed by einsum in a fixed order (BLAS
+    gemv gave other bits at two threads on an 8 x 118,097 float block), of
+    their dtype and scaled to unit length.  The Gram need only choose this
+    vector well: the solver reports |A y| for the explicit unit y.
     """
     k = len(gains)
-    flat = iterates.view(float)
-    gram = flat @ flat.T
+    rho = gains[-1]
+    p = 1.0
+    norms = []
+    moments = []
+    for gain, sigma in zip(gains, sigmas):
+        norms.append(p)
+        square = p * p
+        moments.append(square)
+        moments.append(square * (sigma * sigma / rho))
+        p *= gain / rho
+    norms.append(p)
+    moments.append(p * p)
+    # one array for both lists: mu_0..mu_2K, then P_0..P_K
+    scalars = np.array(moments + norms)
+    norms = scalars[2 * k + 1 :]
+    gram = scalars[_HANKEL] / np.multiply.outer(norms, norms)
     d, q = np.linalg.eigh(gram[:k, :k])
-    keep = d > RITZ_GRAM_CUTOFF * d[-1]
-    basis = q[:, keep] / np.sqrt(d[keep])
+    # d ascends, so the kept directions are the last ones
+    dropped = np.count_nonzero(d <= RITZ_GRAM_CUTOFF * d[-1])
+    basis = q[:, dropped:] / np.sqrt(d[dropped:])
     projected = gram[:k, 1:] * gains
     projected = (projected + projected.T) / 2
     _, z = np.linalg.eigh(basis.T @ projected @ basis)
-    y = ((basis @ z[:, -1]) @ flat[:k]).view(iterates.dtype)
+    flat = iterates.view(float)
+    y = np.einsum("i,ij->j", basis @ z[:, -1], flat[:k]).view(iterates.dtype)
     _scale_into(y, y, _norm(y))
     return y
 
 
 def opnorm_lower(g: Group, f: GroupRingElement, radius: int, cap: int = DEFAULT_BALL_CAP) -> float:
-    """Certified lower bound for the convolution operator norm of f (default solver)."""
-    return opnorm_bracket(g, f, None, radius, cap=cap).lower
+    """Certified lower bound for the convolution operator norm of f (default solver).
+
+    The lower end of opnorm_bracket without decay constants, computed
+    without the bracket: the same scaling into normal range and the same
+    downward scale-back, but no checks of default settings, no l1 norm for
+    a crossing that an infinite upper end cannot have, and no NormBracket.
+    """
+    radius = check_integer(radius, "radius")
+    f, top = _normal_range(f)
+    lower = _opnorm_lower_info(g, f, radius, DEFAULT_MAX_ITERS, DEFAULT_POWER_TOL, cap, 0)[0]
+    return _ldexp_down(lower, top)
 
 
 def _opnorm_lower_info(g, f, radius, max_iters, tol, cap, seed):
@@ -585,11 +668,14 @@ class NormBracket:
     ball is solved by the Ritz-restarted power iteration: `iterations`
     counts its A/A^H product pairs, and `achieved_tol` is the relative change
     between its last two values, not a distance to the norm.  Its restarts
-    and norms run in real arithmetic (see _ritz_vector), and its `lower` is
-    still the norm of A on an explicit unit vector.  An element whose
-    coefficients are all real (heat functions, sphere indicators, Kesten's
-    sum of generators) has a real A, which attains its norm on a real unit
-    vector, so its whole iteration runs in float64 (see _power_iteration).
+    form their Ritz problem from the norms of the steps (see _ritz_vector),
+    and its sums are taken in an order that does not depend on the BLAS
+    thread count (see _norm and _table_products), so neither does `lower`,
+    which is still the norm of A on an explicit unit vector.  An element
+    whose coefficients are all real (heat functions, sphere indicators,
+    Kesten's sum of generators) has a real A, which attains its norm on a
+    real unit vector, so its whole iteration runs in float64 (see
+    _power_iteration).
     The products are gathered through the table while that holds at most
     TABLE_PRODUCT_MAX entries, and taken from scipy CSR matrices built from
     the same table beyond; only that last regime imports scipy.  An element
@@ -623,17 +709,15 @@ def opnorm_bracket(
 ) -> NormBracket:
     """Bracket of the operator norm of f; without rd the upper end is inf.
 
-    opnorm_lower is the lower end of the bracket without rd, so both take
+    opnorm_lower computes the lower end of the bracket without rd, through
     the same subnormal scaling and the same outward rounding.
     """
     radius = check_integer(radius, "radius")
     max_iters = check_integer(max_iters, "max_iters", 1)
     check_positive_finite(tol, "tol")
     seed = check_integer(seed, "seed")
-    # an element whose parts are all subnormal is bracketed in normal range
-    top = math.frexp(max((max(abs(c.real), abs(c.imag)) for c in f.terms.values()), default=1.0))[1]
-    if top < sys.float_info.min_exp:
-        normal = GroupRingElement(f.group, {x: _ldexp(c, -top) for x, c in f.terms.items()})
+    normal, top = _normal_range(f)
+    if top:
         return _scale_bracket(opnorm_bracket(g, normal, rd, radius, max_iters, tol, cap, seed), top)
     lower, iters, rel = _opnorm_lower_info(g, f, radius, max_iters, tol, cap, seed)
     upper = math.inf if rd is None else opnorm_upper(g, f, rd)
@@ -651,6 +735,25 @@ def _ldexp(z: complex, e: int) -> complex:
     return complex(math.ldexp(z.real, e), math.ldexp(z.imag, e))
 
 
+def _normal_range(f: GroupRingElement) -> tuple[GroupRingElement, int]:
+    """(f * 2^-top, top) if every coefficient part of f is subnormal, else (f, 0).
+
+    The scaling is exact and brings the largest part into [0.5, 1), so an
+    element whose parts are all subnormal is bracketed in normal range and
+    its ends are scaled back by 2^top, rounded outward.
+    """
+    top = math.frexp(max((max(abs(c.real), abs(c.imag)) for c in f.terms.values()), default=1.0))[1]
+    if top >= sys.float_info.min_exp:
+        return f, 0
+    return GroupRingElement(f.group, {x: _ldexp(c, -top) for x, c in f.terms.items()}), top
+
+
+def _ldexp_down(x: float, e: int) -> float:
+    """x * 2^e, one ulp down where ldexp rounded it up."""
+    y = math.ldexp(x, e)
+    return math.nextafter(y, 0.0) if math.ldexp(y, -e) > x else y
+
+
 def _scale_bracket(bracket: NormBracket, e: int) -> NormBracket:
     """The bracket times 2^e, each end one ulp outward where it rounded inward.
 
@@ -659,12 +762,10 @@ def _scale_bracket(bracket: NormBracket, e: int) -> NormBracket:
     norm of f even where that norm is subnormal, and loses no step of the
     subnormal grid that it need not; where no end rounds it is exact.
     """
-    lower, upper = math.ldexp(bracket.lower, e), math.ldexp(bracket.upper, e)
-    if math.ldexp(lower, -e) > bracket.lower:
-        lower = math.nextafter(lower, 0.0)
+    upper = math.ldexp(bracket.upper, e)
     if math.ldexp(upper, -e) < bracket.upper:
         upper = math.nextafter(upper, math.inf)
-    return replace(bracket, lower=lower, upper=upper)
+    return replace(bracket, lower=_ldexp_down(bracket.lower, e), upper=upper)
 
 
 def random_element(

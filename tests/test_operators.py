@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import os
+import subprocess
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -26,6 +28,7 @@ from rdmap.operators import (
     DEFAULT_MAX_ITERS,
     DEFAULT_POWER_TOL,
     DIRECT_SOLVE_MAX,
+    NORM_CHUNK,
     RITZ_BLOCK,
     TABLE_PRODUCT_MAX,
     GroupRingElement,
@@ -56,6 +59,8 @@ from rdmap.operators import (
     _triplets,
     _zeta_minus_one,
 )
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(rdmap.operators.__file__)))
 
 F2 = FreeGroup(2)
 Z1 = FreeAbelianGroup(1)
@@ -776,6 +781,17 @@ def table_compressions(draw):
         GroupRingElement(CyclicGroup(66), {0: 2.225073858507e-311, 2: 2.225073858507e-311}),
     )
 )
+# a complex table of 6 x 685 = 4,110 entries, multiplied in two column blocks
+@example(
+    (
+        FreeAbelianGroup(2),
+        18,
+        GroupRingElement(
+            FreeAbelianGroup(2),
+            {(1, 0): 1.0, (0, 1): 0.5j, (-1, 0): -0.25 + 1j, (0, -1): 0.75, (2, 1): 0.3j, (1, -2): -0.4},
+        ),
+    )
+)
 def test_table_products_match_the_dense_compression(case):
     group, radius, element = case
     # the checks run on the element whose lower bound opnorm_lower computes:
@@ -937,21 +953,25 @@ def test_every_start_is_an_eigenvector():
 def test_ritz_vector_of_a_rank_one_block():
     v = np.array([1.0, 1j, -1.0]) / math.sqrt(3.0)
     iterates = np.tile(v, (RITZ_BLOCK + 1, 1))
-    y = _ritz_vector(iterates, np.full(RITZ_BLOCK, 4.0))
+    # B v = 4 v, so |A v| = 2
+    y = _ritz_vector(iterates, np.full(RITZ_BLOCK, 4.0), np.full(RITZ_BLOCK, 2.0))
     assert np.linalg.norm(y) == pytest.approx(1.0, abs=4 * EPS)
     assert abs(np.vdot(v, y)) == pytest.approx(1.0, abs=4 * EPS)
 
 
 def krylov_block(B, v):
-    """Iterate buffer and gains of one block of the power iteration on B from v."""
+    """Iterate buffer, gains and sigmas of one block of the power iteration on
+    B from v; sigmas[j] = sqrt(<v_j, B v_j>) is |A v_j| for any A with B = A^H A."""
     iterates = np.empty((RITZ_BLOCK + 1, len(v)), dtype=complex)
     gains = np.empty(RITZ_BLOCK)
+    sigmas = np.empty(RITZ_BLOCK)
     iterates[0] = v / np.linalg.norm(v)
     for j in range(RITZ_BLOCK):
         u = B @ iterates[j]
+        sigmas[j] = math.sqrt(max(np.vdot(iterates[j], u).real, 0.0))
         gains[j] = np.linalg.norm(u)
         iterates[j + 1] = u / gains[j]
-    return iterates, gains
+    return iterates, gains, sigmas
 
 
 def rayleigh_quotient(B, y):
@@ -961,8 +981,8 @@ def rayleigh_quotient(B, y):
 def test_ritz_vector_maximizes_the_rayleigh_quotient():
     rng = np.random.default_rng(5)
     B = np.diag([9.0, 4.0, 1.0, 0.5, 0.25, 0.1])
-    iterates, gains = krylov_block(B, rng.normal(size=6) + 1j * rng.normal(size=6))
-    y = _ritz_vector(iterates, gains)
+    iterates, gains, sigmas = krylov_block(B, rng.normal(size=6) + 1j * rng.normal(size=6))
+    y = _ritz_vector(iterates, gains, sigmas)
     # the Ritz value of the span beats every iterate in it and sits at the
     # top eigenvalue up to rounding
     ritz = float(np.vdot(y, B @ y).real)
@@ -1001,8 +1021,8 @@ def test_real_gram_ritz_value_matches_the_complex_gram(m, rank, scale, seed):
     C = rng.normal(size=(m, rank)) + 1j * rng.normal(size=(m, rank))
     B = C @ C.conj().T * 2.0**scale
     B = (B + B.conj().T) / 2
-    iterates, gains = krylov_block(B, rng.normal(size=m) + 1j * rng.normal(size=m))
-    y = _ritz_vector(iterates, gains)
+    iterates, gains, sigmas = krylov_block(B, rng.normal(size=m) + 1j * rng.normal(size=m))
+    y = _ritz_vector(iterates, gains, sigmas)
     want = rayleigh_quotient(B, complex_gram_ritz_vector(iterates, gains))
     # both Ritz values carry the rounding of the Gram matrix, amplified by
     # the condition of its kept directions: in 4,000 random blocks they
@@ -1023,6 +1043,65 @@ def test_real_gram_ritz_value_matches_the_complex_gram(m, rank, scale, seed):
         )
         value = float(mpmath.re(form))
     assert value <= decided_top_singular_value(B, value) * (1 + 8 * EPS)
+
+
+def product_gram_ritz_vector(iterates, gains):
+    """The Ritz vector from the Gram product of the iterate buffer, the
+    solver's arithmetic before its Gram came from moments: the real part of
+    the Hermitian Gram as the float view times its own transpose."""
+    k = len(gains)
+    flat = iterates.view(float)
+    gram = flat @ flat.T
+    d, q = np.linalg.eigh(gram[:k, :k])
+    keep = d > rdmap.operators.RITZ_GRAM_CUTOFF * d[-1]
+    basis = q[:, keep] / np.sqrt(d[keep])
+    projected = gram[:k, 1:] * gains
+    projected = (projected + projected.T) / 2
+    _, z = np.linalg.eigh(basis.T @ projected @ basis)
+    y = ((basis @ z[:, -1]) @ flat[:k]).view(iterates.dtype)
+    return y / np.linalg.norm(y)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 40),
+    st.integers(1, 40),
+    st.sampled_from([0, 60, -60]),
+    st.sampled_from([complex, float]),
+    st.integers(0, 2**32 - 1),
+)
+def test_moment_gram_ritz_value_matches_the_product_gram(m, rank, scale, dtype, seed):
+    # A = 2^scale X Y has rank at most `rank`; one block of the solver's own
+    # steps, in its dtype, with |A v_j| and |A^H A v_j| by _norm
+    rng = np.random.default_rng(seed)
+    X, Y, v = rng.normal(size=(m, rank)), rng.normal(size=(rank, m)), rng.normal(size=m)
+    if dtype is complex:
+        X, Y = X + 1j * rng.normal(size=(m, rank)), Y + 1j * rng.normal(size=(rank, m))
+        v = v + 1j * rng.normal(size=m)
+    A = X @ Y * 2.0**scale
+    iterates = np.empty((RITZ_BLOCK + 1, m), dtype=dtype)
+    gains, sigmas = np.empty(RITZ_BLOCK), np.empty(RITZ_BLOCK)
+    iterates[0] = v / _norm(v)
+    for j in range(RITZ_BLOCK):
+        w = A @ iterates[j]
+        sigmas[j] = _norm(w)
+        u = A.conj().T @ w
+        gains[j] = _norm(u)
+        iterates[j + 1] = u / gains[j]
+
+    def quotient(y):
+        return (_norm(A @ y) / _norm(y)) ** 2
+
+    got = quotient(_ritz_vector(iterates, gains, sigmas))
+    want = quotient(product_gram_ritz_vector(iterates, gains))
+    # the band of the real against the complex Gram product above: both
+    # Gram matrices carry rounding, amplified by the condition of the kept
+    # directions
+    flat = iterates[:RITZ_BLOCK].view(float)
+    d = np.linalg.eigvalsh(flat @ flat.T)
+    condition = d[-1] / d[d > rdmap.operators.RITZ_GRAM_CUTOFF * d[-1]][0]
+    tol = max(1e-12, 4 * EPS * math.sqrt(condition))
+    assert abs(got - want) <= tol * want
 
 
 @pytest.mark.parametrize("m", [1, 2, 17, 161, 4001, 13121])
@@ -1046,7 +1125,7 @@ def test_capped_run_returns_best_value_seen(monkeypatch):
     # a restart onto the bottom of the spectrum makes the last value the
     # smallest; the capped run still reports the best one before it
     bottom = np.eye(6, dtype=complex)[5]
-    monkeypatch.setattr(rdmap.operators, "_ritz_vector", lambda it, g: bottom)
+    monkeypatch.setattr(rdmap.operators, "_ritz_vector", lambda it, g, s: bottom)
     value, iters, rel = solve(M, max_iters=RITZ_BLOCK + 1, tol=0.0)
     assert (value, iters) == (reached, RITZ_BLOCK + 1)
     assert rel == pytest.approx(reached - 1.0)
@@ -1065,9 +1144,12 @@ def test_capped_values_grow_with_the_cap():
 
 
 def reference_norm(x):
-    """Norm of a complex vector as the sum of squares of its float view."""
+    """Norm of a vector as the sum of squares of its float view: one dot per
+    chunk of NORM_CHUNK floats, the chunk sums added by math.fsum, which
+    returns a single sum unchanged."""
     r = x.view(float)
-    return math.sqrt(np.dot(r, r))
+    sums = [np.dot(r[i : i + NORM_CHUNK], r[i : i + NORM_CHUNK]) for i in range(0, len(r), NORM_CHUNK)]
+    return math.sqrt(math.fsum(sums))
 
 
 def reference_scale(x, gain):
@@ -1076,19 +1158,42 @@ def reference_scale(x, gain):
     return x / gain if x.dtype == complex else x * (1.0 / gain)
 
 
-def reference_ritz_vector(iterates, gains):
-    """_ritz_vector written out: the real Gram of the float view, both Ritz
-    problems real symmetric, and y / |y| at the end."""
+def moment_gram(gains, sigmas):
+    """The Gram matrix of v_0..v_K of a Krylov block entry by entry,
+    mu_{i+j} / (P_i P_j), with P_a and mu_n divided by rho^a and rho^n for
+    rho the last gain."""
     k = len(gains)
-    flat = iterates.view(float)
-    gram = np.dot(flat, flat.T)
+    rho = gains[-1]
+    P = [1.0]
+    for gain in gains:
+        P.append(P[-1] * (gain / rho))
+    mu = []
+    for a in range(k):
+        mu += [P[a] * P[a], P[a] * P[a] * (sigmas[a] * sigmas[a] / rho)]
+    mu.append(P[k] * P[k])
+    return np.array([[mu[i + j] / (P[i] * P[j]) for j in range(k + 1)] for i in range(k + 1)])
+
+
+def reference_ritz_vector(iterates, gains, sigmas):
+    """_ritz_vector written out: the moment Gram entry by entry, both Ritz
+    problems real symmetric, the combination of the float view as a running
+    sum, and y / |y| at the end."""
+    k = len(gains)
+    gram = moment_gram(gains, sigmas)
     d, q = np.linalg.eigh(gram[:k, :k])
-    keep = d > rdmap.operators.RITZ_GRAM_CUTOFF * d[-1]
-    basis = q[:, keep] / np.sqrt(d[keep])
+    # the kept directions are the last columns of q, as a slice (a column
+    # mask would hand basis @ z to BLAS in the other layout)
+    first = list(d > rdmap.operators.RITZ_GRAM_CUTOFF * d[-1]).index(True)
+    basis = q[:, first:] / np.sqrt(d[first:])
     projected = gram[:k, 1:] * gains
     projected = (projected + projected.T) / 2
     _, z = np.linalg.eigh(basis.T @ projected @ basis)
-    y = ((basis @ z[:, -1]) @ flat[:k]).view(iterates.dtype)
+    c = basis @ z[:, -1]
+    flat = iterates.view(float)
+    y = c[0] * flat[0]
+    for i in range(1, k):
+        y = y + c[i] * flat[i]
+    y = y.view(iterates.dtype)
     return reference_scale(y, reference_norm(y))
 
 
@@ -1106,8 +1211,9 @@ def reference_power_iteration(m, products, max_iters, tol, seed=0, dtype=complex
     if dtype == complex:
         v = v + 1j * rng.normal(size=m)
     v = reference_scale(v, reference_norm(v))
-    iterates = np.empty((RITZ_BLOCK + 1, m), dtype=dtype)
+    iterates = np.empty((RITZ_BLOCK, m), dtype=dtype)
     gains = np.empty(RITZ_BLOCK)
+    sigmas = np.empty(RITZ_BLOCK)
     best = sigma = rel = 0.0
     k = 0
     for k in range(1, max_iters + 1):
@@ -1120,12 +1226,12 @@ def reference_power_iteration(m, products, max_iters, tol, seed=0, dtype=complex
         sigma = sigma_new
         j = (k - 1) % RITZ_BLOCK
         iterates[j] = v
+        sigmas[j] = sigma
         u = apply_adjoint(w)
         gains[j] = reference_norm(u)
         v = reference_scale(u, gains[j])
         if j == RITZ_BLOCK - 1:
-            iterates[RITZ_BLOCK] = v
-            v = reference_ritz_vector(iterates, gains)
+            v = reference_ritz_vector(iterates, gains, sigmas)
     return best, k, rel
 
 
@@ -1171,8 +1277,10 @@ def test_power_iteration_matches_the_reference_loop(family, m):
         (F2, 5, GroupRingElement(F2, {"a": 1 + 0.5j, "bA": -0.25 + 1j, "B": -0.75j})),
         (FreeAbelianGroup(2), 12, GroupRingElement(FreeAbelianGroup(2), {(1, 0): 1.0, (0, -2): 0.5j})),
         (CyclicGroup(501), 100, GroupRingElement(CyclicGroup(501), {1: 1.0, 7: 0.5j})),
+        # 4,373 complex entries: a float view above NORM_CHUNK, normed in chunks
+        (F2, 7, GroupRingElement(F2, {"a": 1 + 0.5j, "bA": -0.25 + 1j, "B": -0.75j})),
     ],
-    ids=["kesten-r4", "free2-complex-r5", "z2-r12", "cyclic-501-r100"],
+    ids=["kesten-r4", "free2-complex-r5", "z2-r12", "cyclic-501-r100", "free2-complex-r7"],
 )
 @pytest.mark.parametrize("build", [_table_products, _csr_products], ids=["table", "csr"])
 def test_compression_runs_match_the_reference_loop(group, radius, f, build):
@@ -1183,6 +1291,40 @@ def test_compression_runs_match_the_reference_loop(group, radius, f, build):
     for seed, (max_iters, tol) in enumerate(RUN_SETTINGS):
         got = _power_iteration(m, products, max_iters, tol, seed, coeffs.dtype)
         assert got == reference_power_iteration(m, products, max_iters, tol, seed, coeffs.dtype)
+
+
+THREAD_PROBE = """
+from rdmap.groups import FreeAbelianGroup, FreeGroup
+from rdmap.operators import GroupRingElement, builtin_rd_params, opnorm_bracket
+F2, Z2 = FreeGroup(2), FreeAbelianGroup(2)
+cases = [
+    (F2, {"a": 1.0, "A": 1.0, "b": 1.0, "B": 1.0}, 10),
+    (F2, {"a": 1 + 0.5j, "bA": -0.25 + 1j, "B": -0.75j}, 8),
+    (Z2, {(1, 0): 1.0, (0, -2): 0.5j, (1, 1): 0.25, (-1, 0): 1j}, 30),
+]
+for g, terms, radius in cases:
+    print(repr(opnorm_bracket(g, GroupRingElement(g, terms), builtin_rd_params(g), radius)))
+"""
+
+
+def brackets_at_blas_threads(threads):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+    env["PYTHONPATH"] = os.pathsep.join([SRC, env.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-c", THREAD_PROBE], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_brackets_repeat_at_one_and_two_blas_threads():
+    # Kesten at radius 10 (m = 118,097: CSR products, norms of 118,097
+    # floats, a Ritz combination of 8 x 118,097), the complex free(2)
+    # element at radius 8 (norms of 26,242 floats) and a complex table of
+    # 4 x 1,861 = 7,444 entries.  While norms were single BLAS dots, the
+    # Gram a BLAS product and a complex table product one gemv, each read
+    # other last digits at two threads
+    assert brackets_at_blas_threads("1") == brackets_at_blas_threads("2")
 
 
 @pytest.mark.parametrize("gain", [1.0, 3.0, 0.7071067811865476, 2.0**-300, 2.0**300, 12345.678])
