@@ -52,6 +52,15 @@ z1point='{"group": {"kind": "free-abelian", "rank": 1}, "terms": [
 # coefficients whose defect rows, (phi - 1) c, are subnormal
 free2subnormal='{"group": {"kind": "free", "rank": 2}, "terms": [
   {"elem": "a", "im": 5e-323}, {"elem": "bA", "re": 5e-324}]}'
+# a free(2) element whose compression at radius 4 (m = 161) has relative top
+# gap 1.6e-4: the 19th draw of random_element(FreeGroup(2), 3,
+# default_rng(2176752833)), a sample of the bench sweep's rd_free2_4 block
+free2clustered='{"group": {"kind": "free", "rank": 2}, "terms": [
+  {"elem": "b", "re": -0.09261296645224551, "im": -0.6463123911330829},
+  {"elem": "AbA", "re": 0.7249905775217321, "im": -1.0634056228676427},
+  {"elem": "baB", "re": 0.252139319397802, "im": -0.32423617692052786},
+  {"elem": "bAA", "re": -0.9680930672169847, "im": 0.38031829199437744},
+  {"elem": "Bab", "re": -0.945836047621734, "im": -1.9874055779379716}]}'
 counterexample='{"entries": [[0, 10, 1], [10, 0, 1], [1, 1, 0]]}'
 
 run() {
@@ -83,6 +92,7 @@ run map-converge --element-json "$free2complex" --epsilon 0.3 --format csv
 run map-converge --element-json "$free2subnormal" --epsilon 0.3 --format csv
 run norm --element-json "$cyclic2000real" --radius 1000
 run norm --element-json "$z2" --radius 20
+run norm --element-json "$free2clustered" --radius 4
 
 for demo in "$src"/../demos/*.py; do
     echo "== demo $(basename "$demo")"

@@ -62,17 +62,21 @@ TABLE_PRODUCT_MAX = 8192
 ZGEMV_SERIAL_MAX = 4096
 
 # The lower-bound solver restarts its power iteration every RITZ_BLOCK steps
-# from the Rayleigh-Ritz vector of the stored iterates.  Directions of the
-# iterate span whose Gram eigenvalue falls below RITZ_GRAM_CUTOFF times the
-# largest one (about 45 ulps, just above the rounding that each Gram entry
-# carries: the moments it is formed from, and the products and scalings
-# that make the stored iterates a Krylov sequence only up to rounding)
-# count as numerically dependent and are dropped.
+# from the Rayleigh-Ritz vector of the block's iterates and the previous
+# block's start.  Directions of that span whose Gram eigenvalue falls below
+# RITZ_GRAM_CUTOFF times the largest one (about 45 ulps, just above the
+# rounding that each Gram entry carries: the moments and carried scalars it
+# is formed from, and the products and scalings that make the stored
+# iterates a Krylov sequence only up to rounding) count as numerically
+# dependent and are dropped.
 RITZ_BLOCK = 8
 RITZ_GRAM_CUTOFF = 1e-14
-# _HANKEL[i, j] = i + j for i, j <= RITZ_BLOCK: the Gram matrix of a Krylov
-# block is a Hankel matrix of its moments (see _ritz_vector)
-_HANKEL = np.add.outer(np.arange(RITZ_BLOCK + 1), np.arange(RITZ_BLOCK + 1))
+# _GRAM_INDEX[i, j] is the position of <r_i, r_j>, for r = (x, v_0, .., v_K),
+# K = RITZ_BLOCK, in the scalars (1, b_0..b_K, mu_0..mu_2K-1) of _ritz_vector:
+# 0 for <x, x>, j for <x, v_{j-1}> and K + i + j for <v_{i-1}, v_{j-1}>, which
+# makes the Gram of the Krylov block a Hankel matrix of its moments
+_GRAM_INDEX = np.add.outer(np.arange(RITZ_BLOCK + 1), np.arange(RITZ_BLOCK + 2))
+_GRAM_INDEX[1:, 1:] += RITZ_BLOCK
 
 # A dot product of at most NORM_CHUNK floats runs on one BLAS thread (OpenBLAS
 # threads ddot only above 10,000 entries), so _norm sums longer vectors as
@@ -486,36 +490,41 @@ def _power_iteration(m: int, products, max_iters: int, tol: float, seed: int = 0
 
     ``products`` is the pair of callables v -> A v and u -> A^H u.  Power
     iteration on B = A^H A from a seeded random start, restarted every
-    RITZ_BLOCK steps from the Rayleigh-Ritz vector of the stored iterates.
-    Each step is one A and one A^H product and yields the norm of A applied
-    to an explicit unit vector, which never exceeds the true largest
-    singular value.  The largest such value is returned together with the
-    step count and the relative change between the last two values.
+    RITZ_BLOCK steps from the Rayleigh-Ritz vector of the block's iterates
+    and the previous block's start.  Each step is one A product and yields
+    the norm of A applied to an explicit unit vector, which never exceeds
+    the true largest singular value; each step but a block's last also
+    takes the A^H product that makes the next iterate.  The largest such
+    value is returned together with the step count and the relative change
+    between the last two values.
 
     The iterates are written in place into one buffer of the given dtype:
     each step scales A^H A v straight into the next row, and v is a view of
-    its row.  The two norms of each step, |A v| and |A^H A v|, are kept for
-    the restart, which forms its Ritz problem from them (see _ritz_vector)
-    and writes its vector into the first row in place of the block's last
-    A^H A v.  A real A runs in float64 from the real part of the seeded
-    complex start.  That is as sound as the complex run, since every value
-    is still |A x| for an explicit unit x, and loses nothing: for real A,
+    its row.  The norms |A v| and |A^H A v| of the steps are kept for the
+    restart, which forms its Ritz problem from them and from the scalars it
+    carried over from the previous restart (see _ritz_vector); the loop then
+    copies the block's start into row 0 and scales the Ritz vector into
+    row 1.  A
+    real A runs in float64 from the real part of the seeded complex start.
+    That is as sound as the complex run, since every value is still |A x|
+    for an explicit unit x, and loses nothing: for real A,
     |A(x + iy)|^2 = |A x|^2 + |A y|^2, so a real unit vector attains the
     largest singular value.
     """
     apply, apply_adjoint = products
     rng = np.random.default_rng(seed)
-    # the rows hold the unit iterates of the current block, with
-    # B v_j = gains[j] * v_{j+1} and |A v_j| = sigmas[j]; the restart needs
-    # no row for the block's last B v_j, only its gain
-    iterates = np.empty((RITZ_BLOCK, m), dtype=dtype)
-    gains = [0.0] * RITZ_BLOCK
+    # row 0 holds the previous block's start x, rows 1.. the unit iterates
+    # v_j of the current block, with B v_j = gains[j] * v_{j+1} and
+    # |A v_j| = sigmas[j]; the Ritz problem needs no B v_j of the last one
+    iterates = np.empty((RITZ_BLOCK + 1, m), dtype=dtype)
+    gains = [0.0] * (RITZ_BLOCK - 1)
     sigmas = [0.0] * RITZ_BLOCK
+    carried = None
     v = rng.normal(size=m)
     if iterates.dtype == complex:
         v = v + 1j * rng.normal(size=m)
-    _scale_into(iterates[0], v, _norm(v))
-    v = iterates[0]
+    _scale_into(iterates[1], v, _norm(v))
+    v = iterates[1]
     best = sigma = rel = 0.0
     k = 0
     for k in range(1, max_iters + 1):
@@ -528,75 +537,100 @@ def _power_iteration(m: int, products, max_iters: int, tol: float, seed: int = 0
         sigma = sigma_new
         j = (k - 1) % RITZ_BLOCK
         sigmas[j] = sigma
-        u = apply_adjoint(w)
-        gains[j] = _norm(u)
         if j == RITZ_BLOCK - 1:
-            iterates[0] = _ritz_vector(iterates, gains, sigmas)
-            v = iterates[0]
+            y, n, carried = _ritz_vector(iterates, gains, sigmas, carried)
+            iterates[0] = iterates[1]
+            _scale_into(iterates[1], y, n)
+            v = iterates[1]
         else:
-            _scale_into(iterates[j + 1], u, gains[j])
-            v = iterates[j + 1]
+            u = apply_adjoint(w)
+            gains[j] = _norm(u)
+            _scale_into(iterates[j + 2], u, gains[j])
+            v = iterates[j + 2]
     return best, k, rel
 
 
-def _ritz_vector(iterates: np.ndarray, gains, sigmas) -> np.ndarray:
-    """Unit vector of largest Rayleigh quotient for B in the span of v_0..v_{K-1}.
+def _ritz_vector(iterates: np.ndarray, gains, sigmas, carried):
+    """Vector of largest Rayleigh quotient for B in span(x, v_0..v_{K-1}), and its norm.
 
-    The iterates are the unit Krylov block v_j = B^j v_0 / P_j of B = A^H A,
-    with B v_j = gains[j] * v_{j+1} and |A v_j| = sigmas[j], so
-    P_{j+1} = P_j gains[j] from P_0 = 1.  Its Gram matrix is Hankel in the
-    moments mu_n = <v_0, B^n v_0>, <v_i, v_j> = mu_{i+j} / (P_i P_j), and
-    the steps already hold every moment it needs: mu_{2a} = P_a^2 and
+    Rows 1..K of the iterates are the unit Krylov block v_j = B^j v_0 / P_j
+    of B = A^H A, with B v_j = gains[j] * v_{j+1} and |A v_j| = sigmas[j],
+    so P_{j+1} = P_j gains[j] from P_0 = 1.  Its Gram matrix is Hankel in
+    the moments mu_n = <v_0, B^n v_0>, <v_i, v_j> = mu_{i+j} / (P_i P_j),
+    and the steps already hold every moment it needs: mu_{2a} = P_a^2 and
     mu_{2a+1} = sigmas[a]^2 P_a^2 (Golub and Meurant, Matrices, Moments and
-    Quadrature, 2010).  So the Gram of v_0..v_K comes from these scalars in
-    one scalar loop, with no product of the iterate buffer and no BLAS sum
-    whose order depends on the thread count; v_K itself needs no row of the
-    buffer.  P_a and mu_n are formed divided by rho^a and rho^n, rho =
-    gains[-1] the largest gain (the gains of a power iteration on a positive
-    semidefinite B never fall), so nothing overflows and the powers of rho
-    cancel.  The projection of B is that Gram shifted by one column times
-    the gains, <v_i, B v_j> = gains[j] <v_i, v_{j+1}>: taken from the same
-    rounded entries, the two matrices stay those of one set of vectors,
-    which keeps the Ritz problem stable where the block is nearly dependent
-    (read from the moments directly, the projection drifted there: Z/4001
-    at radius 1000 ran into the 10,000-step cap).
+    Quadrature, 2010).  The block's last gain is never computed: rho stands
+    in for it, which defines v_K = B v_{K-1} / rho, and every entry of the
+    Ritz problem is the same for any choice (<v_i, B v_{K-1}> =
+    mu_{i+K} / (P_i P_{K-1})).
+
+    Row 0 is the previous block's start x, which makes this a thick restart
+    that keeps two vectors (Wu and Simon, SIAM J. Matrix Anal. Appl. 22,
+    2000), in the locally optimal form of Knyazev (SIAM J. Sci. Comput. 23,
+    2001).  ``carried`` holds rho, sigma_x = |A x| and b_j = <x, B^j v_0>
+    for j <= K, so <x, x> = 1, <x, B x> = sigma_x^2 and <x, v_j> =
+    b_j / P_j.  The first restart has no x (``carried`` is None) and solves
+    the Ritz problem of the block alone.  So the Gram of x, v_0..v_K comes
+    from these scalars in one scalar loop and one gather, with no product of
+    the iterate buffer and no BLAS sum whose order depends on the thread
+    count.  P_a, mu_n and b_j are formed divided by rho^a, rho^n and rho^j,
+    rho the largest gain of the first block, kept for the run, so nothing
+    overflows and the powers of rho cancel.  The projection of B is that
+    Gram shifted by one column times the gains, <r, B v_j> =
+    gains[j] <r, v_{j+1}>, and its column B x is its row x: taken from the
+    same rounded entries, the two matrices stay those of one set of
+    vectors, which keeps the Ritz problem stable where the block is nearly
+    dependent (read from the moments directly, the projection drifted
+    there: Z/4001 at radius 1000 ran into the 10,000-step cap).
 
     The span is orthonormalized through the eigenvalues of the Gram matrix,
     dropping directions below RITZ_GRAM_CUTOFF of the largest, and the Ritz
-    problem is solved as a real symmetric one.  The result is a real
-    combination of the iterates, summed by einsum in a fixed order (BLAS
-    gemv gave other bits at two threads on an 8 x 118,097 float block), of
-    their dtype and scaled to unit length.  The Gram need only choose this
-    vector well: the solver reports |A y| for the explicit unit y.
+    problem is solved as a real symmetric one whose lower triangle eigh
+    reads.  The result y is a real combination of the rows, summed by
+    einsum in a fixed order (BLAS gemv gave other bits at two threads on an
+    8 x 118,097 float block), of their dtype, returned with its norm n for
+    the loop to scale it to unit length as it writes it into the buffer.
+    Returned with them are the scalars of the next restart, whose x is v_0
+    and whose block starts at y / n: b_j = <v_0, B^j y> / n =
+    P_j <y, v_j> / n, read from the same Gram rows.  The Gram need only
+    choose y well: the solver reports |A y| / n for the explicit unit
+    vector y / n.
     """
-    k = len(gains)
-    rho = gains[-1]
+    if carried is None:
+        rho, sigma_x, b, lo = gains[-1], 0.0, [0.0] * (RITZ_BLOCK + 1), 1
+    else:
+        (rho, sigma_x, b), lo = carried, 0
     p = 1.0
-    norms = []
+    norms = [1.0]
     moments = []
-    for gain, sigma in zip(gains, sigmas):
+    for gain, sigma in zip((*gains, rho), sigmas):
         norms.append(p)
         square = p * p
-        moments.append(square)
-        moments.append(square * (sigma * sigma / rho))
+        moments += (square, square * (sigma * sigma / rho))
         p *= gain / rho
     norms.append(p)
-    moments.append(p * p)
-    # one array for both lists: mu_0..mu_2K, then P_0..P_K
-    scalars = np.array(moments + norms)
-    norms = scalars[2 * k + 1 :]
-    gram = scalars[_HANKEL] / np.multiply.outer(norms, norms)
-    d, q = np.linalg.eigh(gram[:k, :k])
+    # one array for the lists: 1, b_0..b_K, mu_0..mu_2K-1, then 1, P_0..P_K,
+    # then 0, gains[0..K-1]
+    scalars = np.array([1.0, *b, *moments, *norms, 0.0, *gains, rho])
+    norms = scalars[-2 * RITZ_BLOCK - 3 : -RITZ_BLOCK - 1]
+    # rows x, v_0..v_{K-1}, columns x, v_0..v_K
+    gram = scalars[_GRAM_INDEX] / np.multiply.outer(norms[:-1], norms)
+    d, q = np.linalg.eigh(gram[lo:, lo:-1])
     # d ascends, so the kept directions are the last ones
-    dropped = np.count_nonzero(d <= RITZ_GRAM_CUTOFF * d[-1])
+    dropped = d.searchsorted(RITZ_GRAM_CUTOFF * d[-1], "right")
     basis = q[:, dropped:] / np.sqrt(d[dropped:])
-    projected = gram[:k, 1:] * gains
-    projected = (projected + projected.T) / 2
+    # columns B x, B v_0..B v_{K-1}: the first is row 0 of the rest
+    projected = gram[:, 1:] * scalars[-RITZ_BLOCK - 1 :]
+    projected[1:, 0] = projected[0, 1:]
+    projected[0, 0] = sigma_x * sigma_x
+    projected = projected[lo:, lo:]
     _, z = np.linalg.eigh(basis.T @ projected @ basis)
+    c = basis @ z[:, -1]
     flat = iterates.view(float)
-    y = np.einsum("i,ij->j", basis @ z[:, -1], flat[:k]).view(iterates.dtype)
-    _scale_into(y, y, _norm(y))
-    return y
+    y = np.einsum("i,ij->j", c, flat[lo:]).view(iterates.dtype)
+    n = _norm(y)
+    b = (c @ gram[lo:, 1:]) * (norms[1:] / n)
+    return y, n, (rho, sigmas[0], b.tolist())
 
 
 def opnorm_lower(g: Group, f: GroupRingElement, radius: int, cap: int = DEFAULT_BALL_CAP) -> float:
@@ -666,12 +700,15 @@ class NormBracket:
     circulant, and its norm on the top Fourier character (one product) is
     the exact norm up to rounding, whatever the seed.  Any other larger
     ball is solved by the Ritz-restarted power iteration: `iterations`
-    counts its A/A^H product pairs, and `achieved_tol` is the relative change
-    between its last two values, not a distance to the norm.  Its restarts
-    form their Ritz problem from the norms of the steps (see _ritz_vector),
-    and its sums are taken in an order that does not depend on the BLAS
-    thread count (see _norm and _table_products), so neither does `lower`,
-    which is still the norm of A on an explicit unit vector.  An element
+    counts its steps, each one A product and, but for the last of each
+    block of RITZ_BLOCK, one A^H product, and `achieved_tol` is the relative
+    change between its last two values, not a distance to the norm.  Each
+    restart keeps the previous block's start beside the block and forms its
+    Ritz problem from the norms of the steps and scalars carried from the
+    restart before (see _ritz_vector), and its sums are taken in an order
+    that does not depend on the BLAS thread count (see _norm and
+    _table_products), so neither does `lower`, which is still the norm of A
+    on an explicit unit vector.  An element
     whose coefficients are all real (heat functions, sphere indicators,
     Kesten's sum of generators) has a real A, which attains its norm on a
     real unit vector, so its whole iteration runs in float64 (see

@@ -954,9 +954,44 @@ def test_ritz_vector_of_a_rank_one_block():
     v = np.array([1.0, 1j, -1.0]) / math.sqrt(3.0)
     iterates = np.tile(v, (RITZ_BLOCK + 1, 1))
     # B v = 4 v, so |A v| = 2
-    y = _ritz_vector(iterates, np.full(RITZ_BLOCK, 4.0), np.full(RITZ_BLOCK, 2.0))
+    y, n, _ = _ritz_vector(iterates, np.full(RITZ_BLOCK - 1, 4.0), np.full(RITZ_BLOCK, 2.0), None)
+    y = y / n
     assert np.linalg.norm(y) == pytest.approx(1.0, abs=4 * EPS)
     assert abs(np.vdot(v, y)) == pytest.approx(1.0, abs=4 * EPS)
+
+
+def first_restart(block, gains, sigmas):
+    """The solver's first unit Ritz vector of a block whose rows 0..K-1 are
+    v_0..v_{K-1}: _ritz_vector reads the block from rows 1..K of its buffer
+    (row 0 holds the previous block's start, which a first restart has not)
+    and takes the first K - 1 gains."""
+    buffer = np.zeros((RITZ_BLOCK + 1, block.shape[1]), dtype=block.dtype)
+    buffer[1:] = block[:RITZ_BLOCK]
+    y, n, _ = _ritz_vector(buffer, list(gains[: RITZ_BLOCK - 1]), list(sigmas), None)
+    return y / n
+
+
+def solver_restarts(A, dtype, count):
+    """(buffer, gains, sigmas, carried, result) of each of the first `count`
+    restarts of the solver's own run on A from seed 0, the buffer copied as
+    _ritz_vector saw it: row 0 the previous block's start x, rows 1.. the
+    block v_0..v_{K-1}."""
+    seen = []
+    solver_ritz_vector = rdmap.operators._ritz_vector
+
+    def spy(iterates, gains, sigmas, carried):
+        out = solver_ritz_vector(iterates, gains, sigmas, carried)
+        seen.append((iterates.copy(), list(gains), list(sigmas), carried, out))
+        return out
+
+    A = A.astype(dtype)
+    rdmap.operators._ritz_vector = spy
+    try:
+        products = (A.__matmul__, A.conj().T.__matmul__)
+        _power_iteration(len(A), products, count * RITZ_BLOCK, -1.0, 0, dtype)
+    finally:
+        rdmap.operators._ritz_vector = solver_ritz_vector
+    return seen
 
 
 def krylov_block(B, v):
@@ -982,12 +1017,22 @@ def test_ritz_vector_maximizes_the_rayleigh_quotient():
     rng = np.random.default_rng(5)
     B = np.diag([9.0, 4.0, 1.0, 0.5, 0.25, 0.1])
     iterates, gains, sigmas = krylov_block(B, rng.normal(size=6) + 1j * rng.normal(size=6))
-    y = _ritz_vector(iterates, gains, sigmas)
+    y = first_restart(iterates, gains, sigmas)
     # the Ritz value of the span beats every iterate in it and sits at the
     # top eigenvalue up to rounding
     ritz = float(np.vdot(y, B @ y).real)
     assert ritz > max(float(np.vdot(x, B @ x).real) for x in iterates[:RITZ_BLOCK])
     assert ritz == pytest.approx(9.0, rel=1e-9) and ritz <= 9.0 * (1 + 8 * EPS)
+    # a later restart, on a spectrum clustered just below its top: the Ritz
+    # value of span(x, v_0..v_7), x the previous block's start, beats x and
+    # every iterate, and the block's own Ritz value, whose span it holds
+    B = np.diag([1.0, 0.999, 0.998, 0.997, 0.5, 0.4, 0.3, 0.2, 0.1, 0.05])
+    buffer, gains, sigmas, carried, (y, n, _) = solver_restarts(np.sqrt(B), complex, 3)[-1]
+    assert carried is not None
+    ritz = rayleigh_quotient(B, y / n)
+    assert ritz > max(rayleigh_quotient(B, r) for r in buffer)
+    assert ritz >= rayleigh_quotient(B, first_restart(buffer[1:], gains, sigmas)) * (1 - 4 * EPS)
+    assert ritz <= 1.0 * (1 + 8 * EPS)
 
 
 def complex_gram_ritz_vector(iterates, gains):
@@ -1022,7 +1067,7 @@ def test_real_gram_ritz_value_matches_the_complex_gram(m, rank, scale, seed):
     B = C @ C.conj().T * 2.0**scale
     B = (B + B.conj().T) / 2
     iterates, gains, sigmas = krylov_block(B, rng.normal(size=m) + 1j * rng.normal(size=m))
-    y = _ritz_vector(iterates, gains, sigmas)
+    y = first_restart(iterates, gains, sigmas)
     want = rayleigh_quotient(B, complex_gram_ritz_vector(iterates, gains))
     # both Ritz values carry the rounding of the Gram matrix, amplified by
     # the condition of its kept directions: in 4,000 random blocks they
@@ -1092,7 +1137,7 @@ def test_moment_gram_ritz_value_matches_the_product_gram(m, rank, scale, dtype, 
     def quotient(y):
         return (_norm(A @ y) / _norm(y)) ** 2
 
-    got = quotient(_ritz_vector(iterates, gains, sigmas))
+    got = quotient(first_restart(iterates, gains, sigmas))
     want = quotient(product_gram_ritz_vector(iterates, gains))
     # the band of the real against the complex Gram product above: both
     # Gram matrices carry rounding, amplified by the condition of the kept
@@ -1102,6 +1147,83 @@ def test_moment_gram_ritz_value_matches_the_product_gram(m, rank, scale, dtype, 
     condition = d[-1] / d[d > rdmap.operators.RITZ_GRAM_CUTOFF * d[-1]][0]
     tol = max(1e-12, 4 * EPS * math.sqrt(condition))
     assert abs(got - want) <= tol * want
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 40),
+    st.integers(1, 40),
+    st.sampled_from([0, 60, -60]),
+    st.sampled_from([complex, float]),
+    st.integers(0, 2**32 - 1),
+)
+def test_carried_scalars_match_the_explicit_dots(m, rank, scale, dtype, seed):
+    # B = A^H A for A = 2^(scale / 2) X Y, of rank at most `rank`: through
+    # four restarts of the solver's own run, the carried b_j / P_j are the
+    # dots <x, v_j> of the float views of the rows they stand for
+    rng = np.random.default_rng(seed)
+    X, Y = rng.normal(size=(m, rank)), rng.normal(size=(rank, m))
+    if dtype is complex:
+        X, Y = X + 1j * rng.normal(size=(m, rank)), Y + 1j * rng.normal(size=(rank, m))
+    A = X @ Y * 2.0 ** (scale // 2)
+    restarts = solver_restarts(A, dtype, 5)
+    for before, (buffer, gains, sigmas, carried, _) in zip(restarts, restarts[1:]):
+        rho, sigma_x, b = carried
+        assert sigma_x == pytest.approx(_norm(A @ buffer[0]), rel=4 * EPS)
+        P = [1.0]
+        for gain in gains:
+            P.append(P[-1] * (gain / rho))
+        flat = buffer.view(float)
+        # the carried scalars are sums over the Ritz combination that made
+        # v_0, whose coefficients grow with the condition of the span it was
+        # taken from: in 5,500 random runs they differed from the dots by at
+        # most 10 eps sqrt(condition)
+        span = before[0].view(float)[0 if before[3] is not None else 1 :]
+        d = np.linalg.eigvalsh(span @ span.T)
+        condition = d[-1] / d[d > rdmap.operators.RITZ_GRAM_CUTOFF * d[-1]][0]
+        for j in range(RITZ_BLOCK):
+            assert abs(b[j] / P[j] - flat[0] @ flat[j + 1]) <= 64 * EPS * math.sqrt(condition)
+
+
+# the 19th draw of random_element(FreeGroup(2), 3, default_rng(2176752833)),
+# a sample of the bench sweep's rd_free2_4 block: relative top gap 1.6e-4
+CLUSTERED_FREE2 = GroupRingElement(
+    F2,
+    {
+        "b": complex(-0.09261296645224551, -0.6463123911330829),
+        "AbA": complex(0.7249905775217321, -1.0634056228676427),
+        "baB": complex(0.252139319397802, -0.32423617692052786),
+        "bAA": complex(-0.9680930672169847, 0.38031829199437744),
+        "Bab": complex(-0.945836047621734, -1.9874055779379716),
+    },
+)
+# the canonical Z/101 element (residues written outside [0, 101)): top gap 9.1e-5
+CLUSTERED_Z101 = GroupRingElement(
+    CyclicGroup(101), {CyclicGroup(101).parse(x): c for x, c in [(-1, 1.0), (102, 1.0), (208, 0.5j), (-300, -0.25)]}
+)
+# a double top singular value
+CLUSTERED_Z4001 = GroupRingElement(CyclicGroup(4001), {1: 1.0, 4000: 1.0, 7: 0.5j})
+
+
+@pytest.mark.parametrize(
+    "f, radius, steps",
+    [(CLUSTERED_FREE2, 4, 100), (CLUSTERED_Z101, 40, 200), (CLUSTERED_Z4001, 1000, 1000)],
+    ids=["free2-r4", "z101-r40", "z4001-r1000"],
+)
+def test_clustered_spectra_converge_within_the_step_budget(f, radius, steps):
+    # with one Ritz vector per restart these took 1,424, 1,720 and 2,504
+    # steps and stopped 1.0e-7, 1.8e-7 and 5.8e-7 below the compression's
+    # norm; keeping the previous block's start, 42, 75 and 463
+    group = f.group
+    bracket = opnorm_bracket(group, f, builtin_rd_params(group), radius)
+    m, targets, coeffs, e = _scaled_tables(group, f, radius, DEFAULT_BALL_CAP)
+    assert m > DIRECT_SOLVE_MAX and not (isinstance(group, CyclicGroup) and m == group.order)
+    rows, cols, values = _triplets(targets, coeffs * math.ldexp(1.0, e))
+    A = np.zeros((m, m), dtype=complex)
+    A[rows, cols] = values
+    exact = decided_top_singular_value(A, bracket.lower)
+    assert 0 < bracket.iterations <= steps
+    assert exact * (1 - 1e-8) <= bracket.lower <= exact * (1 + 8 * EPS)
 
 
 @pytest.mark.parametrize("m", [1, 2, 17, 161, 4001, 13121])
@@ -1125,7 +1247,7 @@ def test_capped_run_returns_best_value_seen(monkeypatch):
     # a restart onto the bottom of the spectrum makes the last value the
     # smallest; the capped run still reports the best one before it
     bottom = np.eye(6, dtype=complex)[5]
-    monkeypatch.setattr(rdmap.operators, "_ritz_vector", lambda it, g, s: bottom)
+    monkeypatch.setattr(rdmap.operators, "_ritz_vector", lambda it, g, s, carried: (bottom, 1.0, carried))
     value, iters, rel = solve(M, max_iters=RITZ_BLOCK + 1, tol=0.0)
     assert (value, iters) == (reached, RITZ_BLOCK + 1)
     assert rel == pytest.approx(reached - 1.0)
@@ -1158,49 +1280,64 @@ def reference_scale(x, gain):
     return x / gain if x.dtype == complex else x * (1.0 / gain)
 
 
-def moment_gram(gains, sigmas):
-    """The Gram matrix of v_0..v_K of a Krylov block entry by entry,
-    mu_{i+j} / (P_i P_j), with P_a and mu_n divided by rho^a and rho^n for
-    rho the last gain."""
-    k = len(gains)
-    rho = gains[-1]
+def reference_ritz_vector(iterates, gains, sigmas, carried):
+    """_ritz_vector written out: the Gram of x, v_0..v_K entry by entry from
+    the moments and the carried scalars, the projection entry by entry from
+    it, both Ritz problems real symmetric, the combination of the float
+    view as a running sum, y / |y|, and the next restart's b_j = P_j <y, v_j>."""
+    if carried is None:
+        rho, sigma_x, b, lo = gains[-1], 0.0, [0.0] * (RITZ_BLOCK + 1), 1
+    else:
+        (rho, sigma_x, b), lo = carried, 0
+    # P_a and mu_n divided by rho^a and rho^n, with rho in place of the last gain
+    gains = list(gains) + [rho]
     P = [1.0]
     for gain in gains:
         P.append(P[-1] * (gain / rho))
     mu = []
-    for a in range(k):
+    for a in range(RITZ_BLOCK):
         mu += [P[a] * P[a], P[a] * P[a] * (sigmas[a] * sigmas[a] / rho)]
-    mu.append(P[k] * P[k])
-    return np.array([[mu[i + j] / (P[i] * P[j]) for j in range(k + 1)] for i in range(k + 1)])
 
+    def entry(i, j):
+        """<r_i, r_j> for r = (x, v_0, .., v_K)."""
+        if i == 0 and j == 0:
+            return 1.0
+        if i == 0 or j == 0:
+            return b[i + j - 1] / P[i + j - 1]
+        return mu[i + j - 2] / (P[i - 1] * P[j - 1])
 
-def reference_ritz_vector(iterates, gains, sigmas):
-    """_ritz_vector written out: the moment Gram entry by entry, both Ritz
-    problems real symmetric, the combination of the float view as a running
-    sum, and y / |y| at the end."""
-    k = len(gains)
-    gram = moment_gram(gains, sigmas)
-    d, q = np.linalg.eigh(gram[:k, :k])
+    gram = np.array([[entry(i, j) for j in range(RITZ_BLOCK + 2)] for i in range(RITZ_BLOCK + 1)])
+
+    def projected(i, j):
+        """<r_i, B r_j>: B x in column 0, B v_(j-1) = gains[j-1] v_j beyond."""
+        if j > 0:
+            return gram[i, j + 1] * gains[j - 1]
+        return sigma_x * sigma_x if i == 0 else gram[0, i + 1] * gains[i - 1]
+
+    span = range(lo, RITZ_BLOCK + 1)
+    d, q = np.linalg.eigh(gram[lo:, lo : RITZ_BLOCK + 1])
     # the kept directions are the last columns of q, as a slice (a column
     # mask would hand basis @ z to BLAS in the other layout)
     first = list(d > rdmap.operators.RITZ_GRAM_CUTOFF * d[-1]).index(True)
     basis = q[:, first:] / np.sqrt(d[first:])
-    projected = gram[:k, 1:] * gains
-    projected = (projected + projected.T) / 2
-    _, z = np.linalg.eigh(basis.T @ projected @ basis)
+    projection = np.array([[projected(i, j) for j in span] for i in span])
+    # eigh reads the lower triangle
+    _, z = np.linalg.eigh(basis.T @ projection @ basis)
     c = basis @ z[:, -1]
-    flat = iterates.view(float)
+    flat = iterates.view(float)[lo:]
     y = c[0] * flat[0]
-    for i in range(1, k):
+    for i in range(1, len(c)):
         y = y + c[i] * flat[i]
     y = y.view(iterates.dtype)
-    return reference_scale(y, reference_norm(y))
+    n = reference_norm(y)
+    dots = c @ gram[lo:, 1:]
+    return reference_scale(y, n), (rho, sigmas[0], [dots[j] * (P[j] / n) for j in range(RITZ_BLOCK + 1)])
 
 
 def reference_power_iteration(m, products, max_iters, tol, seed=0, dtype=complex):
     """_power_iteration written out: a division and a copy of v into the
-    iterate buffer on every step.  A float64 run starts from the real part
-    of the complex start.
+    iterate buffer on every step, and no A^H product on a block's last
+    step.  A float64 run starts from the real part of the complex start.
 
     The in-place loop must give the same values bit for bit.  A change that
     alters the solver's arithmetic on purpose replaces this reference.
@@ -1211,9 +1348,11 @@ def reference_power_iteration(m, products, max_iters, tol, seed=0, dtype=complex
     if dtype == complex:
         v = v + 1j * rng.normal(size=m)
     v = reference_scale(v, reference_norm(v))
-    iterates = np.empty((RITZ_BLOCK, m), dtype=dtype)
-    gains = np.empty(RITZ_BLOCK)
+    # row 0 the previous block's start, rows 1.. the block
+    iterates = np.zeros((RITZ_BLOCK + 1, m), dtype=dtype)
+    gains = np.empty(RITZ_BLOCK - 1)
     sigmas = np.empty(RITZ_BLOCK)
+    carried = None
     best = sigma = rel = 0.0
     k = 0
     for k in range(1, max_iters + 1):
@@ -1225,13 +1364,15 @@ def reference_power_iteration(m, products, max_iters, tol, seed=0, dtype=complex
             break
         sigma = sigma_new
         j = (k - 1) % RITZ_BLOCK
-        iterates[j] = v
+        iterates[j + 1] = v
         sigmas[j] = sigma
-        u = apply_adjoint(w)
-        gains[j] = reference_norm(u)
-        v = reference_scale(u, gains[j])
         if j == RITZ_BLOCK - 1:
-            v = reference_ritz_vector(iterates, gains, sigmas)
+            v, carried = reference_ritz_vector(iterates, gains, sigmas, carried)
+            iterates[0] = iterates[1]
+        else:
+            u = apply_adjoint(w)
+            gains[j] = reference_norm(u)
+            v = reference_scale(u, gains[j])
     return best, k, rel
 
 
