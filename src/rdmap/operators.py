@@ -78,6 +78,10 @@ RITZ_GRAM_CUTOFF = 1e-14
 _GRAM_INDEX = np.add.outer(np.arange(RITZ_BLOCK + 1), np.arange(RITZ_BLOCK + 2))
 _GRAM_INDEX[1:, 1:] += RITZ_BLOCK
 
+# Seeded unit starts of the power iteration kept at once, one per (ball
+# size, seed, dtype): a pipeline solves on a few ball sizes with one seed
+SEEDED_START_CACHE = 8
+
 # A dot product of at most NORM_CHUNK floats runs on one BLAS thread (OpenBLAS
 # threads ddot only above 10,000 entries), so _norm sums longer vectors as
 # chunks of this size, which keeps its bits independent of the thread count.
@@ -314,6 +318,59 @@ def builtin_rd_params(g: Group) -> RdParams:
 # compressions and norm brackets
 
 
+def _compressed_support(g: Group, f: GroupRingElement, radius: int) -> list:
+    """The support elements of f that enter its compression to the ball of `radius`.
+
+    |s y| >= |s| - |y|, so a support element longer than twice the radius
+    sends no ball element back into the ball.
+    """
+    return [s for s in f.terms if g.length(s) <= 2 * radius]
+
+
+def _independent(rows: list) -> bool:
+    """Whether the integer rows are linearly independent, decided exactly.
+
+    Bareiss's fraction-free elimination: each division by the previous pivot
+    is exact, so every entry stays an integer (a minor of the rows) and no
+    entry grows beyond the size of such a minor.
+    """
+    rows = [list(row) for row in rows]
+    rank, previous = 0, 1
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        p = top[col]
+        for i in range(rank + 1, len(rows)):
+            q = rows[i][col]
+            rows[i] = [(p * a - q * b) // previous for a, b in zip(rows[i], top)]
+        rank, previous = rank + 1, p
+    return rank == len(rows)
+
+
+def _phases_absorbable(g: Group, support: list) -> bool:
+    """Whether a unimodular w and a character chi of g make w chi(s) c_s > 0 on the support.
+
+    A character of a free group or of Z^d is chi(s) = exp(i <t, ab(s)>) for
+    any real vector t, where ab(s) is the abelianization: the exponent sum
+    of each generator in a free word, the coordinates in Z^d.  Writing
+    w = exp(i phi), the phases to absorb ask (phi, t) . (1, ab(s)) = -arg c_s
+    (mod 2 pi) on every support element s, which has a real solution for
+    all phases exactly when the vectors (1, ab(s)) are linearly independent.
+    That needs at most rank + 1 of them.  Characters of Z/m take m-th roots
+    of unity only, so a cyclic group never passes.
+    """
+    if not isinstance(g, (FreeGroup, FreeAbelianGroup)) or len(support) > g.rank + 1:
+        return False
+    vectors = support
+    if isinstance(g, FreeGroup):
+        # g.letters alternates a generator and its inverse: a, A, b, B, ...
+        vectors = [[s.count(c) - s.count(c.upper()) for c in g.letters[::2]] for s in support]
+    return _independent([[1, *v] for v in vectors])
+
+
 def _scaled_tables(g: Group, f: GroupRingElement, radius: int, cap: int):
     """(m, targets, coeffs, e): ball size, translation table, coefficients * 2^-e.
 
@@ -326,9 +383,7 @@ def _scaled_tables(g: Group, f: GroupRingElement, radius: int, cap: int):
     """
     arena = g.arena(radius, cap=cap)
     m = len(arena)
-    # |s y| >= |s| - |y|, so a support element longer than twice the radius
-    # sends no ball element back into the ball
-    support = [s for s in f.terms if g.length(s) <= 2 * radius]
+    support = _compressed_support(g, f, radius)
     targets = np.array(
         [g.left_translate(arena, s) for s in support], dtype=np.int64
     ).reshape(len(support), m)
@@ -485,6 +540,27 @@ def _table_products(m: int, targets: np.ndarray, coeffs: np.ndarray):
     return apply, apply_adjoint
 
 
+@functools.lru_cache(maxsize=SEEDED_START_CACHE)
+def _seeded_start(m: int, seed: int, dtype: np.dtype) -> np.ndarray:
+    """The solver's unit start for a size, seed and dtype, shared read-only.
+
+    A normal draw of m floats from default_rng(seed), plus i times a second
+    draw for a complex dtype, scaled to unit length: the float64 start is
+    the real part of the complex one, up to the scale.  Drawing it takes
+    1.0 ms complex and 0.32 ms float64 at m = 13,121, and 27-35 us at
+    m = 161, where the solver's copy of the cached start takes 8 and 4 us,
+    and 1 us (2-vCPU host, one BLAS thread).
+    """
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=m)
+    if dtype == complex:
+        v = v + 1j * rng.normal(size=m)
+    start = np.empty(m, dtype=dtype)
+    _scale_into(start, v, _norm(v))
+    start.setflags(write=False)
+    return start
+
+
 def _power_iteration(m: int, products, max_iters: int, tol: float, seed: int = 0, dtype=complex):
     """Largest singular value of an m x m matrix A from below.
 
@@ -504,15 +580,22 @@ def _power_iteration(m: int, products, max_iters: int, tol: float, seed: int = 0
     restart, which forms its Ritz problem from them and from the scalars it
     carried over from the previous restart (see _ritz_vector); the loop then
     copies the block's start into row 0 and scales the Ritz vector into
-    row 1.  A
-    real A runs in float64 from the real part of the seeded complex start.
+    row 1.  The start is copied from _seeded_start, which draws it once per
+    size, seed and dtype.
+
+    A real A runs in float64 from the real part of the seeded complex start.
     That is as sound as the complex run, since every value is still |A x|
     for an explicit unit x, and loses nothing: for real A,
     |A(x + iy)|^2 = |A x|^2 + |A y|^2, so a real unit vector attains the
-    largest singular value.
+    largest singular value.  The caller also hands it, in float64, the
+    compression A' of |f| = sum |c_s| s in place of a complex one whose
+    phases a phase w and a character chi absorb (_phases_absorbable):
+    A' = w M_chi A M_chi^* for the diagonal unitary M_chi of chi on the
+    ball, so each value |A' x'| is |A (M_chi^* x')| for the explicit unit
+    vector M_chi^* x'.  The only new rounding is that of each |c_s|, at
+    most one ulp.
     """
     apply, apply_adjoint = products
-    rng = np.random.default_rng(seed)
     # row 0 holds the previous block's start x, rows 1.. the unit iterates
     # v_j of the current block, with B v_j = gains[j] * v_{j+1} and
     # |A v_j| = sigmas[j]; the Ritz problem needs no B v_j of the last one
@@ -520,10 +603,7 @@ def _power_iteration(m: int, products, max_iters: int, tol: float, seed: int = 0
     gains = [0.0] * (RITZ_BLOCK - 1)
     sigmas = [0.0] * RITZ_BLOCK
     carried = None
-    v = rng.normal(size=m)
-    if iterates.dtype == complex:
-        v = v + 1j * rng.normal(size=m)
-    _scale_into(iterates[1], v, _norm(v))
+    iterates[1] = _seeded_start(m, seed, iterates.dtype)
     v = iterates[1]
     best = sigma = rel = 0.0
     k = 0
@@ -664,6 +744,10 @@ def _opnorm_lower_info(g, f, radius, max_iters, tol, cap, seed):
         # are complex, so its products stay complex
         if not covering and not coeffs.imag.any():
             coeffs = coeffs.real
+        # a complex A whose phases a character absorbs (never on Z/m) is
+        # iterated as its twist, the real A of |f|, which has its singular values
+        elif _phases_absorbable(g, _compressed_support(g, f, radius)):
+            coeffs = np.abs(coeffs)
         build = _table_products if targets.size <= TABLE_PRODUCT_MAX else _csr_products
         products = build(m, targets, coeffs)
         if covering:
@@ -712,7 +796,17 @@ class NormBracket:
     whose coefficients are all real (heat functions, sphere indicators,
     Kesten's sum of generators) has a real A, which attains its norm on a
     real unit vector, so its whole iteration runs in float64 (see
-    _power_iteration).
+    _power_iteration).  So does a complex element of a free group or Z^d
+    whose support in the compression (terms of length at most twice the
+    radius) has linearly independent vectors (1, ab(s)), ab the exponent
+    sums or coordinates: a phase w and a character chi then make
+    w chi(s) c_s = |c_s|, and since the diagonal unitary M_chi commutes
+    with the ball projection, w M_chi A M_chi^* is the compression of
+    |f| = sum |c_s| s, with the same singular values.  Its iteration runs
+    on |f|, each |c_s| rounded by at most one ulp, and every value is
+    still the norm of A on an explicit unit vector.  Supports with more
+    than rank + 1 terms fail that test, as does every element of Z/m, whose
+    characters take roots of unity only; they stay complex.
     The products are gathered through the table while that holds at most
     TABLE_PRODUCT_MAX entries, and taken from scipy CSR matrices built from
     the same table beyond; only that last regime imports scipy.  An element

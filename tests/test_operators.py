@@ -565,11 +565,34 @@ def cyclic_oracle(f):
     return math.ldexp(float(np.abs(np.fft.fft(vec)).max()), e)
 
 
-def iterated_coeffs(coeffs):
+def abelianization(group, s):
+    """The exponent sum of each generator in a free word, the coordinates of
+    a point of Z^d."""
+    if isinstance(group, FreeGroup):
+        generators = "abcdefghijklmnopqrstuvwxyz"[: group.rank]
+        return [sum((c == x) - (c == x.upper()) for c in s) for x in generators]
+    return list(s)
+
+
+def phases_absorbable(group, f, radius):
+    """Whether a phase and a character of the group turn every coefficient of
+    f that enters its compression to the ball of `radius` (support elements
+    of length at most 2 radius) positive: on a free group or Z^d, exactly
+    when the vectors (1, ab(s)) have full row rank; never on Z/m."""
+    if isinstance(group, CyclicGroup):
+        return False
+    rows = [[1, *abelianization(group, s)] for s in f.terms if group.length(s) <= 2 * radius]
+    return np.linalg.matrix_rank(np.array(rows, dtype=float)) == len(rows)
+
+
+def iterated_coeffs(group, f, radius, coeffs):
     """The coefficients the power iteration runs on, as _opnorm_lower_info
     takes them on a ball that does not cover a cyclic group: real where
-    every imaginary part is zero."""
-    return coeffs if coeffs.imag.any() else coeffs.real
+    every imaginary part is zero, else their moduli where a character
+    absorbs their phases."""
+    if not coeffs.imag.any():
+        return coeffs.real
+    return np.abs(coeffs) if phases_absorbable(group, f, radius) else coeffs
 
 
 def normal_range(f):
@@ -642,7 +665,7 @@ def test_solver_never_exceeds_dense_svd(case):
     group, radius, f = case
     A = dense_compression(group, f, group.ball(radius))
     m, targets, coeffs, e = _scaled_tables(group, f, radius, DEFAULT_BALL_CAP)
-    coeffs = iterated_coeffs(coeffs)
+    coeffs = iterated_coeffs(group, f, radius, coeffs)
     products = _csr_products(m, targets, coeffs)
     value, iters, _ = _power_iteration(
         m, products, DEFAULT_MAX_ITERS, DEFAULT_POWER_TOL, 0, coeffs.dtype
@@ -799,9 +822,10 @@ def test_table_products_match_the_dense_compression(case):
     f, top = normal_range(element)
     m, targets, coeffs, e = _scaled_tables(group, f, radius, DEFAULT_BALL_CAP)
     assert m > DIRECT_SOLVE_MAX and targets.size <= TABLE_PRODUCT_MAX
-    A = translate_compression(group, f, group.ball(radius))
     scale = 2.0**e
-    sigma = np.linalg.svd(A, compute_uv=False)
+    # the solver values are checked against the singular values of f's own
+    # compression, also where the products are those of |f|
+    sigma = np.linalg.svd(translate_compression(group, f, group.ball(radius)), compute_uv=False)
     # the stop rule bounds the change between steps, not the distance to the
     # norm, which is about tol over the relative gap of A^H A below its top:
     # hence the tight tol, and no closeness claim for a gap below 1e-3 (at
@@ -810,10 +834,15 @@ def test_table_products_match_the_dense_compression(case):
     gap = 1 - (below[0] / sigma[0]) ** 2 if below.size else 1.0
     # a ball that covers Z/m is solved on its top character, through complex
     # products; any other by the power iteration from the seeded start, in
-    # float64 where every coefficient is real
+    # float64 where every coefficient is real or a character absorbs their
+    # phases, on the compression of |f| in the second case
     covering = isinstance(group, CyclicGroup) and m == group.order
+    iterated = f
     if not covering:
-        coeffs = iterated_coeffs(coeffs)
+        if coeffs.imag.any() and phases_absorbable(group, f, radius):
+            iterated = GroupRingElement(group, {x: abs(c) for x, c in f.terms.items()})
+        coeffs = iterated_coeffs(group, f, radius, coeffs)
+    A = translate_compression(group, iterated, group.ball(radius))
     rng = np.random.default_rng(0)
     v = rng.normal(size=m)
     if coeffs.dtype == complex:
@@ -862,7 +891,7 @@ BIG_CYCLIC = CyclicGroup(10**12)
 def test_balls_that_do_not_cover_keep_the_seeded_start(group, radius, f, seed):
     m, targets, coeffs, e = _scaled_tables(group, f, radius, DEFAULT_BALL_CAP)
     assert m > DIRECT_SOLVE_MAX and m < getattr(group, "order", math.inf)
-    coeffs = iterated_coeffs(coeffs)
+    coeffs = iterated_coeffs(group, f, radius, coeffs)
     build = _table_products if targets.size <= TABLE_PRODUCT_MAX else _csr_products
     run = _power_iteration(m, build(m, targets, coeffs), 40, DEFAULT_POWER_TOL, seed, coeffs.dtype)
     lower = bracket_lower(group, f, radius, max_iters=40, seed=seed)
@@ -909,6 +938,164 @@ def test_the_gate_sits_on_the_table_size(order, k, monkeypatch):
     expected = "_table_products" if k * order <= TABLE_PRODUCT_MAX else "_csr_products"
     assert calls == [expected]
     assert l2_norm(f) <= lower <= cyclic_oracle(f) * (1 + 8 * EPS)
+
+
+# ---------------------------------------------------------------------------
+# the character twist: complex elements iterated as |f| in float64
+
+F3 = FreeGroup(3)
+FREE2_COMPLEX = GroupRingElement(F2, {"a": 1 + 0.5j, "bA": -0.25 + 1j, "B": -0.75j})
+
+
+def rational_rank(rows):
+    """Rank of integer rows by Gauss-Jordan elimination over the rationals."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(len(rows)):
+            if i != rank:
+                ratio = rows[i][col] / rows[rank][col]
+                rows[i] = [a - ratio * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda width: st.lists(
+            st.lists(st.integers(-3, 3) | st.integers(-(10**30), 10**30), min_size=width, max_size=width),
+            min_size=1,
+            max_size=7,
+        )
+    )
+)
+# a zero column before the pivots, and entries whose products pass 2^63
+@example([[0, 1, 2], [0, 2, 4]])
+@example([[10**20, 3, 1], [7, 10**20, 1]])
+def test_independence_is_decided_exactly(rows):
+    assert rdmap.operators._independent(rows) == (rational_rank(rows) == len(rows))
+
+
+def iterated_dtype(group, f, radius, monkeypatch):
+    """The dtype that opnorm_lower's power iteration runs in, None if it
+    does not iterate (a dense or covering-cyclic solve)."""
+    seen = []
+    real = rdmap.operators._power_iteration
+    monkeypatch.setattr(
+        rdmap.operators, "_power_iteration", lambda *args: seen.append(np.dtype(args[-1])) or real(*args)
+    )
+    opnorm_lower(group, f, radius)
+    return seen[0] if seen else None
+
+
+@pytest.mark.parametrize(
+    "group, radius, terms, dtype",
+    [
+        # equal abelianizations: ab and ba both map to (1, 1)
+        (F2, 4, {"ab": 1j, "ba": 1.0, "": 0.5 - 1j}, complex),
+        # collinear exponent sums (1, 0), (2, 0), (3, 0)
+        (F2, 4, {"a": 1j, "aa": 1.0, "aaa": 0.5 - 1j}, complex),
+        # collinear points of Z^2
+        (Z2, 6, {(1, 0): 1j, (2, 1): 1.0, (3, 2): 0.5 - 1j}, complex),
+        # more than rank + 1 terms
+        (F2, 4, {"": 1j, "a": 1.0, "b": 0.5, "aB": -2.0}, complex),
+        (Z2, 6, {(0, 0): 1j, (1, 0): 1.0, (0, 1): 0.5, (-1, -1): 2.0}, complex),
+        (Z1, 40, {(0,): 1j, (1,): 1.0, (3,): 0.5}, complex),
+        # Z/m: its characters take m-th roots of unity only
+        (CyclicGroup(501), 100, {0: 1j, 1: 1.0}, complex),
+        (CyclicGroup(10**12), 100, {0: 1j, 1: 1.0}, complex),
+        # independent supports
+        (F2, 4, {"": 1j, "a": 1.0, "b": 0.5 - 1j}, float),
+        (F2, 4, FREE2_COMPLEX.terms, float),
+        (F3, 3, {"abC": 1j, "Ba": -1.0, "": 0.5 - 1j, "ccc": 2j}, float),
+        (Z2, 6, {(1, 0): 1j, (2, 1): 1.0, (3, 3): 0.5 - 1j}, float),
+        (Z1, 40, {(0,): 1j, (1,): 1.0}, float),
+        # a term longer than twice the radius does not enter the compression:
+        # {"", "a", "b"} passes at radius 4, and all four terms fail at 5
+        (F2, 4, {"": 1j, "a": 1.0, "b": 0.5, "abababaab": -2.0}, float),
+        (F2, 5, {"": 1j, "a": 1.0, "b": 0.5, "abababaab": -2.0}, complex),
+        # real coefficients run in float64 as they are, whatever the support
+        (F2, 4, {"ab": -1.0, "ba": 1.0, "": 0.5}, float),
+        # a covering ball of Z/m and a dense solve do not iterate
+        (CyclicGroup(501), 250, {0: 1j, 1: 1.0}, None),
+        (F2, 3, {"": 1j, "a": 1.0}, None),
+    ],
+)
+def test_the_twist_dispatch(group, radius, terms, dtype, monkeypatch):
+    f = GroupRingElement(group, terms)
+    assert iterated_dtype(group, f, radius, monkeypatch) == (None if dtype is None else np.dtype(dtype))
+    support = [s for s in f.terms if group.length(s) <= 2 * radius]
+    if dtype is not None and any(c.imag for c in f.terms.values()):
+        assert rdmap.operators._phases_absorbable(group, support) == (dtype is float)
+        assert phases_absorbable(group, f, radius) == (dtype is float)
+
+
+@st.composite
+def twistable_elements(draw):
+    """Complex elements whose phases a character absorbs, on balls of 65 to
+    187 elements: iterated as |f|, and small enough for a dense SVD."""
+    group, radius = draw(
+        st.sampled_from([(F2, 4), (F3, 3), (Z1, 32), (Z1, 40), (Z2, 6), (Z2, 7)])
+    )
+    if isinstance(group, FreeGroup):
+        word = st.text(alphabet=group.letters, max_size=2 * radius + 1)
+    else:
+        word = st.tuples(*[st.integers(-2 * radius, 2 * radius)] * group.rank)
+    coeff = st.complex_numbers(min_magnitude=1e-3, max_magnitude=10.0, allow_nan=False, allow_infinity=False)
+    terms = draw(st.dictionaries(word.map(group.parse), coeff, min_size=1, max_size=group.rank + 1))
+    f = GroupRingElement(group, terms)
+    assume(any(c.imag for c in f.terms.values()) and phases_absorbable(group, f, radius))
+    return group, radius, f
+
+
+@settings(max_examples=40, deadline=None)
+@given(twistable_elements())
+def test_the_twist_keeps_every_singular_value(case):
+    group, radius, f = case
+    ball = group.ball(radius)
+    assert len(ball) > DIRECT_SOLVE_MAX
+    modulus = GroupRingElement(group, {x: abs(c) for x, c in f.terms.items()})
+    A = translate_compression(group, f, ball)
+    sigma = np.linalg.svd(A, compute_uv=False)
+    twisted = np.linalg.svd(translate_compression(group, modulus, ball), compute_uv=False)
+    # numpy's SVD of each matrix is itself off by up to 26 ulps of |f|_1
+    # (800 draws of these families)
+    assert np.abs(sigma - twisted).max() <= 64 * EPS * l1_norm(f)
+    lower = opnorm_lower(group, f, radius)
+    assert lower <= max(decided_top_singular_value(A, lower), l2_norm(f)) * (1 + 8 * EPS)
+
+
+def test_a_failing_support_changes_the_norm_under_moduli():
+    # the collinear support a, aa, aaa: no character absorbs these phases,
+    # and |f| has a larger norm than f (2.9721 against 2.9545 at radius 4)
+    f = GroupRingElement(F2, {"a": 1j, "aa": 1.0, "aaa": 0.5 - 1j})
+    modulus = GroupRingElement(F2, {x: abs(c) for x, c in f.terms.items()})
+    ball = F2.ball(4)
+    top = top_singular_value(translate_compression(F2, f, ball))
+    assert top_singular_value(translate_compression(F2, modulus, ball)) > top * (1 + 1e-3)
+    assert opnorm_lower(F2, f, 4) <= top * (1 + 8 * EPS)
+
+
+def test_a_solve_never_writes_into_the_seeded_start():
+    # one start per ball size, seed and dtype, shared by every solve: it is
+    # read-only, and each solve copies it into its own iterate buffer
+    m = F2.ball_size(4)
+    cases = [(KESTEN, float), (FREE2_COMPLEX, float), (GroupRingElement(F2, {"ab": 1.0, "ba": 1j}), complex)]
+    for f, dtype in cases:
+        start = rdmap.operators._seeded_start(m, 3, np.dtype(dtype))
+        kept = start.copy()
+        assert not start.flags.writeable
+        opnorm_bracket(F2, f, None, 4, seed=3)
+        assert rdmap.operators._seeded_start(m, 3, np.dtype(dtype)) is start
+        assert np.array_equal(start, kept)
+        assert np.linalg.norm(start) == pytest.approx(1.0, abs=4 * EPS)
+    with pytest.raises(ValueError):
+        start[0] = 0.0
 
 
 @pytest.mark.parametrize(
@@ -1425,13 +1612,15 @@ def test_power_iteration_matches_the_reference_loop(family, m):
 )
 @pytest.mark.parametrize("build", [_table_products, _csr_products], ids=["table", "csr"])
 def test_compression_runs_match_the_reference_loop(group, radius, f, build):
-    # Kesten's element is real and runs in float64, the others in complex
-    m, targets, coeffs, _ = _scaled_tables(group, f, radius, DEFAULT_BALL_CAP)
-    coeffs = iterated_coeffs(coeffs)
-    products = build(m, targets, coeffs)
-    for seed, (max_iters, tol) in enumerate(RUN_SETTINGS):
-        got = _power_iteration(m, products, max_iters, tol, seed, coeffs.dtype)
-        assert got == reference_power_iteration(m, products, max_iters, tol, seed, coeffs.dtype)
+    # each element runs as the solver iterates it (Kesten's in float64, the
+    # free(2) and Z^2 ones as |f| in float64, the cyclic one complex) and in
+    # complex arithmetic on its own coefficients
+    m, targets, raw, _ = _scaled_tables(group, f, radius, DEFAULT_BALL_CAP)
+    for coeffs in (iterated_coeffs(group, f, radius, raw), raw):
+        products = build(m, targets, coeffs)
+        for seed, (max_iters, tol) in enumerate(RUN_SETTINGS):
+            got = _power_iteration(m, products, max_iters, tol, seed, coeffs.dtype)
+            assert got == reference_power_iteration(m, products, max_iters, tol, seed, coeffs.dtype)
 
 
 THREAD_PROBE = """
@@ -1441,6 +1630,7 @@ F2, Z2 = FreeGroup(2), FreeAbelianGroup(2)
 cases = [
     (F2, {"a": 1.0, "A": 1.0, "b": 1.0, "B": 1.0}, 10),
     (F2, {"a": 1 + 0.5j, "bA": -0.25 + 1j, "B": -0.75j}, 8),
+    (F2, {"ab": 1 + 0.5j, "ba": -0.25 + 1j, "B": -0.75j}, 8),
     (Z2, {(1, 0): 1.0, (0, -2): 0.5j, (1, 1): 0.25, (-1, 0): 1j}, 30),
 ]
 for g, terms, radius in cases:
@@ -1460,11 +1650,12 @@ def brackets_at_blas_threads(threads):
 
 def test_brackets_repeat_at_one_and_two_blas_threads():
     # Kesten at radius 10 (m = 118,097: CSR products, norms of 118,097
-    # floats, a Ritz combination of 8 x 118,097), the complex free(2)
-    # element at radius 8 (norms of 26,242 floats) and a complex table of
-    # 4 x 1,861 = 7,444 entries.  While norms were single BLAS dots, the
-    # Gram a BLAS product and a complex table product one gemv, each read
-    # other last digits at two threads
+    # floats, a Ritz combination of 8 x 118,097), two complex free(2)
+    # elements at radius 8, one iterated as |f| in float64 (norms of 13,121
+    # floats), one whose ab and ba keep it complex (norms of 26,242 floats),
+    # and a complex table of 4 x 1,861 = 7,444 entries.  While norms were
+    # single BLAS dots, the Gram a BLAS product and a complex table product
+    # one gemv, each read other last digits at two threads
     assert brackets_at_blas_threads("1") == brackets_at_blas_threads("2")
 
 
