@@ -61,6 +61,13 @@ free2clustered='{"group": {"kind": "free", "rank": 2}, "terms": [
   {"elem": "baB", "re": 0.252139319397802, "im": -0.32423617692052786},
   {"elem": "bAA", "re": -0.9680930672169847, "im": 0.38031829199437744},
   {"elem": "Bab", "re": -0.945836047621734, "im": -1.9874055779379716}]}'
+# the indicator of the free(2) sphere of radius 2: nonnegative and Hermitian,
+# so at radius 8 its CSR products share one matrix
+sphere2='{"group": {"kind": "free", "rank": 2}, "terms": [
+  {"elem": "aa", "re": 1.0}, {"elem": "ab", "re": 1.0}, {"elem": "aB", "re": 1.0},
+  {"elem": "AA", "re": 1.0}, {"elem": "Ab", "re": 1.0}, {"elem": "AB", "re": 1.0},
+  {"elem": "ba", "re": 1.0}, {"elem": "bA", "re": 1.0}, {"elem": "bb", "re": 1.0},
+  {"elem": "Ba", "re": 1.0}, {"elem": "BA", "re": 1.0}, {"elem": "BB", "re": 1.0}]}'
 counterexample='{"entries": [[0, 10, 1], [10, 0, 1], [1, 1, 0]]}'
 
 run() {
@@ -93,6 +100,10 @@ run map-converge --element-json "$free2subnormal" --epsilon 0.3 --format csv
 run norm --element-json "$cyclic2000real" --radius 1000
 run norm --element-json "$z2" --radius 20
 run norm --element-json "$free2clustered" --radius 4
+run norm --element-json "$sphere2" --radius 8
+# a nonnegative compression starts from the positive unit vector, so the seed
+# does not reach it: the same bracket as --seed 0 above
+run norm --element-json "$kesten" --radius 8 --seed 7
 
 for demo in "$src"/../demos/*.py; do
     echo "== demo $(basename "$demo")"

@@ -32,6 +32,7 @@ from .kernels import DEFAULT_TOL, cn_check_matrix, length_kernel, psd_check, sch
 from .operators import (
     DEFAULT_MAX_ITERS,
     DEFAULT_POWER_TOL,
+    DIRECT_SOLVE_MAX,
     RdParams,
     UnsoundBoundError,
     builtin_rd_params,
@@ -302,8 +303,11 @@ def _build_parser() -> _Parser:
     norm.add_argument("--tol", type=POSITIVE_FLOAT, default=DEFAULT_POWER_TOL)
     norm.add_argument(
         "--seed", type=NONNEGATIVE_INT, default=0,
-        help="seed of the power iteration's random start; unused on a ball that "
-        "covers a cyclic group",
+        help="seed of the power iteration's random start; unused where no "
+        f"iteration runs (a ball of at most {DIRECT_SOLVE_MAX} elements or one "
+        "that covers a cyclic group) and where the compression is entrywise nonnegative "
+        "(real coefficients of one sign, or complex ones that a character "
+        "makes positive), which starts from the positive unit vector",
     )
 
     rs = sub.add_parser("rd-sample", help="random soundness sweep of the decay bound")

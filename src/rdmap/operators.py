@@ -78,8 +78,9 @@ RITZ_GRAM_CUTOFF = 1e-14
 _GRAM_INDEX = np.add.outer(np.arange(RITZ_BLOCK + 1), np.arange(RITZ_BLOCK + 2))
 _GRAM_INDEX[1:, 1:] += RITZ_BLOCK
 
-# Seeded unit starts of the power iteration kept at once, one per (ball
-# size, seed, dtype): a pipeline solves on a few ball sizes with one seed
+# Unit starts of the power iteration kept at once, seeded ones per (ball
+# size, seed, dtype) and positive ones per ball size: a pipeline solves on a
+# few ball sizes with one seed
 SEEDED_START_CACHE = 8
 
 # A dot product of at most NORM_CHUNK floats runs on one BLAS thread (OpenBLAS
@@ -484,14 +485,33 @@ def _character_norm(residues: np.ndarray, support: np.ndarray, coeffs: np.ndarra
     return _sum_of_squares_norm(apply(character)) / _sum_of_squares_norm(character)
 
 
-def _csr_products(m: int, targets: np.ndarray, coeffs: np.ndarray):
-    """Products v -> A v and u -> A^H u by scipy CSR matrices, nnz entries each."""
+def _self_adjoint(g: Group, support: list, coeffs: np.ndarray) -> bool:
+    """Whether c_{s^-1} == conj(c_s) for every support element s, exactly.
+
+    Then f* = f on the support, and the compression A of those coefficients
+    equals A^H entry for entry: A[x, y] = c_{x y^-1} = conj(c_{y x^-1}).
+    """
+    position = {s: i for i, s in enumerate(support)}
+    partners = [position.get(g.inverse(s)) for s in support]
+    return None not in partners and bool((coeffs[partners] == coeffs.conj()).all())
+
+
+def _csr_products(m: int, targets: np.ndarray, coeffs: np.ndarray, self_adjoint: bool = False):
+    """Products v -> A v and u -> A^H u by scipy CSR matrices, nnz entries each.
+
+    A ``self_adjoint`` A (see _self_adjoint) is its own A^H and takes both
+    products from its one matrix: A's transpose would hold the same indptr,
+    indices and data, both are summed in the order of the sorted indices,
+    and so the products agree up to the sign of an exactly zero entry.
+    """
     # scipy.sparse is imported here, not at module scope, so commands whose
     # compressions all stay within TABLE_PRODUCT_MAX entries never load it
     import scipy.sparse as sp
 
     rows, cols, values = _triplets(targets, coeffs)
     A = sp.csr_matrix((values, (rows, cols)), shape=(m, m))
+    if self_adjoint:
+        return A.__matmul__, A.__matmul__
     # A^H as A's transpose: triplets of its own would sit next to the table
     # and A (1 MB more at free(2) radius 8)
     AH = A.transpose().tocsr()
@@ -561,18 +581,32 @@ def _seeded_start(m: int, seed: int, dtype: np.dtype) -> np.ndarray:
     return start
 
 
-def _power_iteration(m: int, products, max_iters: int, tol: float, seed: int = 0, dtype=complex):
+@functools.lru_cache(maxsize=SEEDED_START_CACHE)
+def _positive_start(m: int) -> np.ndarray:
+    """The all-ones vector of m floats scaled to unit length, shared read-only."""
+    ones = np.ones(m)
+    start = np.empty(m)
+    _scale_into(start, ones, _norm(ones))
+    start.setflags(write=False)
+    return start
+
+
+def _power_iteration(
+    m: int, products, max_iters: int, tol: float, seed: int = 0, dtype=complex, positive: bool = False
+):
     """Largest singular value of an m x m matrix A from below.
 
     ``products`` is the pair of callables v -> A v and u -> A^H u.  Power
-    iteration on B = A^H A from a seeded random start, restarted every
-    RITZ_BLOCK steps from the Rayleigh-Ritz vector of the block's iterates
-    and the previous block's start.  Each step is one A product and yields
-    the norm of A applied to an explicit unit vector, which never exceeds
-    the true largest singular value; each step but a block's last also
-    takes the A^H product that makes the next iterate.  The largest such
-    value is returned together with the step count and the relative change
-    between the last two values.
+    iteration on B = A^H A from a unit start, restarted every RITZ_BLOCK
+    steps from the Rayleigh-Ritz vector of the block's iterates and the
+    previous block's start.  The start is the positive unit vector of
+    _positive_start where the caller says A is entrywise nonnegative
+    (``positive``), else the seeded random one of _seeded_start.  Each
+    step is one A product and yields the norm of A applied to an explicit
+    unit vector, which never exceeds the true largest singular value; each
+    step but a block's last also takes the A^H product that makes the next
+    iterate.  The largest such value is returned together with the step
+    count and the relative change between the last two values.
 
     The iterates are written in place into one buffer of the given dtype:
     each step scales A^H A v straight into the next row, and v is a view of
@@ -580,20 +614,31 @@ def _power_iteration(m: int, products, max_iters: int, tol: float, seed: int = 0
     restart, which forms its Ritz problem from them and from the scalars it
     carried over from the previous restart (see _ritz_vector); the loop then
     copies the block's start into row 0 and scales the Ritz vector into
-    row 1.  The start is copied from _seeded_start, which draws it once per
-    size, seed and dtype.
+    row 1.  The start is copied from a cache, which makes it once per size
+    (and seed and dtype, for the seeded one).
 
-    A real A runs in float64 from the real part of the seeded complex start.
-    That is as sound as the complex run, since every value is still |A x|
-    for an explicit unit x, and loses nothing: for real A,
-    |A(x + iy)|^2 = |A x|^2 + |A y|^2, so a real unit vector attains the
-    largest singular value.  The caller also hands it, in float64, the
-    compression A' of |f| = sum |c_s| s in place of a complex one whose
-    phases a phase w and a character chi absorb (_phases_absorbable):
-    A' = w M_chi A M_chi^* for the diagonal unitary M_chi of chi on the
-    ball, so each value |A' x'| is |A (M_chi^* x')| for the explicit unit
-    vector M_chi^* x'.  The only new rounding is that of each |c_s|, at
-    most one ulp.
+    A nonnegative A has a nonnegative B, whose top eigenvector can be taken
+    nonnegative (Perron-Frobenius), so the positive start always overlaps
+    it, where a random start can overlap it very little: from the seeded
+    start, the stagnation stop ended a clustered Z^2 compression on sigma_2,
+    1.9e-5 below its norm.  The positive start also cuts the step counts
+    of the paper's test functions, whose coefficients are all positive:
+    42 -> 10 steps for Kesten's element on the free(2) ball of radius 8,
+    91 -> 51 for the Z^2 generator sum at radius 40.
+
+    A real A runs in float64, from the positive start or the real part of
+    the seeded complex one.  That is as sound as the complex run, since
+    every value is still |A x| for an explicit unit x, and loses nothing:
+    for real A, |A(x + iy)|^2 = |A x|^2 + |A y|^2, so a real unit vector
+    attains the largest singular value.  The caller hands it -A in place
+    of an entrywise nonpositive A (the phase w = -1): each product is the
+    exact negation of A's, so each value is |A x|.  It also hands it, in
+    float64, the compression A' of |f| = sum |c_s| s in place of a complex
+    one whose phases a phase w and a character chi absorb
+    (_phases_absorbable): A' = w M_chi A M_chi^* for the diagonal unitary
+    M_chi of chi on the ball, so each value |A' x'| is |A (M_chi^* x')|
+    for the explicit unit vector M_chi^* x'.  The only new rounding is that
+    of each |c_s|, at most one ulp.
     """
     apply, apply_adjoint = products
     # row 0 holds the previous block's start x, rows 1.. the unit iterates
@@ -603,7 +648,7 @@ def _power_iteration(m: int, products, max_iters: int, tol: float, seed: int = 0
     gains = [0.0] * (RITZ_BLOCK - 1)
     sigmas = [0.0] * RITZ_BLOCK
     carried = None
-    iterates[1] = _seeded_start(m, seed, iterates.dtype)
+    iterates[1] = _positive_start(m) if positive else _seeded_start(m, seed, iterates.dtype)
     v = iterates[1]
     best = sigma = rel = 0.0
     k = 0
@@ -740,16 +785,22 @@ def _opnorm_lower_info(g, f, radius, max_iters, tol, cap, seed):
         sigma, iters, rel = _dense_top_singular(m, targets, coeffs), 0, 0.0
     else:
         covering = isinstance(g, CyclicGroup) and m == g.order
+        support = _compressed_support(g, f, radius)
         # a real A is iterated in float64; the characters of a covering ball
         # are complex, so its products stay complex
         if not covering and not coeffs.imag.any():
             coeffs = coeffs.real
+            # an entrywise nonpositive A is iterated as -A, the phase -1
+            if (coeffs <= 0).all():
+                coeffs = -coeffs
         # a complex A whose phases a character absorbs (never on Z/m) is
         # iterated as its twist, the real A of |f|, which has its singular values
-        elif _phases_absorbable(g, _compressed_support(g, f, radius)):
+        elif _phases_absorbable(g, support):
             coeffs = np.abs(coeffs)
-        build = _table_products if targets.size <= TABLE_PRODUCT_MAX else _csr_products
-        products = build(m, targets, coeffs)
+        if targets.size <= TABLE_PRODUCT_MAX:
+            products = _table_products(m, targets, coeffs)
+        else:
+            products = _csr_products(m, targets, coeffs, _self_adjoint(g, support, coeffs))
         if covering:
             # the ball covers Z/m; it starts at the identity, so column 0 of
             # the table holds the position of each support element
@@ -759,7 +810,10 @@ def _opnorm_lower_info(g, f, radius, max_iters, tol, cap, seed):
         else:
             # the products keep what they need; free the table before iterating
             del targets
-            sigma, iters, rel = _power_iteration(m, products, max_iters, tol, seed, coeffs.dtype)
+            positive = coeffs.dtype == float and bool((coeffs >= 0).all())
+            sigma, iters, rel = _power_iteration(
+                m, products, max_iters, tol, seed, coeffs.dtype, positive=positive
+            )
     return max(math.ldexp(sigma, e), l2_norm(f)), iters, rel
 
 
@@ -783,10 +837,13 @@ class NormBracket:
     does a larger ball that covers a cyclic group Z/m: A is then the whole
     circulant, and its norm on the top Fourier character (one product) is
     the exact norm up to rounding, whatever the seed.  Any other larger
-    ball is solved by the Ritz-restarted power iteration: `iterations`
-    counts its steps, each one A product and, but for the last of each
-    block of RITZ_BLOCK, one A^H product, and `achieved_tol` is the relative
-    change between its last two values, not a distance to the norm.  Each
+    ball is solved by the Ritz-restarted power iteration, from the positive
+    unit vector where the iterated compression is entrywise nonnegative
+    (see below; the seed then does not reach it) and from a seeded random
+    start otherwise: `iterations` counts its steps, each one A product
+    and, but for the last of each block of RITZ_BLOCK, one A^H product,
+    and `achieved_tol` is the relative change between its last two values,
+    not a distance to the norm.  Each
     restart keeps the previous block's start beside the block and forms its
     Ritz problem from the norms of the steps and scalars carried from the
     restart before (see _ritz_vector), and its sums are taken in an order
@@ -806,13 +863,20 @@ class NormBracket:
     on |f|, each |c_s| rounded by at most one ulp, and every value is
     still the norm of A on an explicit unit vector.  Supports with more
     than rank + 1 terms fail that test, as does every element of Z/m, whose
-    characters take roots of unity only; they stay complex.
+    characters take roots of unity only; they stay complex.  Every twisted
+    element, and every real one whose coefficients share one sign (iterated
+    as -f where they are negative, the phase w = -1), has an entrywise
+    nonnegative compression, whose A^H A has a nonnegative top eigenvector
+    (Perron-Frobenius) that the positive start always overlaps: Kesten's
+    element at radius 8 takes 10 steps in place of 42 from the seeded start.
     The products are gathered through the table while that holds at most
     TABLE_PRODUCT_MAX entries, and taken from scipy CSR matrices built from
-    the same table beyond; only that last regime imports scipy.  An element
-    whose coefficient parts are all subnormal is bracketed scaled into
-    normal range by a power of two, and both ends are scaled back, each one
-    ulp outward where the scaling rounded inward.
+    the same table beyond; only that last regime imports scipy.  Where
+    c_{s^-1} == conj(c_s) on the compressed support (f* = f after any
+    twist), A is its own A^H and both CSR products use A's one matrix.  An
+    element whose coefficient parts are all subnormal is bracketed scaled
+    into normal range by a power of two, and both ends are scaled back,
+    each one ulp outward where the scaling rounded inward.
     """
 
     lower: float

@@ -588,11 +588,30 @@ def phases_absorbable(group, f, radius):
 def iterated_coeffs(group, f, radius, coeffs):
     """The coefficients the power iteration runs on, as _opnorm_lower_info
     takes them on a ball that does not cover a cyclic group: real where
-    every imaginary part is zero, else their moduli where a character
-    absorbs their phases."""
+    every imaginary part is zero, and negated where those real parts are
+    all nonpositive, else their moduli where a character absorbs their
+    phases."""
     if not coeffs.imag.any():
-        return coeffs.real
+        return -coeffs.real if (coeffs.real <= 0).all() else coeffs.real
     return np.abs(coeffs) if phases_absorbable(group, f, radius) else coeffs
+
+
+def iterated_element(group, f, radius, coeffs):
+    """The element whose compression the power iteration runs on, for the
+    coefficients `coeffs` of f's compressed support: -f or |f| where
+    iterated_coeffs negates or takes moduli, else f itself."""
+    if not coeffs.imag.any() and (coeffs.real <= 0).all():
+        return times(f, -1.0)
+    if coeffs.imag.any() and phases_absorbable(group, f, radius):
+        return GroupRingElement(group, {x: abs(c) for x, c in f.terms.items()})
+    return f
+
+
+def starts_positive(coeffs):
+    """Whether the power iteration on these iterated coefficients starts
+    from the positive unit vector: exactly where they are real and
+    nonnegative, which makes every entry of the compression nonnegative."""
+    return coeffs.dtype == float and bool((coeffs >= 0).all())
 
 
 def normal_range(f):
@@ -668,7 +687,7 @@ def test_solver_never_exceeds_dense_svd(case):
     coeffs = iterated_coeffs(group, f, radius, coeffs)
     products = _csr_products(m, targets, coeffs)
     value, iters, _ = _power_iteration(
-        m, products, DEFAULT_MAX_ITERS, DEFAULT_POWER_TOL, 0, coeffs.dtype
+        m, products, DEFAULT_MAX_ITERS, DEFAULT_POWER_TOL, 0, coeffs.dtype, positive=starts_positive(coeffs)
     )
     value = math.ldexp(value, e)
     lower = opnorm_lower(group, f, radius)
@@ -833,15 +852,17 @@ def test_table_products_match_the_dense_compression(case):
     below = sigma[sigma < sigma[0] * (1 - 1e-9)]
     gap = 1 - (below[0] / sigma[0]) ** 2 if below.size else 1.0
     # a ball that covers Z/m is solved on its top character, through complex
-    # products; any other by the power iteration from the seeded start, in
-    # float64 where every coefficient is real or a character absorbs their
-    # phases, on the compression of |f| in the second case
+    # products; any other by the power iteration, in float64 where every
+    # coefficient is real or a character absorbs their phases, on the
+    # compression of -f where the real ones are all nonpositive and of |f|
+    # in the second case; from the positive start where those iterated
+    # coefficients are all nonnegative, else from the seeded one
     covering = isinstance(group, CyclicGroup) and m == group.order
     iterated = f
     if not covering:
-        if coeffs.imag.any() and phases_absorbable(group, f, radius):
-            iterated = GroupRingElement(group, {x: abs(c) for x, c in f.terms.items()})
+        iterated = iterated_element(group, f, radius, coeffs)
         coeffs = iterated_coeffs(group, f, radius, coeffs)
+    positive = starts_positive(coeffs)
     A = translate_compression(group, iterated, group.ball(radius))
     rng = np.random.default_rng(0)
     v = rng.normal(size=m)
@@ -862,11 +883,13 @@ def test_table_products_match_the_dense_compression(case):
                 solved = _character_norm(residues, targets[:, 0], coeffs, apply)
             else:
                 solved = _power_iteration(
-                    m, products, DEFAULT_MAX_ITERS, DEFAULT_POWER_TOL, 0, coeffs.dtype
+                    m, products, DEFAULT_MAX_ITERS, DEFAULT_POWER_TOL, 0, coeffs.dtype, positive=positive
                 )[0]
             lower = opnorm_lower(group, element, radius)
             assert lower == scaled_back(max(solved * scale, l2_norm(f)), top)
-        value, iters, _ = _power_iteration(m, products, DEFAULT_MAX_ITERS, 1e-13, 0, coeffs.dtype)
+        value, iters, _ = _power_iteration(
+            m, products, DEFAULT_MAX_ITERS, 1e-13, 0, coeffs.dtype, positive=positive
+        )
         value *= scale
         assert value <= sigma[0] * (1 + 8 * EPS)
         if iters < DEFAULT_MAX_ITERS and gap >= 1e-3:
@@ -874,6 +897,7 @@ def test_table_products_match_the_dense_compression(case):
 
 
 Z2 = FreeAbelianGroup(2)
+Z2_GENSUM = GroupRingElement(Z2, {(1, 0): 1.0, (-1, 0): 1.0, (0, 1): 1.0, (0, -1): 1.0})
 BIG_CYCLIC = CyclicGroup(10**12)
 
 
@@ -881,19 +905,29 @@ BIG_CYCLIC = CyclicGroup(10**12)
     "group, radius, f",
     [
         (F2, 4, KESTEN),
-        (Z2, 40, GroupRingElement(Z2, {(1, 0): 1.0, (-1, 0): 1.0, (0, 1): 1.0, (0, -1): 1.0})),
+        (Z2, 40, Z2_GENSUM),
         (BIG_CYCLIC, 2000, GroupRingElement(BIG_CYCLIC, {1: 1.0, 10**12 - 1: 1.0, 7: 0.5j})),
         (CyclicGroup(4001), 1000, GroupRingElement(CyclicGroup(4001), {1: 1.0, 7: 0.5j})),
+        # mixed signs: a real compression with entries of both signs
+        (F2, 4, GroupRingElement(F2, {"a": 1.0, "A": -1.0, "b": 0.5, "B": 0.5})),
+        (Z2, 40, GroupRingElement(Z2, {(1, 0): 1.0, (-1, 0): -0.5, (0, 1): 1.0})),
     ],
-    ids=["free2-table", "z2-csr", "cyclic-1e12", "cyclic-4001-r1000"],
+    ids=["free2-table", "z2-csr", "cyclic-1e12", "cyclic-4001-r1000", "free2-mixed-table", "z2-mixed-csr"],
 )
 @pytest.mark.parametrize("seed", [0, 3])
 def test_balls_that_do_not_cover_keep_the_seeded_start(group, radius, f, seed):
+    # a ball that does not cover Z/m is iterated from a start: the positive
+    # unit vector where the iterated compression is entrywise nonnegative
+    # (Kesten's element, the Z^2 generator sum), else the seeded one
     m, targets, coeffs, e = _scaled_tables(group, f, radius, DEFAULT_BALL_CAP)
     assert m > DIRECT_SOLVE_MAX and m < getattr(group, "order", math.inf)
     coeffs = iterated_coeffs(group, f, radius, coeffs)
+    positive = starts_positive(coeffs)
+    assert positive == (f in (KESTEN, Z2_GENSUM))
     build = _table_products if targets.size <= TABLE_PRODUCT_MAX else _csr_products
-    run = _power_iteration(m, build(m, targets, coeffs), 40, DEFAULT_POWER_TOL, seed, coeffs.dtype)
+    run = _power_iteration(
+        m, build(m, targets, coeffs), 40, DEFAULT_POWER_TOL, seed, coeffs.dtype, positive=positive
+    )
     lower = bracket_lower(group, f, radius, max_iters=40, seed=seed)
     assert lower == max(math.ldexp(run[0], e), l2_norm(f))
 
@@ -981,16 +1015,20 @@ def test_independence_is_decided_exactly(rows):
     assert rdmap.operators._independent(rows) == (rational_rank(rows) == len(rows))
 
 
-def iterated_dtype(group, f, radius, monkeypatch):
-    """The dtype that opnorm_lower's power iteration runs in, None if it
-    does not iterate (a dense or covering-cyclic solve)."""
+def iterated_run(group, f, radius, monkeypatch):
+    """(dtype, positive): the dtype that opnorm_lower's power iteration runs
+    in and whether it starts from the positive unit vector, (None, None) if
+    it does not iterate (a dense or covering-cyclic solve)."""
     seen = []
     real = rdmap.operators._power_iteration
-    monkeypatch.setattr(
-        rdmap.operators, "_power_iteration", lambda *args: seen.append(np.dtype(args[-1])) or real(*args)
-    )
+
+    def spy(m, products, max_iters, tol, seed, dtype, positive):
+        seen.append((np.dtype(dtype), positive))
+        return real(m, products, max_iters, tol, seed, dtype, positive=positive)
+
+    monkeypatch.setattr(rdmap.operators, "_power_iteration", spy)
     opnorm_lower(group, f, radius)
-    return seen[0] if seen else None
+    return seen[0] if seen else (None, None)
 
 
 @pytest.mark.parametrize(
@@ -1024,11 +1062,21 @@ def iterated_dtype(group, f, radius, monkeypatch):
         # a covering ball of Z/m and a dense solve do not iterate
         (CyclicGroup(501), 250, {0: 1j, 1: 1.0}, None),
         (F2, 3, {"": 1j, "a": 1.0}, None),
+        # real coefficients of one sign: positive ones as they are, negative
+        # ones as -f
+        (F2, 4, {"ab": 1.0, "ba": 2.0, "": 0.5}, float),
+        (F2, 4, {"ab": -1.0, "ba": -2.0, "": -0.5}, float),
     ],
 )
 def test_the_twist_dispatch(group, radius, terms, dtype, monkeypatch):
     f = GroupRingElement(group, terms)
-    assert iterated_dtype(group, f, radius, monkeypatch) == (None if dtype is None else np.dtype(dtype))
+    # every twisted element (complex, run in float64), and a real one whose
+    # coefficients share one sign, iterates an entrywise nonnegative
+    # compression from the positive start; any other from the seeded one
+    twisted = dtype is float and any(c.imag for c in f.terms.values())
+    one_sign = len({c.real > 0 for c in f.terms.values()}) == 1
+    expected = (None, None) if dtype is None else (np.dtype(dtype), dtype is float and (twisted or one_sign))
+    assert iterated_run(group, f, radius, monkeypatch) == expected
     support = [s for s in f.terms if group.length(s) <= 2 * radius]
     if dtype is not None and any(c.imag for c in f.terms.values()):
         assert rdmap.operators._phases_absorbable(group, support) == (dtype is float)
@@ -1082,20 +1130,154 @@ def test_a_failing_support_changes_the_norm_under_moduli():
 
 
 def test_a_solve_never_writes_into_the_seeded_start():
-    # one start per ball size, seed and dtype, shared by every solve: it is
-    # read-only, and each solve copies it into its own iterate buffer
+    # one start per ball size, seed and dtype, and one positive start per
+    # ball size, shared by every solve: each is read-only, and each solve
+    # copies it into its own iterate buffer.  Kesten's element and the
+    # twisted FREE2_COMPLEX start from the positive one
     m = F2.ball_size(4)
-    cases = [(KESTEN, float), (FREE2_COMPLEX, float), (GroupRingElement(F2, {"ab": 1.0, "ba": 1j}), complex)]
-    for f, dtype in cases:
-        start = rdmap.operators._seeded_start(m, 3, np.dtype(dtype))
+
+    def cached(kind):
+        """The cached start that a solve of this kind copies."""
+        if kind == "positive":
+            return rdmap.operators._positive_start(m)
+        return rdmap.operators._seeded_start(m, 3, np.dtype(kind))
+
+    cases = [
+        (KESTEN, "positive"),
+        (FREE2_COMPLEX, "positive"),
+        (GroupRingElement(F2, {"ab": 1.0, "ba": -1.0}), float),
+        (GroupRingElement(F2, {"ab": 1.0, "ba": 1j}), complex),
+    ]
+    for f, kind in cases:
+        start = cached(kind)
         kept = start.copy()
         assert not start.flags.writeable
         opnorm_bracket(F2, f, None, 4, seed=3)
-        assert rdmap.operators._seeded_start(m, 3, np.dtype(dtype)) is start
+        assert cached(kind) is start
         assert np.array_equal(start, kept)
         assert np.linalg.norm(start) == pytest.approx(1.0, abs=4 * EPS)
-    with pytest.raises(ValueError):
-        start[0] = 0.0
+        with pytest.raises(ValueError):
+            start[0] = 0.0
+    assert np.all(cached("positive") == cached("positive")[0])
+
+
+# ---------------------------------------------------------------------------
+# nonnegative compressions: the positive start and the shared Hermitian matrix
+
+# Z^2 at radius 8, draw 128 of random_element(Z2, 3, default_rng(1)): relative
+# top gap 3.9e-5, twisted into float64; from the seeded start the stagnation
+# stop ended it on sigma_2, 1.9e-5 below the norm
+CLUSTERED_Z2 = GroupRingElement(
+    Z2,
+    {
+        (-2, 0): -0.5801808727892961 + 1.0320430480908585j,
+        (1, -1): 1.430481507294281 + 1.2440888408102686j,
+        (1, 1): 0.7554071817584939 - 1.402601976480008j,
+    },
+)
+
+
+@st.composite
+def nonnegative_compressions(draw):
+    """Elements whose iterated compression is entrywise nonnegative, on
+    balls of 65 to 161 elements: real coefficients of one sign, or complex
+    ones whose phases a character absorbs."""
+    group, radius = draw(st.sampled_from([(F2, 4), (Z1, 32), (Z1, 40), (Z2, 6), (Z2, 7)]))
+    if isinstance(group, FreeGroup):
+        word = st.text(alphabet=group.letters, max_size=2 * radius + 1)
+    else:
+        word = st.tuples(*[st.integers(-2 * radius, 2 * radius)] * group.rank)
+    word = word.map(group.parse)
+    if draw(st.booleans()):
+        sign = draw(st.sampled_from([1.0, -1.0]))
+        terms = draw(st.dictionaries(word, st.floats(1e-3, 10.0).map(lambda c: sign * c), min_size=1, max_size=6))
+        return group, radius, GroupRingElement(group, terms)
+    coeff = st.complex_numbers(min_magnitude=1e-3, max_magnitude=10.0, allow_nan=False, allow_infinity=False)
+    f = GroupRingElement(group, draw(st.dictionaries(word, coeff, min_size=1, max_size=group.rank + 1)))
+    assume(any(c.imag for c in f.terms.values()) and phases_absorbable(group, f, radius))
+    return group, radius, f
+
+
+@settings(max_examples=40, deadline=None)
+@given(nonnegative_compressions())
+@example((Z2, 8, CLUSTERED_Z2))
+def test_nonnegative_compressions_start_from_the_positive_vector(case):
+    group, radius, f = case
+    m, targets, coeffs, _ = _scaled_tables(group, f, radius, DEFAULT_BALL_CAP)
+    assert m > DIRECT_SOLVE_MAX
+    assert starts_positive(iterated_coeffs(group, f, radius, coeffs))
+    bracket = opnorm_bracket(group, f, None, radius)
+    A = translate_compression(group, f, group.ball(radius))
+    # a lower end at the l2 floor needs no decision: the floor is sound
+    floor = l2_norm(f)
+    exact = decided_top_singular_value(A, bracket.lower if bracket.lower > floor else 0.0)
+    assert bracket.lower <= max(exact, floor) * (1 + 8 * EPS)
+    # the seed does not reach the solve
+    assert repr(opnorm_bracket(group, f, None, radius, seed=3)) == repr(bracket)
+
+
+def test_the_positive_start_reaches_the_top_of_a_clustered_spectrum():
+    A = translate_compression(Z2, CLUSTERED_Z2, Z2.ball(8))
+    exact = top_singular_value(A)
+    lower = opnorm_lower(Z2, CLUSTERED_Z2, 8)
+    assert exact * (1 - 1e-8) <= lower <= exact * (1 + 8 * EPS)
+
+
+def csr_products_of(group, f, radius, monkeypatch):
+    """The products opnorm_lower builds by _csr_products for f, and the
+    self_adjoint flag it passes."""
+    seen = []
+    real = rdmap.operators._csr_products
+
+    def spy(m, targets, coeffs, self_adjoint):
+        seen.append((real(m, targets, coeffs, self_adjoint), self_adjoint))
+        return seen[-1][0]
+
+    monkeypatch.setattr(rdmap.operators, "_csr_products", spy)
+    opnorm_lower(group, f, radius)
+    return seen[0]
+
+
+@pytest.mark.parametrize("group, radius, f", [(F2, 8, KESTEN), (Z2, 40, Z2_GENSUM)], ids=["kesten-r8", "z2-r40"])
+def test_a_hermitian_element_shares_one_csr_matrix(group, radius, f, monkeypatch):
+    (apply, apply_adjoint), self_adjoint = csr_products_of(group, f, radius, monkeypatch)
+    assert self_adjoint and apply_adjoint.__self__ is apply.__self__
+    # the transposed copy the products would otherwise build holds the same
+    # arrays, and gives the same products bit for bit
+    m, targets, coeffs, _ = _scaled_tables(group, f, radius, DEFAULT_BALL_CAP)
+    A, AH = (p.__self__ for p in _csr_products(m, targets, coeffs.real))
+    assert AH is not A
+    for name in ("indptr", "indices", "data"):
+        assert getattr(AH, name).tobytes() == getattr(A, name).tobytes()
+    rng = np.random.default_rng(5)
+    for v in (rng.normal(size=m), np.abs(rng.normal(size=m))):
+        assert apply_adjoint(v).tobytes() == (AH @ v).tobytes()
+
+
+@pytest.mark.parametrize(
+    "terms, shared",
+    [
+        # a + 2A: its compression is not symmetric, so A^H is built
+        ({"a": 1.0, "A": 2.0}, False),
+        # i a + A is not Hermitian, but its twist |f| = a + A is
+        ({"a": 1j, "A": 1.0}, True),
+        # exponent sums (1, 1), (-1, -1), (0, 0): these stay complex
+        ({"ab": 1j, "BA": -1j, "": 1.0}, True),
+        ({"ab": 1j, "BA": 1j, "": 1.0}, False),
+    ],
+)
+def test_only_a_hermitian_iterated_element_shares_its_matrix(terms, shared, monkeypatch):
+    # free(2) at radius 8: 2 or 3 x 13,121 table entries, the CSR regime
+    f = GroupRingElement(F2, terms)
+    (apply, apply_adjoint), self_adjoint = csr_products_of(F2, f, 8, monkeypatch)
+    assert self_adjoint == shared
+    assert (apply_adjoint.__self__ is apply.__self__) == shared
+    A = apply.__self__
+    rng = np.random.default_rng(6)
+    v = rng.normal(size=A.shape[0]) + 1j * rng.normal(size=A.shape[0])
+    v = v if A.dtype == complex else v.real.copy()
+    want = A.conj().T @ v
+    assert np.linalg.norm(apply_adjoint(v) - want) <= 1e-14 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize(
@@ -1521,19 +1703,23 @@ def reference_ritz_vector(iterates, gains, sigmas, carried):
     return reference_scale(y, n), (rho, sigmas[0], [dots[j] * (P[j] / n) for j in range(RITZ_BLOCK + 1)])
 
 
-def reference_power_iteration(m, products, max_iters, tol, seed=0, dtype=complex):
+def reference_power_iteration(m, products, max_iters, tol, seed=0, dtype=complex, positive=False):
     """_power_iteration written out: a division and a copy of v into the
     iterate buffer on every step, and no A^H product on a block's last
-    step.  A float64 run starts from the real part of the complex start.
+    step.  A float64 run starts from the real part of the complex start, a
+    positive one from the all-ones vector divided by its norm.
 
     The in-place loop must give the same values bit for bit.  A change that
     alters the solver's arithmetic on purpose replaces this reference.
     """
     apply, apply_adjoint = products
-    rng = np.random.default_rng(seed)
-    v = rng.normal(size=m)
-    if dtype == complex:
-        v = v + 1j * rng.normal(size=m)
+    if positive:
+        v = np.ones(m)
+    else:
+        rng = np.random.default_rng(seed)
+        v = rng.normal(size=m)
+        if dtype == complex:
+            v = v + 1j * rng.normal(size=m)
     v = reference_scale(v, reference_norm(v))
     # row 0 the previous block's start, rows 1.. the block
     iterates = np.zeros((RITZ_BLOCK + 1, m), dtype=dtype)
@@ -1572,6 +1758,8 @@ def matrix_family(family, m, rng):
         return rng.normal(size=(m, m))
     if family == "float64-sparse":
         return rng.normal(size=(m, m)) * (rng.random((m, m)) < 0.2)
+    if family == "nonnegative":
+        return np.abs(rng.normal(size=(m, m)))
     if family == "sparse":
         # about 80% zeros, so some columns of A and entries of A^H A v are zero
         mask = rng.random((m, m)) < 0.2
@@ -1585,17 +1773,19 @@ RUN_SETTINGS = [(DEFAULT_MAX_ITERS, DEFAULT_POWER_TOL), (37, 0.0), (25, -1.0)]
 
 
 @pytest.mark.parametrize(
-    "family", ["complex", "real", "sparse", "diagonal", "float64", "float64-sparse"]
+    "family", ["complex", "real", "sparse", "diagonal", "float64", "float64-sparse", "nonnegative"]
 )
 @pytest.mark.parametrize("m", [1, 2, RITZ_BLOCK, RITZ_BLOCK + 1, 33, 65, 119])
 def test_power_iteration_matches_the_reference_loop(family, m):
-    # "real" is a real matrix in complex arithmetic, "float64" in float64
+    # "real" is a real matrix in complex arithmetic, "float64" in float64;
+    # "nonnegative" runs in float64 from the positive start
     rng = np.random.default_rng(1000 * m + len(family))
     A = matrix_family(family, m, rng)
     products = (A.__matmul__, A.conj().T.__matmul__)
+    positive = family == "nonnegative"
     for seed, (max_iters, tol) in enumerate(RUN_SETTINGS):
-        got = _power_iteration(m, products, max_iters, tol, seed, A.dtype)
-        assert got == reference_power_iteration(m, products, max_iters, tol, seed, A.dtype)
+        got = _power_iteration(m, products, max_iters, tol, seed, A.dtype, positive=positive)
+        assert got == reference_power_iteration(m, products, max_iters, tol, seed, A.dtype, positive)
 
 
 @pytest.mark.parametrize(
@@ -1613,14 +1803,17 @@ def test_power_iteration_matches_the_reference_loop(family, m):
 @pytest.mark.parametrize("build", [_table_products, _csr_products], ids=["table", "csr"])
 def test_compression_runs_match_the_reference_loop(group, radius, f, build):
     # each element runs as the solver iterates it (Kesten's in float64, the
-    # free(2) and Z^2 ones as |f| in float64, the cyclic one complex) and in
-    # complex arithmetic on its own coefficients
+    # free(2) and Z^2 ones as |f| in float64, these three from the positive
+    # start, the cyclic one complex) and in complex arithmetic on its own
+    # coefficients from the seeded start
     m, targets, raw, _ = _scaled_tables(group, f, radius, DEFAULT_BALL_CAP)
     for coeffs in (iterated_coeffs(group, f, radius, raw), raw):
         products = build(m, targets, coeffs)
+        positive = starts_positive(coeffs)
         for seed, (max_iters, tol) in enumerate(RUN_SETTINGS):
-            got = _power_iteration(m, products, max_iters, tol, seed, coeffs.dtype)
-            assert got == reference_power_iteration(m, products, max_iters, tol, seed, coeffs.dtype)
+            got = _power_iteration(m, products, max_iters, tol, seed, coeffs.dtype, positive=positive)
+            want = reference_power_iteration(m, products, max_iters, tol, seed, coeffs.dtype, positive)
+            assert got == want
 
 
 THREAD_PROBE = """
