@@ -274,9 +274,13 @@ class FreeGroup(Group):
         if self.rank > len(_ALPHABET):
             raise ValueError(f"free rank must be at most {len(_ALPHABET)}, got {self.rank}")
 
-    @property
+    @functools.cached_property
     def letters(self) -> str:
-        """The 2k letters in canonical order: a, A, b, B, ..."""
+        """The 2k letters in canonical order: a, A, b, B, ..., joined on first read.
+
+        The cache lives in the instance dict, not in a field, so equality,
+        hash and repr still read the rank alone.
+        """
         return "".join(c + c.upper() for c in _ALPHABET[: self.rank])
 
     @staticmethod

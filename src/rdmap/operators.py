@@ -373,14 +373,14 @@ def _phases_absorbable(g: Group, support: list) -> bool:
 
 
 def _scaled_tables(g: Group, f: GroupRingElement, radius: int, cap: int):
-    """(m, targets, coeffs, e): ball size, translation table, coefficients * 2^-e.
+    """(m, targets, coeffs, e, support): ball size, translation table, coefficients * 2^-e.
 
     ``targets[i, y]`` is the position of ``s_i y`` in the ball, m outside it,
-    for the i-th retained support element ``s_i``.  A row holds no position
-    below m twice: ``y -> s_i y`` is injective.  The exact power-of-two scale
-    puts the largest |coeffs[i]| in [0.5, 1), so no square of an entry
-    overflows or underflows; e is clamped so that 2^-e stays finite for
-    subnormal coefficients.
+    for the i-th element ``s_i`` of the retained ``support``.  A row holds
+    no position below m twice: ``y -> s_i y`` is injective.  The exact
+    power-of-two scale puts the largest |coeffs[i]| in [0.5, 1), so no
+    square of an entry overflows or underflows; e is clamped so that 2^-e
+    stays finite for subnormal coefficients.
     """
     arena = g.arena(radius, cap=cap)
     m = len(arena)
@@ -390,7 +390,7 @@ def _scaled_tables(g: Group, f: GroupRingElement, radius: int, cap: int):
     ).reshape(len(support), m)
     coeffs = np.array([f.terms[s] for s in support], dtype=complex)
     e = max(math.frexp(float(np.abs(coeffs).max(initial=0.0)))[1], -1023)
-    return m, targets, coeffs * math.ldexp(1.0, -e), e
+    return m, targets, coeffs * math.ldexp(1.0, -e), e, support
 
 
 def _triplets(targets: np.ndarray, coeffs: np.ndarray):
@@ -404,12 +404,10 @@ def _norm(x: np.ndarray) -> float:
     """Euclidean norm of a contiguous 1-D complex or float64 vector.
 
     One BLAS dot of the float view, which interleaves the real and imaginary
-    parts of a complex x and is x itself for a float64 one: 3.5 us at
-    m = 13,121, against 16.2 us for the two strided dots of x.real and
-    x.imag (2-vCPU host, one BLAS thread).  A view longer than NORM_CHUNK
-    floats is split into chunks of NORM_CHUNK, each one dot, and the chunk
-    sums are added by math.fsum: a single dot of 236,194 floats differed in
-    its last bits between one and two BLAS threads, the chunks did not.
+    parts of a complex x and is x itself for a float64 one.  A view longer
+    than NORM_CHUNK floats is summed as dots of NORM_CHUNK floats added by
+    math.fsum, so the bits do not depend on the BLAS thread count.  The
+    timings are in CHANGES.md and BENCH_*.json.
     """
     r = x.view(float)
     if r.size <= NORM_CHUNK:
@@ -422,12 +420,10 @@ def _scale_into(out: np.ndarray, x: np.ndarray, gain) -> None:
     """Write x / gain into out, for contiguous x and out of one dtype and a real gain.
 
     numpy divides a complex entry by a real scalar as (re + im * 0) * (1 / gain)
-    (Smith's formula at ratio 0), so multiplying the real view by 1 / gain
-    gives the same bits, except perhaps the sign of a part that is exactly
-    zero: 9.3 against 72.4 us at m = 13,121 (same host).  A float64 x is
-    scaled the same way, by the reciprocal.  The numpy scalar makes a zero
-    gain give inf and NaN entries, as the division does, not
-    ZeroDivisionError.
+    (Smith's formula at ratio 0), so multiplying the float view by 1 / gain
+    gives the bits of the division, except perhaps the sign of a part that
+    is exactly zero.  The numpy scalar makes a zero gain give inf and NaN
+    entries, as the division does, not ZeroDivisionError.
     """
     np.multiply(x.view(float), np.float64(1.0) / gain, out=out.view(float))
 
@@ -566,10 +562,8 @@ def _seeded_start(m: int, seed: int, dtype: np.dtype) -> np.ndarray:
 
     A normal draw of m floats from default_rng(seed), plus i times a second
     draw for a complex dtype, scaled to unit length: the float64 start is
-    the real part of the complex one, up to the scale.  Drawing it takes
-    1.0 ms complex and 0.32 ms float64 at m = 13,121, and 27-35 us at
-    m = 161, where the solver's copy of the cached start takes 8 and 4 us,
-    and 1 us (2-vCPU host, one BLAS thread).
+    the real part of the complex one, up to the scale.  A draw costs several
+    times the solver's copy of the cached start (CHANGES.md, BENCH_*.json).
     """
     rng = np.random.default_rng(seed)
     v = rng.normal(size=m)
@@ -608,23 +602,16 @@ def _power_iteration(
     iterate.  The largest such value is returned together with the step
     count and the relative change between the last two values.
 
-    The iterates are written in place into one buffer of the given dtype:
-    each step scales A^H A v straight into the next row, and v is a view of
-    its row.  The norms |A v| and |A^H A v| of the steps are kept for the
-    restart, which forms its Ritz problem from them and from the scalars it
-    carried over from the previous restart (see _ritz_vector); the loop then
-    copies the block's start into row 0 and scales the Ritz vector into
-    row 1.  The start is copied from a cache, which makes it once per size
-    (and seed and dtype, for the seeded one).
+    The iterates are written in place into one buffer of the given dtype,
+    and the norms |A v| and |A^H A v| of the steps are kept for the
+    restart, which forms its Ritz problem from them (see _ritz_vector).
+    The start is copied from a cache.
 
     A nonnegative A has a nonnegative B, whose top eigenvector can be taken
     nonnegative (Perron-Frobenius), so the positive start always overlaps
-    it, where a random start can overlap it very little: from the seeded
-    start, the stagnation stop ended a clustered Z^2 compression on sigma_2,
-    1.9e-5 below its norm.  The positive start also cuts the step counts
-    of the paper's test functions, whose coefficients are all positive:
-    42 -> 10 steps for Kesten's element on the free(2) ball of radius 8,
-    91 -> 51 for the Z^2 generator sum at radius 40.
+    it, where a random start can overlap it very little.  The step counts
+    it saves and the clustered spectrum it mends are in CHANGES.md and
+    BENCH_*.json.
 
     A real A runs in float64, from the positive start or the real part of
     the seeded complex one.  That is as sound as the complex run, since
@@ -705,15 +692,14 @@ def _ritz_vector(iterates: np.ndarray, gains, sigmas, carried):
     gains[j] <r, v_{j+1}>, and its column B x is its row x: taken from the
     same rounded entries, the two matrices stay those of one set of
     vectors, which keeps the Ritz problem stable where the block is nearly
-    dependent (read from the moments directly, the projection drifted
-    there: Z/4001 at radius 1000 ran into the 10,000-step cap).
+    dependent (CHANGES.md has the case where it was not).
 
     The span is orthonormalized through the eigenvalues of the Gram matrix,
     dropping directions below RITZ_GRAM_CUTOFF of the largest, and the Ritz
     problem is solved as a real symmetric one whose lower triangle eigh
     reads.  The result y is a real combination of the rows, summed by
-    einsum in a fixed order (BLAS gemv gave other bits at two threads on an
-    8 x 118,097 float block), of their dtype, returned with its norm n for
+    einsum in a fixed order that no BLAS thread count changes, of their
+    dtype, returned with its norm n for
     the loop to scale it to unit length as it writes it into the buffer.
     Returned with them are the scalars of the next restart, whose x is v_0
     and whose block starts at y / n: b_j = <v_0, B^j y> / n =
@@ -776,7 +762,7 @@ def _opnorm_lower_info(g, f, radius, max_iters, tol, cap, seed):
     _require_same_group(g, f)
     if f.is_zero():
         return 0.0, 0, 0.0
-    m, targets, coeffs, e = _scaled_tables(g, f, radius, cap)
+    m, targets, coeffs, e, support = _scaled_tables(g, f, radius, cap)
     # the product regime depends on the ball size m and the table size k m alone
     if targets.size == 0:
         # no support element maps a ball element back into the ball: A = 0
@@ -785,7 +771,6 @@ def _opnorm_lower_info(g, f, radius, max_iters, tol, cap, seed):
         sigma, iters, rel = _dense_top_singular(m, targets, coeffs), 0, 0.0
     else:
         covering = isinstance(g, CyclicGroup) and m == g.order
-        support = _compressed_support(g, f, radius)
         # a real A is iterated in float64; the characters of a covering ball
         # are complex, so its products stay complex
         if not covering and not coeffs.imag.any():
@@ -830,53 +815,23 @@ class NormBracket:
     """Two-sided enclosure of an operator norm.
 
     `lower` comes from a ball compression of the given radius (plus the l2
-    floor), `upper` from the l1/Sobolev bounds.  The compression is one
-    translation table, scaled once by a power of two, with three consumers.
-    A ball of at most DIRECT_SOLVE_MAX elements is solved directly (eigh of
-    A^H A, no iteration), and `iterations` and `achieved_tol` read 0.  So
-    does a larger ball that covers a cyclic group Z/m: A is then the whole
-    circulant, and its norm on the top Fourier character (one product) is
-    the exact norm up to rounding, whatever the seed.  Any other larger
-    ball is solved by the Ritz-restarted power iteration, from the positive
-    unit vector where the iterated compression is entrywise nonnegative
-    (see below; the seed then does not reach it) and from a seeded random
-    start otherwise: `iterations` counts its steps, each one A product
-    and, but for the last of each block of RITZ_BLOCK, one A^H product,
-    and `achieved_tol` is the relative change between its last two values,
-    not a distance to the norm.  Each
-    restart keeps the previous block's start beside the block and forms its
-    Ritz problem from the norms of the steps and scalars carried from the
-    restart before (see _ritz_vector), and its sums are taken in an order
-    that does not depend on the BLAS thread count (see _norm and
-    _table_products), so neither does `lower`, which is still the norm of A
-    on an explicit unit vector.  An element
-    whose coefficients are all real (heat functions, sphere indicators,
-    Kesten's sum of generators) has a real A, which attains its norm on a
-    real unit vector, so its whole iteration runs in float64 (see
-    _power_iteration).  So does a complex element of a free group or Z^d
-    whose support in the compression (terms of length at most twice the
-    radius) has linearly independent vectors (1, ab(s)), ab the exponent
-    sums or coordinates: a phase w and a character chi then make
-    w chi(s) c_s = |c_s|, and since the diagonal unitary M_chi commutes
-    with the ball projection, w M_chi A M_chi^* is the compression of
-    |f| = sum |c_s| s, with the same singular values.  Its iteration runs
-    on |f|, each |c_s| rounded by at most one ulp, and every value is
-    still the norm of A on an explicit unit vector.  Supports with more
-    than rank + 1 terms fail that test, as does every element of Z/m, whose
-    characters take roots of unity only; they stay complex.  Every twisted
-    element, and every real one whose coefficients share one sign (iterated
-    as -f where they are negative, the phase w = -1), has an entrywise
-    nonnegative compression, whose A^H A has a nonnegative top eigenvector
-    (Perron-Frobenius) that the positive start always overlaps: Kesten's
-    element at radius 8 takes 10 steps in place of 42 from the seeded start.
-    The products are gathered through the table while that holds at most
-    TABLE_PRODUCT_MAX entries, and taken from scipy CSR matrices built from
-    the same table beyond; only that last regime imports scipy.  Where
-    c_{s^-1} == conj(c_s) on the compressed support (f* = f after any
-    twist), A is its own A^H and both CSR products use A's one matrix.  An
-    element whose coefficient parts are all subnormal is bracketed scaled
-    into normal range by a power of two, and both ends are scaled back,
-    each one ulp outward where the scaling rounded inward.
+    floor), `upper` from the l1/Sobolev bounds.  `lower` is the norm of the
+    compression A on an explicit unit vector, in bits that do not depend on
+    the BLAS thread count.  A ball of at most DIRECT_SOLVE_MAX elements is
+    solved directly (_dense_top_singular), a larger one that covers Z/m on
+    its top Fourier character (_character_norm); `iterations` and
+    `achieved_tol` then read 0.  Any other ball is solved by the
+    Ritz-restarted power iteration (_power_iteration): `iterations` counts
+    its steps, and `achieved_tol` is the relative change between its last
+    two values, not a distance to the norm.  A real A runs in float64, as
+    does the twist |f| of a complex f whose phases a character absorbs
+    (_phases_absorbable), and an entrywise nonnegative A starts from the
+    positive unit vector, which the seed does not reach.  The products are
+    gathered through the translation table up to TABLE_PRODUCT_MAX entries
+    (_table_products) and taken from scipy CSR matrices beyond
+    (_csr_products).  An element whose coefficient parts are all subnormal
+    is bracketed scaled into normal range by a power of two, and both ends
+    are scaled back, each one ulp outward where the scaling rounded inward.
     """
 
     lower: float

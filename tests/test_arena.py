@@ -82,7 +82,7 @@ def reference_compression(g, f, radius):
 
 def table_compression(g, f, radius):
     """Ball size, sorted triplets and scale e of the table that every solver reads."""
-    m, targets, coeffs, e = _scaled_tables(g, f, radius, DEFAULT_BALL_CAP)
+    m, targets, coeffs, e, _ = _scaled_tables(g, f, radius, DEFAULT_BALL_CAP)
     return m, sorted_triplets(*_triplets(targets, coeffs)), e
 
 

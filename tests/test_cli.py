@@ -7,6 +7,7 @@ import math
 import pytest
 
 import rdmap.cli
+import rdmap.harness
 from rdmap.cli import (
     EXIT_MATH_FAIL,
     EXIT_OK,
@@ -284,6 +285,29 @@ def test_rd_sample_usage_errors(capsys):
     assert code == EXIT_USAGE
     code, _, _ = run(capsys, ["rd-sample", "--group", "free:2", "--count", "5"])
     assert code == EXIT_USAGE
+
+
+def test_rd_sample_solves_only_samples_that_can_change_the_report(capsys, monkeypatch):
+    solves = []
+    solve = rdmap.harness.opnorm_lower
+    monkeypatch.setattr(rdmap.harness, "opnorm_lower", lambda *a, **k: solves.append(a) or solve(*a, **k))
+    code, out, _ = run(capsys, ["rd-sample", "--group", "free:2", "--count", "200", "--seed", "42"])
+    assert code == EXIT_OK
+    assert json.loads(out)["worst_ratio"] == 0.19492420030841906
+    # the l1 bound decides the other 190 of the 200
+    assert len(solves) <= 20
+
+
+def test_rd_sample_checks_the_ball_before_any_sobolev_weight(capsys):
+    # both the ball cap and the Sobolev weight (1 + 3)^1200 fail: the ball
+    # of sample 0's compression is checked first, as in a loop that solves it
+    code, out, err = run(
+        capsys,
+        ["rd-sample", "--group", "free:2", "--count", "5", "--seed", "1", "--s", "600", "--ball-cap", "100"],
+    )
+    assert code == EXIT_RESOURCE
+    assert out == ""
+    assert "ball of radius 4 holds 161 elements, over the cap of 100" in err
 
 
 @pytest.mark.parametrize(

@@ -197,6 +197,14 @@ def test_ball_ordering_is_length_then_lex():
     assert ball[:5] == ["", "a", "A", "b", "B"]
 
 
+def test_letters_are_joined_once_and_leave_equality_to_the_rank():
+    g, fresh = FreeGroup(3), FreeGroup(3)
+    assert g.letters == "aAbBcC" and g.letters is g.letters
+    # a read letters string changes neither equality, hash nor repr
+    assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh) == "FreeGroup(rank=3)"
+    assert g != FreeGroup(2)
+
+
 def test_ball_cap():
     with pytest.raises(BallCapError):
         F2.ball(12)  # 1,062,881 elements

@@ -2,16 +2,22 @@
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rdmap.groups import FreeAbelianGroup, FreeGroup
+import rdmap.harness
+from rdmap.groups import CyclicGroup, FreeAbelianGroup, FreeGroup
 from rdmap.harness import (
     CSV_HEADER,
+    SAMPLE_CHUNK,
     ConvergenceRow,
     GridSchedule,
     RdSampleReport,
+    _l1_bound,
     default_schedule,
     rd_sample_report,
     rows_to_csv,
@@ -26,6 +32,9 @@ from rdmap.operators import (
     builtin_rd_params,
     delta,
     l1_norm,
+    opnorm_lower,
+    random_element,
+    sobolev_norm,
 )
 
 F2 = FreeGroup(2)
@@ -190,3 +199,71 @@ def test_rd_sample_other_group():
     g = FreeAbelianGroup(1)
     report = rd_sample_report(g, builtin_rd_params(g), count=25, seed=7)
     assert report.passed
+
+
+def solve_every_sample(g, rd, count, seed, radius=4, tolerance=1e-9):
+    """(worst_ratio, passed, worst_element) with every sample solved, in draw order."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    worst_element = None
+    passed = True
+    for _ in range(count):
+        f = random_element(g, 3, rng)
+        lower = opnorm_lower(g, f, radius)
+        ceiling = rd.C * sobolev_norm(g, f, rd.s)
+        ratio = lower / ceiling
+        if ratio > worst:
+            worst = ratio
+            worst_element = f
+        if lower > ceiling + tolerance:
+            passed = False
+    return worst, passed, worst_element
+
+
+def assert_report_solves_every_sample(g, rd, count, seed, radius, tolerance):
+    report = rd_sample_report(g, rd, count, seed, radius=radius, tolerance=tolerance)
+    worst, passed, worst_element = solve_every_sample(g, rd, count, seed, radius, tolerance)
+    assert report.count == count
+    assert report.worst_ratio == worst
+    assert report.passed is passed
+    assert report.worst_element.terms == worst_element.terms
+
+
+SAMPLED_GROUPS = [
+    FreeGroup(2), FreeGroup(3), FreeAbelianGroup(1), FreeAbelianGroup(2), CyclicGroup(7), CyclicGroup(40),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    g=st.sampled_from(SAMPLED_GROUPS),
+    radius=st.integers(1, 4),
+    C=st.sampled_from([None, 0.2, 0.05]),
+    tolerance=st.sampled_from([0.0, 1e-9]),
+    count=st.integers(1, 40),
+    # a smaller chunk crosses chunk boundaries at these counts
+    chunk=st.sampled_from([3, 16, SAMPLE_CHUNK]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_report_is_the_one_that_solving_every_sample_gives(g, radius, C, tolerance, count, chunk, seed):
+    # C = 0.2 and 0.05 are below the true constants, so some reports fail
+    builtin = builtin_rd_params(g)
+    rd = builtin if C is None else RdParams(C=C, s=builtin.s)
+    with mock.patch.object(rdmap.harness, "SAMPLE_CHUNK", chunk):
+        assert_report_solves_every_sample(g, rd, count, seed, radius, tolerance)
+
+
+@pytest.mark.parametrize(
+    "g, radius", [(FreeAbelianGroup(1), 4), (FreeGroup(2), 2), (CyclicGroup(40), 3)], ids=["Z-r4", "F2-r2", "Z40-r3"]
+)
+@pytest.mark.parametrize("count, C", [(600, None), (700, 0.2)])
+def test_counts_across_sample_chunks_give_the_same_report(g, radius, count, C):
+    builtin = builtin_rd_params(g)
+    rd = builtin if C is None else RdParams(C=C, s=builtin.s)
+    assert count > 2 * SAMPLE_CHUNK
+    assert_report_solves_every_sample(g, rd, count, 5, radius, 1e-9)
+
+
+def test_a_subnormal_part_leaves_the_sample_to_the_solver():
+    assert _l1_bound(GroupRingElement(F2, {"a": 1.0, "b": complex(0.5, 5e-324)})) == math.inf
+    assert _l1_bound(KESTEN) == 4.0 * (1.0 + 2.0**-30)
