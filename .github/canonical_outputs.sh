@@ -8,9 +8,10 @@
 # (SRC_DIR/../demos), the script prints a header line, the stdout and the
 # exit code; stderr is dropped.  Two checkouts that print the same bytes
 # here agree on every canonical output the list covers.  The bytes do not
-# depend on the BLAS thread count (CI compares one thread with two), but
-# checkouts whose solver still summed through threaded BLAS do: compare
-# against those at OPENBLAS_NUM_THREADS=1.
+# depend on the BLAS thread count (CI compares one thread with two; the two
+# commands whose eigensolves would are pinned to one thread), but checkouts
+# whose solver still summed through threaded BLAS do: compare against those
+# at OPENBLAS_NUM_THREADS=1.
 set -u
 
 if [ $# -ne 1 ] || [ ! -d "$1/rdmap" ]; then
@@ -104,6 +105,11 @@ run norm --element-json "$sphere2" --radius 8
 # a nonnegative compression starts from the positive unit vector, so the seed
 # does not reach it: the same bracket as --seed 0 above
 run norm --element-json "$kesten" --radius 8 --seed 7
+# the m = 485 length and heat kernels that the bench's kernels workload times,
+# at one BLAS thread as the bench runs them: eigvalsh of a matrix this large
+# reduces through threaded BLAS, so its last digits follow the thread count
+OPENBLAS_NUM_THREADS=1 run check-cn --group free:2 --radius 5
+OPENBLAS_NUM_THREADS=1 run check-pd --group free:2 --radius 5
 
 for demo in "$src"/../demos/*.py; do
     echo "== demo $(basename "$demo")"

@@ -24,7 +24,9 @@ Bulk work runs on integers, not on per-pair word arithmetic: each ball is
 built once per ``(group, radius)`` into a cached :class:`BallArena`, its
 elements and one translation table, in which position ``m = len(arena)``
 stands for every element outside the ball.  :meth:`Group.length_matrix`
-computes all pairwise lengths ``l(x^-1 y)`` of a point list in closed form.
+parses each point once and computes all pairwise lengths ``l(x^-1 y)`` in
+closed form into one read-only int64 matrix, which every caller passing the
+same parsed points shares (cached up to ``LENGTH_CACHE_BYTES``).
 """
 
 from __future__ import annotations
@@ -55,7 +57,17 @@ DEFAULT_BALL_CAP = 200_000
 # keeps a long session from holding every ball it ever built.
 ARENA_CACHE_SIZE = 8
 
+# Pairwise length matrices kept alive at once, and the most points a kept one
+# may have (m^2 int64 entries); a longer point list is computed on each call.
+LENGTH_CACHE_SIZE = 4
+LENGTH_CACHE_MAX_POINTS = 1024
+LENGTH_CACHE_BYTES = LENGTH_CACHE_SIZE * LENGTH_CACHE_MAX_POINTS**2 * 8
+
 _ALPHABET = "abcdefghijklmnopqrstuvwxyz"
+# rank k reads the first 2k entries of each: the position of a letter in the
+# canonical order a, A, b, B, ..., and the cancelling pairs aA, Aa, bB, ...
+_LETTER_INDEX = {c: i for i, c in enumerate("".join(c + c.upper() for c in _ALPHABET))}
+_CANCELLING_PAIRS = tuple(c + c.swapcase() for c in _LETTER_INDEX)
 
 
 class GroupMismatchError(ValueError):
@@ -211,7 +223,19 @@ class Group:
         raise NotImplementedError
 
     def length_matrix(self, points: list) -> np.ndarray:
-        """Integer matrix of ``l(x_i^-1 x_j)`` over ``points``, in closed form."""
+        """Shared read-only int64 matrix of ``l(x_i^-1 x_j)`` over ``points``."""
+        parsed = tuple(map(self.parse, points))
+        if len(parsed) > LENGTH_CACHE_MAX_POINTS:
+            return Group._cached_length_matrix.__wrapped__(self, parsed)
+        return self._cached_length_matrix(parsed)
+
+    @functools.lru_cache(maxsize=LENGTH_CACHE_SIZE)
+    def _cached_length_matrix(self, parsed: tuple) -> np.ndarray:
+        lengths = self._length_matrix(parsed)
+        lengths.setflags(write=False)
+        return lengths
+
+    def _length_matrix(self, parsed: tuple) -> np.ndarray:
         raise NotImplementedError
 
     def left_translate(self, arena: BallArena, s) -> np.ndarray:
@@ -299,11 +323,15 @@ class FreeGroup(Group):
     def parse(self, obj) -> str:
         if not isinstance(obj, str):
             raise GroupMismatchError(f"free group element must be a word, got {obj!r}")
-        for c in obj:
-            idx = _ALPHABET.find(c.lower())
-            if idx < 0 or idx >= self.rank:
-                raise GroupMismatchError(f"letter {c!r} not valid in rank {self.rank}")
-        return self._reduce(obj)
+        word = str(obj)
+        # strip leaves a character only if some character is not a letter
+        if word.strip(self.letters):
+            bad = next(c for c in word if c not in self.letters)
+            raise GroupMismatchError(f"letter {bad!r} not valid in rank {self.rank}")
+        for pair in _CANCELLING_PAIRS[: 2 * self.rank]:
+            if pair in word:
+                return self._reduce(word)
+        return word
 
     def multiply(self, x: str, y: str) -> str:
         return self._reduce(self.parse(x) + self.parse(y))
@@ -316,8 +344,7 @@ class FreeGroup(Group):
 
     def sort_key(self, x: str):
         word = self.parse(x)
-        order = self.letters
-        return (len(word), tuple(order.index(c) for c in word))
+        return (len(word), tuple(map(_LETTER_INDEX.__getitem__, word)))
 
     def ball_size(self, n: int) -> int:
         n = check_integer(n, "radius")
@@ -361,14 +388,13 @@ class FreeGroup(Group):
         # never hides a product that lands back inside.
         position = np.arange(len(arena))
         for c in reversed(s):
-            position = arena.moves[self.letters.index(c)][position]
+            position = arena.moves[_LETTER_INDEX[c]][position]
         return position
 
-    def length_matrix(self, points: list) -> np.ndarray:
+    def _length_matrix(self, words: tuple) -> np.ndarray:
         # |x^-1 y| = |x| + |y| - 2 lcp(x, y) on the Cayley tree, with lcp the
         # longest common prefix of the reduced words, accumulated one letter
         # position at a time (no m x m x L temporary).
-        words = [self.parse(p) for p in points]
         width = max(map(len, words), default=0)
         codes = np.frombuffer(
             "".join(w.ljust(width) for w in words).encode("ascii"), dtype=np.uint8
@@ -453,13 +479,12 @@ class FreeAbelianGroup(Group):
     def left_translate(self, arena: BallArena, s: tuple) -> np.ndarray:
         return arena.locate(arena.coords + np.array(s, dtype=np.int64))
 
-    def length_matrix(self, points: list) -> np.ndarray:
-        rows = [self.parse(p) for p in points]
+    def _length_matrix(self, rows: tuple) -> np.ndarray:
         # the l1 distance of two rows is at most 2 * rank * max|coordinate|
         if max((abs(v) for row in rows for v in row), default=0) > (2**63 - 1) // (2 * self.rank):
             raise ValueError("coordinates too large for int64 length arithmetic")
         coords = np.array(rows, dtype=np.int64).reshape(len(rows), self.rank)
-        out = np.zeros((len(points), len(points)), dtype=np.int64)
+        out = np.zeros((len(rows), len(rows)), dtype=np.int64)
         for column in coords.T:
             out += np.abs(column[:, None] - column[None, :])
         return out
@@ -517,7 +542,7 @@ class CyclicGroup(Group):
         # shift by s - m in (-m, 0]: residue + s could pass 2^63 and wrap
         return arena.locate((arena.coords + (s - self.order)) % self.order)
 
-    def length_matrix(self, points: list) -> np.ndarray:
-        residues = np.array([self.parse(p) for p in points], dtype=np.int64)
+    def _length_matrix(self, residues: tuple) -> np.ndarray:
+        residues = np.array(residues, dtype=np.int64)
         gap = np.abs(residues[:, None] - residues[None, :])
         return np.minimum(gap, self.order - gap)

@@ -55,22 +55,28 @@ class KernelMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=float)
-        if self.entries.ndim != 2 or self.entries.shape[0] != self.entries.shape[1]:
+        entries = self.entries = np.asarray(self.entries, dtype=float)
+        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ValueError("kernel entries must form a square matrix")
-        if self.entries.size == 0:
+        if entries.size == 0:
             raise ValueError("kernel matrix must hold at least one point")
-        # the checks sum up to size products of entries; size * max|entry| bounds them
-        if not math.isfinite(float(np.abs(self.entries).max()) * self.entries.shape[0]):
+        # size * max|entry| bounds the sums the checks form (NaN if an entry is)
+        if not math.isfinite(float(max(entries.max(), -entries.min())) * entries.shape[0]):
             raise ValueError(
                 "kernel entries must be finite and size * max|entry| must not overflow"
             )
-        # kernels built from a group are exactly symmetric and skip allclose
-        if not (
-            np.array_equal(self.entries, self.entries.T)
-            or np.allclose(self.entries, self.entries.T, atol=1e-12, rtol=0.0)
-        ):
+        symmetric = np.array_equal(entries, entries.T)  # exact symmetry skips allclose
+        if not (symmetric or np.allclose(entries, entries.T, rtol=0.0, atol=1e-12)):
             raise ValueError("kernel matrix must be symmetric")
+
+    @classmethod
+    def _of_group(cls, entries: np.ndarray) -> KernelMatrix:
+        """A group's kernel, square, symmetric and finite by construction; checks only emptiness."""
+        if entries.size == 0:
+            raise ValueError("kernel matrix must hold at least one point")
+        kernel = object.__new__(cls)
+        kernel.entries = entries
+        return kernel
 
     @property
     def size(self) -> int:
@@ -98,8 +104,7 @@ class PsdVerdict:
 
 def length_kernel(group: Group, points: list) -> KernelMatrix:
     """Kernel ``l(x_i^-1 x_j)`` of the group's word length on ``points``."""
-    entries = group.length_matrix(points).astype(float)
-    return KernelMatrix(entries)
+    return KernelMatrix._of_group(group.length_matrix(points).astype(float))
 
 
 def schoenberg_kernel(group: Group, points: list, r: float) -> KernelMatrix:
@@ -107,9 +112,13 @@ def schoenberg_kernel(group: Group, points: list, r: float) -> KernelMatrix:
     check_positive_finite(r, "heat parameter r")
     lengths = group.length_matrix(points)
     # one math.exp per length value, so each entry is bit for bit the scalar
-    # exp(-r * l) (np.exp may round differently)
-    table = np.array([math.exp(-r * k) for k in range(int(lengths.max(initial=0)) + 1)])
-    return KernelMatrix(table[lengths])
+    # exp(-r * l) (np.exp may round differently), over 0..max or the distinct lengths
+    values = range(int(lengths.max(initial=0)) + 1)
+    if len(values) > lengths.size:
+        values, inverse = np.unique(lengths, return_inverse=True)
+        values, lengths = values.tolist(), inverse.reshape(lengths.shape)
+    table = np.array([math.exp(-r * k) for k in values])
+    return KernelMatrix._of_group(table[lengths])
 
 
 def _nice_witness(c: np.ndarray, entries: np.ndarray, tol: float) -> np.ndarray:
@@ -153,15 +162,16 @@ def cn_check_matrix(kernel, tol: float = DEFAULT_TOL) -> CnVerdict:
     # columns 1..m-1 of H are an orthonormal basis of the mean-zero subspace.
     # H is never formed: H K H = K - 2 w q^T - 2 q w^T with p = K w and
     # q = p - (w.p) w, a symmetric rank-2 update in O(m^2), of which the
-    # mean-zero block [1:, 1:] is kept.
+    # mean-zero block [1:, 1:] is kept.  w[1:] is one constant, so the block's
+    # update is the outer sum of w[1] q[1:] with itself, bit for bit.
     entries = kernel.entries
     w = np.full(m, 1.0 / math.sqrt(m))
     w[0] -= 1.0
     w /= np.linalg.norm(w)
     p = entries @ w
     q = p - (w @ p) * w
-    outer = np.outer(w[1:], q[1:])
-    compressed = outer + outer.T
+    cq = w[1] * q[1:]
+    compressed = np.add.outer(cq, cq)
     compressed *= -2.0
     compressed += entries[1:, 1:]
     top = float(np.linalg.eigvalsh(compressed)[-1])

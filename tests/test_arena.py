@@ -5,8 +5,10 @@ reference implementations; the integer paths must reproduce them exactly
 (compression triplets and kernel entries bit for bit), not within a tolerance.
 """
 
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -16,13 +18,16 @@ from hypothesis import strategies as st
 from rdmap.cli import EXIT_USAGE, main
 from rdmap.groups import (
     DEFAULT_BALL_CAP,
+    LENGTH_CACHE_BYTES,
+    LENGTH_CACHE_MAX_POINTS,
+    LENGTH_CACHE_SIZE,
     BallCapError,
     CyclicGroup,
     FreeAbelianGroup,
     FreeGroup,
     GroupMismatchError,
 )
-from rdmap.kernels import length_kernel, schoenberg_kernel
+from rdmap.kernels import KernelMatrix, cn_check, length_kernel, schoenberg_kernel
 from rdmap.operators import GroupRingElement, _scaled_tables, _triplets, opnorm_lower
 from rdmap.serialize import ring_from_json
 
@@ -275,6 +280,91 @@ def test_arena_arrays_are_read_only(group):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 5
+
+
+# ---------------------------------------------------------------------------
+# shared length matrices: group kernels skip the validation they always pass
+
+
+@st.composite
+def far_apart_cases(draw):
+    # coordinates at the int64 guard of FreeAbelianGroup.length_matrix, so the
+    # l1 lengths come within 2 * rank of 2^63 - 1
+    rank = draw(st.integers(1, 3))
+    guard = (2**63 - 1) // (2 * rank)
+    coord = st.integers(guard - 3, guard) | st.integers(-guard, 3 - guard) | st.integers(-3, 3)
+    points = draw(st.lists(st.tuples(*[coord] * rank), min_size=1, max_size=12))
+    return FreeAbelianGroup(rank), points
+
+
+@SETTINGS
+@given(kernel_cases() | far_apart_cases(), st.sampled_from([1e-18, 0.5, 30.0]))
+def test_group_kernels_pass_the_validation_they_skip(case, r):
+    group, points = case
+    lengths = group.length_matrix(points)
+    assert lengths.dtype == np.int64 and not lengths.flags.writeable
+    cases = [
+        (length_kernel(group, points), lambda g: float(group.length(g))),
+        (schoenberg_kernel(group, points, r), lambda g: math.exp(-r * group.length(g))),
+    ]
+    for kernel, fn in cases:
+        want = reference_pairwise(group, points, fn)
+        assert_same_bits(kernel.entries, want)
+        # the full check, which the group kernels skip, accepts them
+        assert_same_bits(KernelMatrix(kernel.entries).entries, want)
+    assert_same_bits(lengths.astype(float), cases[0][0].entries)
+
+
+@pytest.mark.parametrize("group", [F2, Z2, CyclicGroup(5)], ids=repr)
+def test_empty_and_repeated_points_still_raise(group):
+    for call in (
+        lambda: length_kernel(group, []),
+        lambda: schoenberg_kernel(group, [], 0.5),
+        lambda: cn_check(group, []),
+    ):
+        with pytest.raises(ValueError, match="at least one point"):
+            call()
+    with pytest.raises(ValueError, match="points must be distinct"):
+        cn_check(group, group.ball(1) + [group.ball(1)[-1]])
+
+
+def test_equal_point_lists_share_one_read_only_matrix():
+    shared = F2.length_matrix(["aAb", "a", "BBbA"])
+    assert F2.length_matrix(["b", "a", "B" + "A"]) is shared
+    assert Z2.length_matrix([(1.0, 0), [-2, 3]]) is Z2.length_matrix([[1, 0], (-2, 3.0)])
+    assert CyclicGroup(5).length_matrix([-1, 7]) is CyclicGroup(5).length_matrix([4, 2])
+    # the same words in another group, or in another order, are another matrix
+    assert FreeGroup(3).length_matrix(["b", "a", "BA"]) is not shared
+    assert F2.length_matrix(["a", "b", "BA"]) is not shared
+    with pytest.raises(ValueError):
+        shared[0, 1] = 0
+    want = reference_pairwise(F2, ["b", "a", "BA"], lambda g: float(F2.length(g)))
+    assert_same_bits(shared.astype(float), want)
+
+
+def test_length_cache_holds_at_most_its_stated_bytes():
+    assert LENGTH_CACHE_BYTES == LENGTH_CACHE_SIZE * LENGTH_CACHE_MAX_POINTS**2 * 8
+    group = CyclicGroup(10 * LENGTH_CACHE_MAX_POINTS)
+    # one list more than the cache keeps, each of the most points it keeps
+    kept = []
+    for start in range(LENGTH_CACHE_SIZE + 1):
+        matrix = group.length_matrix(range(start, start + LENGTH_CACHE_MAX_POINTS))
+        kept.append(weakref.ref(matrix))
+    del matrix
+    gc.collect()
+    alive = [ref() for ref in kept if ref() is not None]
+    assert len(alive) == LENGTH_CACHE_SIZE
+    assert sum(a.nbytes for a in alive) <= LENGTH_CACHE_BYTES
+    del alive
+    # a list over the bound is computed on each call and not retained
+    points = range(LENGTH_CACHE_MAX_POINTS + 1)
+    first = group.length_matrix(points)
+    assert not first.flags.writeable
+    assert group.length_matrix(points) is not first
+    ref = weakref.ref(first)
+    del first
+    gc.collect()
+    assert ref() is None
 
 
 # ---------------------------------------------------------------------------

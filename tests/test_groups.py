@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rdmap.groups import (
     BallCapError,
@@ -243,6 +245,74 @@ def test_parse_normalizes_free_words():
     assert F2.parse("abB") == "a"
     assert F2.parse("aA") == ""
     assert F2.length("abBA") == 0
+
+
+ALPHABET = "abcdefghijklmnopqrstuvwxyz"
+# its lower() is "k", so the per-letter loop read it as a letter from rank 11 up
+KELVIN = "\u212a"
+JUNK = [" ", "\u0130", "\u0131", "\u00df", "\u00e9", "1", "-", "\x00", "z", "Z", KELVIN]
+
+
+class Word(str):
+    pass
+
+
+def reference_parse(group, obj):
+    """The per-letter check and stack reduce that FreeGroup.parse replaced.
+
+    The check also rejects KELVIN, the one character it used to let through
+    (test_parse_rejects_the_kelvin_sign).
+    """
+    if not isinstance(obj, str):
+        raise GroupMismatchError(f"free group element must be a word, got {obj!r}")
+    for c in obj:
+        idx = ALPHABET.find(c.lower())
+        if idx < 0 or idx >= group.rank or c == KELVIN:
+            raise GroupMismatchError(f"letter {c!r} not valid in rank {group.rank}")
+    out = []
+    for c in obj:
+        if out and out[-1] == c.swapcase():
+            out.pop()
+        else:
+            out.append(c)
+    return "".join(out)
+
+
+def reference_sort_key(group, obj):
+    word = reference_parse(group, obj)
+    return (len(word), tuple(group.letters.index(c) for c in word))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_parse_and_sort_key_match_per_letter_reference(data):
+    rank = data.draw(st.integers(1, 26))
+    # the letters of rank + 1: below rank 26 the last two are not valid
+    letters = FreeGroup(min(rank + 1, 26)).letters
+    chars = data.draw(st.lists(st.sampled_from(letters) | st.sampled_from(JUNK), max_size=14))
+    word = "".join(chars)
+    obj = data.draw(st.sampled_from([word, Word(word)]))
+    group = FreeGroup(rank)
+    try:
+        want = reference_parse(group, obj)
+    except GroupMismatchError as error:
+        for method in (group.parse, group.sort_key):
+            with pytest.raises(GroupMismatchError) as raised:
+                method(obj)
+            assert str(raised.value) == str(error)
+        return
+    got = group.parse(obj)
+    # a plain str, also for a subclass, as the joined stack was
+    assert got == want and type(got) is str
+    assert group.sort_key(obj) == reference_sort_key(group, obj)
+
+
+def test_parse_rejects_the_kelvin_sign():
+    # the per-letter loop compared KELVIN.lower() == "k" with the alphabet, so
+    # from rank 11 up it took a letter that no ball or length matrix can hold
+    with pytest.raises(GroupMismatchError, match="not valid in rank 11"):
+        FreeGroup(11).parse("ab" + KELVIN)
+    assert FreeGroup(11).parse("kK") == ""
 
 
 def test_parse_cyclic_wraps():

@@ -1,6 +1,7 @@
 """Kernel checks against exact-arithmetic and grid-search oracles."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -141,6 +142,53 @@ def test_counterexample_fails_with_integer_witness():
     assert w is not None
     assert np.array_equal(w, c)
     assert abs(w @ COUNTEREXAMPLE @ w - 12.0) <= 1e-9
+
+
+def reference_cn_check_matrix(entries, tol):
+    """cn_check_matrix with the rank-2 update formed as outer + outer.T."""
+    m = len(entries)
+    w = np.full(m, 1.0 / math.sqrt(m))
+    w[0] -= 1.0
+    w /= np.linalg.norm(w)
+    p = entries @ w
+    q = p - (w @ p) * w
+    outer = np.outer(w[1:], q[1:])
+    compressed = outer + outer.T
+    compressed *= -2.0
+    compressed += entries[1:, 1:]
+    top = float(np.linalg.eigvalsh(compressed)[-1])
+    if top <= tol:
+        return top, None
+    z = np.linalg.eigh(compressed)[1][:, -1]
+    c = np.concatenate(([0.0], z)) - 2.0 * (w[1:] @ z) * w
+    return top, _nice_witness(c, entries, tol)
+
+
+@st.composite
+def symmetric_kernels(draw):
+    m = draw(st.integers(2, 12))
+    value = st.floats(-1e3, 1e3, allow_nan=False) | st.integers(0, 12).map(float)
+    upper = draw(st.lists(value, min_size=m * (m + 1) // 2, max_size=m * (m + 1) // 2))
+    entries = np.zeros((m, m))
+    entries[np.triu_indices(m)] = upper
+    entries.T[np.triu_indices(m)] = upper
+    return entries
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    symmetric_kernels()
+    | st.just(COUNTEREXAMPLE)
+    | st.integers(1, 3).map(lambda n: length_kernel(F2, F2.ball(n)).entries)
+)
+def test_cn_check_matrix_matches_outer_reference_bit_for_bit(entries):
+    top, witness = reference_cn_check_matrix(entries, 1e-8)
+    verdict = cn_check_matrix(entries, tol=1e-8)
+    assert verdict.max_mean_zero_eigenvalue.hex() == top.hex()
+    assert verdict.passed == (witness is None)
+    if witness is not None:
+        assert verdict.witness.dtype == witness.dtype
+        assert verdict.witness.tobytes() == witness.tobytes()
 
 
 def test_single_point_passes():
@@ -366,6 +414,25 @@ def test_tolerance_must_be_finite(check, tol):
 def test_checks_reject_non_finite_kernels(check, entries):
     with pytest.raises(ValueError, match="must be finite"):
         check(entries)
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        [[0.0, -math.inf], [-math.inf, 0.0]],
+        [[1.0, math.nan], [math.nan, 1.0]],
+        [[math.nan]],
+        # the largest modulus on the negative side, and size * max|entry| overflows
+        [[-1e308, 0.0], [0.0, 1.0]],
+    ],
+    ids=["minus-inf", "nan", "lone-nan", "negative-overflow"],
+)
+def test_kernel_matrix_finiteness_reads_both_ends(entries):
+    message = "kernel entries must be finite and size * max|entry| must not overflow"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        KernelMatrix(np.array(entries))
+    # half of that modulus does not overflow
+    KernelMatrix(np.array([[-0.5e308, 0.0], [0.0, 1.0]]))
 
 
 def test_kernel_matrix_symmetry_tolerance():
