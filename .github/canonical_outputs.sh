@@ -110,6 +110,10 @@ run norm --element-json "$kesten" --radius 8 --seed 7
 # reduces through threaded BLAS, so its last digits follow the thread count
 OPENBLAS_NUM_THREADS=1 run check-cn --group free:2 --radius 5
 OPENBLAS_NUM_THREADS=1 run check-pd --group free:2 --radius 5
+# counts past rd_sample_report's chunk of 256 samples, drawn, scored and
+# pruned one chunk at a time
+run rd-sample --group free:2 --count 600 --seed 7
+run rd-sample --group free-abelian:2 --count 300 --seed 3
 
 for demo in "$src"/../demos/*.py; do
     echo "== demo $(basename "$demo")"

@@ -22,7 +22,7 @@ into an explicit :class:`BallCapError` instead of silent truncation.
 
 Bulk work runs on integers, not on per-pair word arithmetic: each ball is
 built once per ``(group, radius)`` into a cached :class:`BallArena`, its
-elements and one translation table, in which position ``m = len(arena)``
+elements, lengths and translation table, in which position ``m = len(arena)``
 stands for every element outside the ball.  :meth:`Group.length_matrix`
 parses each point once and computes all pairwise lengths ``l(x^-1 y)`` in
 closed form into one read-only int64 matrix, which every caller passing the
@@ -118,7 +118,8 @@ class BallArena:
     """A ball and its translation table, built once per (group, radius) and shared.
 
     ``elements`` lists the ball in canonical order; position ``m = len(arena)``
-    stands for every element outside the ball.  Free groups carry ``moves``,
+    stands for every element outside the ball; ``lengths`` holds their word
+    lengths, each radius repeated by its sphere size.  Free groups carry ``moves``,
     one row per letter in :attr:`FreeGroup.letters` order and one column per
     position, m included: ``moves[a, i]`` is the position of
     ``letter_a * elements[i]``, m when that product leaves the ball, and
@@ -129,10 +130,12 @@ class BallArena:
     """
 
     elements: tuple
+    lengths: np.ndarray
     moves: Optional[np.ndarray] = None
     coords: Optional[np.ndarray] = None
 
     def __post_init__(self):
+        object.__setattr__(self, "lengths", _read_only(self.lengths))
         if self.moves is not None:
             object.__setattr__(self, "moves", _read_only(self.moves))
         if self.coords is not None:
@@ -268,7 +271,10 @@ class Group:
     @functools.lru_cache(maxsize=ARENA_CACHE_SIZE)
     def _cached_arena(self, n: int) -> BallArena:
         elements = tuple(self._enumerate_ball(n))
-        return BallArena(elements, **self._arena_tables(elements))
+        # a ball that covers Z/m stops growing: its later spheres are empty
+        sizes = [self.ball_size(k) for k in range(min(n, len(elements)) + 1)]
+        lengths = np.repeat(np.arange(len(sizes)), np.diff(sizes, prepend=0))
+        return BallArena(elements, lengths, **self._arena_tables(elements))
 
     def ball(self, n: int, cap: int = DEFAULT_BALL_CAP) -> list:
         """All elements of length <= ``n`` in canonical order.

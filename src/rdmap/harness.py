@@ -16,16 +16,17 @@ from typing import Optional
 
 import numpy as np
 
-from .groups import DEFAULT_BALL_CAP, Group, check_integer, check_positive_finite
-from .kernels import decay_certificate
-from .multipliers import map_defect, scaled_multiplier
+from .groups import DEFAULT_BALL_CAP, BallArena, Group, check_integer, check_positive_finite
+from .multipliers import _scaled_multiplier, map_defect
 from .operators import (
     GroupRingElement,
     RdParams,
+    _draw_terms,
+    _element_at,
+    _sobolev_weights,
+    _weighted_l2,
     l1_norm,
     opnorm_lower,
-    random_element,
-    sobolev_norm,
 )
 from .serialize import canonical_json
 
@@ -111,8 +112,7 @@ def run_grid(
     rows = []
     for r in schedule.r_values:
         n = schedule.n_rule(r)
-        K_n = decay_certificate(r, rd.s).tail(n)
-        rho = scaled_multiplier(g, r, rd.s, n, rd.C)
+        rho, K_n = _scaled_multiplier(g, r, rd.s, n, rd.C)
         bracket = map_defect(g, f, rho, rd, radius, cap=cap, seed=seed)
         rows.append(
             ConvergenceRow(
@@ -131,23 +131,12 @@ def select_epsilon(rows: list, epsilon: float) -> Optional[ConvergenceRow]:
     """Earliest row whose certified defect upper bound beats epsilon."""
     if not rows:
         raise ValueError("no grid rows to select from")
-    for row in rows:
-        if row.defect_upper < epsilon:
-            return row
-    return None
+    return next((row for row in rows if row.defect_upper < epsilon), None)
 
 
 def row_fields(row: ConvergenceRow) -> dict:
-    """The exported fields of a row, with the format's fixed `runtime_ms` column (0.0)."""
-    return {
-        "r": row.r,
-        "n": row.n,
-        "U": row.U,
-        "K_n": row.K_n,
-        "defect_lower": row.defect_lower,
-        "defect_upper": row.defect_upper,
-        "runtime_ms": 0.0,
-    }
+    """A row's fields, which __init__ sets in declaration order, and the fixed `runtime_ms` (0.0)."""
+    return {**vars(row), "runtime_ms": 0.0}
 
 
 def rows_to_csv(rows: list) -> str:
@@ -182,6 +171,21 @@ def _l1_bound(f: GroupRingElement) -> float:
     return l1_norm(f) * (1.0 + L1_MARGIN)
 
 
+def _ceilings_and_bounds(arena: BallArena, draws: list, rd: RdParams) -> tuple[list, list]:
+    """rd.C * sobolev_norm and _l1_bound of each draw, bit for bit (np.hypot is abs(complex)'s hypot)."""
+    lengths = arena.lengths[np.concatenate([p for p, _ in draws])].tolist()
+    parts = np.concatenate([c for _, c in draws]).view(np.float64).reshape(-1, 2)
+    present = set(lengths)
+    weights = dict(zip(present, _sobolev_weights(present, rd.s)))
+    moduli = np.hypot(parts[:, 0], parts[:, 1]).tolist()
+    subnormal = ((parts != 0.0) & (abs(parts) < sys.float_info.min)).any(axis=1).tolist()
+    ends = np.cumsum([len(p) for p, _ in draws]).tolist()
+    spans = [slice(a, b) for a, b in zip([0] + ends, ends)]
+    ceilings = [rd.C * _weighted_l2(moduli[t], map(weights.get, lengths[t])) for t in spans]
+    bounds = [math.inf if any(subnormal[t]) else math.fsum(moduli[t]) * (1.0 + L1_MARGIN) for t in spans]
+    return ceilings, bounds
+
+
 def rd_sample_report(
     g: Group,
     rd: RdParams,
@@ -193,11 +197,11 @@ def rd_sample_report(
 ) -> RdSampleReport:
     """Check lower <= C * Sobolev on seeded random elements.
 
-    Each sample is a random_element on the ball of radius 3, bracketed from
-    below by opnorm_lower on the ball of the given radius.  The ratio is
-    lower / ceiling, ceiling = C * Sobolev; `worst_element` is the first
-    sample drawn at the largest ratio, and the sweep passes unless some
-    sample has lower > ceiling + tolerance.
+    Each sample is a random_element on the ball of radius 3, drawn and scored
+    as ball positions and built only if solved, and bracketed from below by
+    opnorm_lower on the ball of the given radius.  With ceiling = C * Sobolev,
+    `worst_element` is the first sample drawn at the largest ratio lower /
+    ceiling, and the sweep passes unless some sample has lower > ceiling + tolerance.
 
     Only the samples that can change this report are solved.  With
     bound = l1_norm(f) * (1 + L1_MARGIN), each chunk of SAMPLE_CHUNK draws
@@ -225,23 +229,24 @@ def rd_sample_report(
     worst_element = None
     passed = True
     for start in range(0, count, SAMPLE_CHUNK):
-        samples = [random_element(g, 3, rng, cap=cap) for _ in range(min(SAMPLE_CHUNK, count - start))]
+        ball = g.arena(3, cap=cap)
+        draws = [_draw_terms(ball, rng) for _ in range(min(SAMPLE_CHUNK, count - start))]
         if start == 0:
             g.arena(check_integer(radius, "radius"), cap=cap)
-        ceilings = [rd.C * sobolev_norm(g, f, rd.s) for f in samples]
-        bounds = [_l1_bound(f) for f in samples]
+        ceilings, bounds = _ceilings_and_bounds(ball, draws, rd)
         keys = [b / c if b < math.inf else math.inf for b, c in zip(bounds, ceilings)]
-        for i in sorted(range(len(samples)), key=lambda i: (-keys[i], i)):
+        for i in sorted(range(len(draws)), key=lambda i: (-keys[i], i)):
             index = start + i
             ceiling = ceilings[i]
             leads = keys[i] > worst or (keys[i] == worst and index < worst_index)
             fails = passed and bounds[i] > ceiling + tolerance
             if not (leads or fails or bounds[i] == math.inf):
                 continue
-            lower = opnorm_lower(g, samples[i], radius, cap=cap)
+            f = _element_at(g, ball, *draws[i])
+            lower = opnorm_lower(g, f, radius, cap=cap)
             ratio = lower / ceiling
             if ratio > worst or (ratio == worst and index < worst_index):
-                worst, worst_index, worst_element = ratio, index, samples[i]
+                worst, worst_index, worst_element = ratio, index, f
             if lower > ceiling + tolerance:
                 passed = False
     return RdSampleReport(

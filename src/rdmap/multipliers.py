@@ -146,8 +146,14 @@ def scaled_multiplier(g: Group, r: float, s: float, n: int, C: float) -> HeatMul
     contraction by construction: support is the ball of radius n, and every
     operator-norm bound is divided by U >= norm.
     """
+    return _scaled_multiplier(g, r, s, n, C)[0]
+
+
+def _scaled_multiplier(g: Group, r: float, s: float, n: int, C: float) -> tuple[HeatMultiplier, float]:
+    """scaled_multiplier(g, r, s, n, C) and the tail K_n of its U = 1 + C * K_n."""
     check_positive_finite(C, "constant C")
-    return HeatMultiplier(g, r, n, 1.0 + C * decay_certificate(r, s).tail(n))
+    K_n = decay_certificate(r, s).tail(n)
+    return HeatMultiplier(g, r, n, 1.0 + C * K_n), K_n
 
 
 def _split(z: complex) -> tuple[complex, int]:

@@ -20,6 +20,7 @@ import numpy as np
 
 from .groups import (
     DEFAULT_BALL_CAP,
+    BallArena,
     CyclicGroup,
     FreeAbelianGroup,
     FreeGroup,
@@ -207,11 +208,16 @@ def sobolev_norm(g: Group, f: GroupRingElement, s: float) -> float:
     if not s > 0:
         raise ValueError("Sobolev exponent s must be positive")
     _require_same_group(g, f)
+    weights = _sobolev_weights(map(g.length, f.terms), s)
+    return _weighted_l2([abs(c) for c in f.terms.values()], weights)
+
+
+def _sobolev_weights(lengths, s: float) -> list:
+    """(1 + n)^(2s) for each length n, or a ValueError where one overflows."""
     try:
-        weights = [(1.0 + g.length(x)) ** (2.0 * s) for x in f.terms]
+        return [(1.0 + n) ** (2.0 * s) for n in lengths]
     except OverflowError:
         raise ValueError(f"Sobolev weight (1 + length)^(2s) overflows at s={s!r}") from None
-    return _weighted_l2([abs(c) for c in f.terms.values()], weights)
 
 
 # ---------------------------------------------------------------------------
@@ -925,11 +931,18 @@ def random_element(
     cap: int = DEFAULT_BALL_CAP,
 ) -> GroupRingElement:
     """Seeded random nonzero element of 1 to 6 terms supported in the given ball."""
-    ball = g.arena(radius, cap=cap).elements
-    k = int(rng.integers(1, 7))
-    k = min(k, len(ball))
-    picks = rng.choice(len(ball), size=k, replace=False)
-    terms = {
-        ball[int(i)]: complex(rng.normal(), rng.normal()) for i in sorted(picks)
-    }
-    return GroupRingElement(g, terms)
+    arena = g.arena(radius, cap=cap)
+    return _element_at(g, arena, *_draw_terms(arena, rng))
+
+
+def _draw_terms(arena: BallArena, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """random_element's draw: k distinct sorted positions, then 2k normals as k coefficients."""
+    k = min(int(rng.integers(1, 7)), len(arena))
+    positions = rng.choice(len(arena), size=k, replace=False)
+    positions.sort()
+    return positions, rng.normal(size=2 * k).view(np.complex128)
+
+
+def _element_at(g: Group, arena: BallArena, positions, coeffs) -> GroupRingElement:
+    elements = map(arena.elements.__getitem__, positions.tolist())
+    return GroupRingElement(g, dict(zip(elements, coeffs.tolist())))

@@ -282,6 +282,21 @@ def test_arena_arrays_are_read_only(group):
             array[0] = 5
 
 
+@pytest.mark.parametrize(
+    "group, radius",
+    [(F2, 0), (F2, 4), (FreeGroup(1), 5), (FreeGroup(3), 3), (Z2, 6), (FreeAbelianGroup(3), 3),
+     (CyclicGroup(7), 2), (CyclicGroup(7), 3), (CyclicGroup(8), 4), (CyclicGroup(5), 3), (CyclicGroup(6), 10**9)],
+    ids=repr,
+)
+def test_arena_lengths_are_the_word_lengths_read_only(group, radius):
+    # Z/5 at radius 3, Z/8 at 4 and Z/6 at 10^9 cover the group: their last spheres are empty
+    arena = group.arena(radius)
+    assert arena.lengths.dtype == np.int64 and not arena.lengths.flags.writeable
+    assert arena.lengths.tolist() == [group.length(x) for x in arena.elements]
+    with pytest.raises(ValueError):
+        arena.lengths[0] = 5
+
+
 # ---------------------------------------------------------------------------
 # shared length matrices: group kernels skip the validation they always pass
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rdmap.harness
+import rdmap.multipliers
 from rdmap.groups import CyclicGroup, FreeAbelianGroup, FreeGroup
 from rdmap.harness import (
     CSV_HEADER,
@@ -17,6 +18,7 @@ from rdmap.harness import (
     ConvergenceRow,
     GridSchedule,
     RdSampleReport,
+    _ceilings_and_bounds,
     _l1_bound,
     default_schedule,
     rd_sample_report,
@@ -25,10 +27,13 @@ from rdmap.harness import (
     run_grid,
     select_epsilon,
 )
+from rdmap.kernels import decay_certificate
 from rdmap.multipliers import scaled_multiplier
 from rdmap.operators import (
     GroupRingElement,
     RdParams,
+    _draw_terms,
+    _element_at,
     builtin_rd_params,
     delta,
     l1_norm,
@@ -99,6 +104,17 @@ def test_run_grid_point_mass_closed_form():
         assert row.U > 1.1
         assert row.defect_upper == pytest.approx(expected, abs=1e-10)
         assert row.defect_lower == pytest.approx(expected, abs=1e-10)
+
+
+def test_run_grid_builds_one_decay_certificate_per_row():
+    schedule = default_schedule(RD)
+    with mock.patch.object(rdmap.multipliers, "decay_certificate", wraps=decay_certificate) as built:
+        rows = run_grid(F2, KESTEN, schedule)
+    assert built.call_count == len(schedule.r_values) == 3
+    for row in rows:
+        K_n = decay_certificate(row.r, RD.s).tail(row.n)
+        assert (row.K_n, row.U) == (K_n, 1.0 + RD.C * K_n)
+        assert row.U == scaled_multiplier(F2, row.r, RD.s, row.n, RD.C).U
 
 
 def test_run_grid_zero_element():
@@ -267,3 +283,89 @@ def test_counts_across_sample_chunks_give_the_same_report(g, radius, count, C):
 def test_a_subnormal_part_leaves_the_sample_to_the_solver():
     assert _l1_bound(GroupRingElement(F2, {"a": 1.0, "b": complex(0.5, 5e-324)})) == math.inf
     assert _l1_bound(KESTEN) == 4.0 * (1.0 + 2.0**-30)
+
+
+def bits(values):
+    return [float(v).hex() for v in values]
+
+
+def scalar_random_element(g, radius, rng):
+    """random_element's draw rule, with one scalar rng.normal() call per coefficient part."""
+    ball = g.ball(radius)
+    k = min(int(rng.integers(1, 7)), len(ball))
+    picks = sorted(rng.choice(len(ball), size=k, replace=False))
+    return GroupRingElement(g, {ball[int(i)]: complex(rng.normal(), rng.normal()) for i in picks})
+
+
+INDEX_GROUPS = [FreeGroup(2), FreeGroup(3), FreeAbelianGroup(1), FreeAbelianGroup(2), CyclicGroup(5), CyclicGroup(7)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    g=st.sampled_from(INDEX_GROUPS),
+    C=st.sampled_from([None, 0.2]),
+    count=st.integers(1, 30),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_index_form_scores_are_those_of_random_elements(g, C, count, seed):
+    # Z/5's ball of radius 3 wraps: it is the whole group
+    builtin = builtin_rd_params(g)
+    rd = builtin if C is None else RdParams(C=C, s=builtin.s)
+    ball = g.arena(3)
+    rng, twin, scalar = (np.random.default_rng(seed) for _ in range(3))
+    draws = [_draw_terms(ball, rng) for _ in range(count)]
+    samples = [random_element(g, 3, twin) for _ in range(count)]
+    references = [scalar_random_element(g, 3, scalar) for _ in range(count)]
+    assert rng.bit_generator.state == twin.bit_generator.state == scalar.bit_generator.state
+    assert [_element_at(g, ball, *draw).terms for draw in draws] == [f.terms for f in samples]
+    assert [f.terms for f in samples] == [f.terms for f in references]
+    ceilings, bounds = _ceilings_and_bounds(ball, draws, rd)
+    assert bits(ceilings) == bits(rd.C * sobolev_norm(g, f, rd.s) for f in samples)
+    assert bits(bounds) == bits(_l1_bound(f) for f in samples)
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=st.sampled_from(INDEX_GROUPS), seed=st.integers(0, 2**32 - 1), exponent=st.integers(-1080, 1000))
+def test_index_form_scores_hold_across_the_exponent_range(g, seed, exponent):
+    # coefficients scaled by 2^exponent reach subnormal parts (an infinite
+    # bound) and parts that underflow to zero, which the element drops
+    rd = builtin_rd_params(g)
+    ball = g.arena(3)
+    rng = np.random.default_rng(seed)
+    draws = []
+    for _ in range(8):
+        positions, coeffs = _draw_terms(ball, rng)
+        draws.append((positions, np.ldexp(coeffs.view(np.float64), exponent).view(np.complex128)))
+    samples = [_element_at(g, ball, *draw) for draw in draws]
+    ceilings, bounds = _ceilings_and_bounds(ball, draws, rd)
+    assert bits(ceilings) == bits(rd.C * sobolev_norm(g, f, rd.s) for f in samples)
+    assert bits(bounds) == bits(_l1_bound(f) for f in samples)
+
+
+def report_or_error(fn):
+    try:
+        return fn()
+    except ValueError as error:
+        return str(error)
+
+
+@pytest.mark.parametrize("g", [FreeGroup(2), FreeAbelianGroup(1), CyclicGroup(7)], ids=repr)
+def test_a_sobolev_weight_overflows_only_where_a_sample_holds_its_length(g):
+    # at s = 300, (1 + 3)^(2s) overflows and (1 + 2)^(2s) does not
+    rd = RdParams(C=1.0, s=300.0)
+    with pytest.raises(ValueError, match="overflows at s=300.0"):
+        sobolev_norm(g, delta(g, g.arena(3).elements[-1]), rd.s)
+    assert math.isfinite(sobolev_norm(g, delta(g, g.arena(2).elements[-1]), rd.s))
+    outcomes = set()
+    for seed in range(40):
+        count = 1 + seed % 2
+        report = report_or_error(lambda: rd_sample_report(g, rd, count, seed))
+        reference = report_or_error(lambda: solve_every_sample(g, rd, count, seed))
+        if isinstance(reference, str):
+            assert report == reference == "Sobolev weight (1 + length)^(2s) overflows at s=300.0"
+        else:
+            worst, passed, worst_element = reference
+            assert (report.count, report.worst_ratio, report.passed) == (count, worst, passed)
+            assert report.worst_element.terms == worst_element.terms
+        outcomes.add(isinstance(reference, str))
+    assert outcomes == {True, False}
