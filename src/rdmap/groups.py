@@ -119,11 +119,11 @@ class BallArena:
 
     ``elements`` lists the ball in canonical order; position ``m = len(arena)``
     stands for every element outside the ball; ``lengths`` holds their word
-    lengths, each radius repeated by its sphere size.  Free groups carry ``moves``,
-    one row per letter in :attr:`FreeGroup.letters` order and one column per
-    position, m included: ``moves[a, i]`` is the position of
-    ``letter_a * elements[i]``, m when that product leaves the ball, and
-    ``moves[a, m]`` is m.  Free-abelian and cyclic groups carry ``coords``,
+    lengths.  Free groups carry ``moves``, one row per letter in
+    :attr:`FreeGroup.letters` order and one column per position, m included:
+    ``moves[a, i]`` is the position of ``letter_a * elements[i]``, m when that
+    product leaves the ball, and ``moves[a, m]`` is m.  Free-abelian and
+    cyclic groups carry ``coords``,
     one row of integer coordinates (or the residue) per element, and
     :meth:`locate` maps coordinate rows back to positions.  Every array is
     read-only, because the arena is shared by all callers.
@@ -249,7 +249,7 @@ class Group:
         raise NotImplementedError
 
     def _arena_tables(self, elements: tuple) -> dict:
-        """The family's translation table for :class:`BallArena`."""
+        """The family's word lengths and translation table for :class:`BallArena`."""
         raise NotImplementedError
 
     def arena(self, n: int, cap: int = DEFAULT_BALL_CAP) -> BallArena:
@@ -271,10 +271,7 @@ class Group:
     @functools.lru_cache(maxsize=ARENA_CACHE_SIZE)
     def _cached_arena(self, n: int) -> BallArena:
         elements = tuple(self._enumerate_ball(n))
-        # a ball that covers Z/m stops growing: its later spheres are empty
-        sizes = [self.ball_size(k) for k in range(min(n, len(elements)) + 1)]
-        lengths = np.repeat(np.arange(len(sizes)), np.diff(sizes, prepend=0))
-        return BallArena(elements, lengths, **self._arena_tables(elements))
+        return BallArena(elements, **self._arena_tables(elements))
 
     def ball(self, n: int, cap: int = DEFAULT_BALL_CAP) -> list:
         """All elements of length <= ``n`` in canonical order.
@@ -383,7 +380,10 @@ class FreeGroup(Group):
             + [m]
             for c in self.letters
         ]
-        return {"moves": moves}
+        # each radius up to the last word's, repeated by its sphere size
+        sizes = [self.ball_size(k) for k in range(len(elements[-1]) + 1)]
+        lengths = np.repeat(np.arange(len(sizes)), np.diff(sizes, prepend=0))
+        return {"lengths": lengths, "moves": moves}
 
     def left_translate(self, arena: BallArena, s: str) -> np.ndarray:
         # s * y is built letter by letter from the right of s.  s and y are
@@ -480,7 +480,8 @@ class FreeAbelianGroup(Group):
         return sorted(gen(self.rank, n), key=self.sort_key)
 
     def _arena_tables(self, elements: tuple) -> dict:
-        return {"coords": np.array(elements, dtype=np.int64).reshape(len(elements), self.rank)}
+        coords = np.array(elements, dtype=np.int64).reshape(len(elements), self.rank)
+        return {"lengths": np.abs(coords).sum(axis=1), "coords": coords}
 
     def left_translate(self, arena: BallArena, s: tuple) -> np.ndarray:
         return arena.locate(arena.coords + np.array(s, dtype=np.int64))
@@ -542,7 +543,8 @@ class CyclicGroup(Group):
         return members
 
     def _arena_tables(self, elements: tuple) -> dict:
-        return {"coords": np.array(elements, dtype=np.int64)[:, None]}
+        residues = np.array(elements, dtype=np.int64)
+        return {"lengths": np.minimum(residues, self.order - residues), "coords": residues[:, None]}
 
     def left_translate(self, arena: BallArena, s: int) -> np.ndarray:
         # shift by s - m in (-m, 0]: residue + s could pass 2^63 and wrap

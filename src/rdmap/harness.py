@@ -25,7 +25,6 @@ from .operators import (
     _element_at,
     _sobolev_weights,
     _weighted_l2,
-    l1_norm,
     opnorm_lower,
 )
 from .serialize import canonical_json
@@ -164,15 +163,11 @@ class RdSampleReport:
     worst_element: Optional[GroupRingElement] = None
 
 
-def _l1_bound(f: GroupRingElement) -> float:
-    """l1_norm(f) * (1 + L1_MARGIN), or inf where a coefficient part is subnormal."""
-    if any(0.0 < abs(p) < sys.float_info.min for c in f.terms.values() for p in (c.real, c.imag)):
-        return math.inf
-    return l1_norm(f) * (1.0 + L1_MARGIN)
-
-
 def _ceilings_and_bounds(arena: BallArena, draws: list, rd: RdParams) -> tuple[list, list]:
-    """rd.C * sobolev_norm and _l1_bound of each draw, bit for bit (np.hypot is abs(complex)'s hypot)."""
+    """rd.C * sobolev_norm and the l1 bound of rd_sample_report for each draw, bit for bit.
+
+    np.hypot is abs(complex)'s hypot.
+    """
     lengths = arena.lengths[np.concatenate([p for p, _ in draws])].tolist()
     parts = np.concatenate([c for _, c in draws]).view(np.float64).reshape(-1, 2)
     present = set(lengths)

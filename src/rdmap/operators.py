@@ -79,10 +79,9 @@ RITZ_GRAM_CUTOFF = 1e-14
 _GRAM_INDEX = np.add.outer(np.arange(RITZ_BLOCK + 1), np.arange(RITZ_BLOCK + 2))
 _GRAM_INDEX[1:, 1:] += RITZ_BLOCK
 
-# Unit starts of the power iteration kept at once, seeded ones per (ball
-# size, seed, dtype) and positive ones per ball size: a pipeline solves on a
-# few ball sizes with one seed
-SEEDED_START_CACHE = 8
+# Unit starts of the power iteration kept at once, one per (ball size, seed,
+# dtype): a pipeline solves on a few ball sizes with one seed
+START_CACHE = 8
 
 # A dot product of at most NORM_CHUNK floats runs on one BLAS thread (OpenBLAS
 # threads ddot only above 10,000 entries), so _norm sums longer vectors as
@@ -562,47 +561,39 @@ def _table_products(m: int, targets: np.ndarray, coeffs: np.ndarray):
     return apply, apply_adjoint
 
 
-@functools.lru_cache(maxsize=SEEDED_START_CACHE)
-def _seeded_start(m: int, seed: int, dtype: np.dtype) -> np.ndarray:
+@functools.lru_cache(maxsize=START_CACHE)
+def _start(m: int, seed: int | None, dtype: np.dtype) -> np.ndarray:
     """The solver's unit start for a size, seed and dtype, shared read-only.
 
-    A normal draw of m floats from default_rng(seed), plus i times a second
-    draw for a complex dtype, scaled to unit length: the float64 start is
-    the real part of the complex one, up to the scale.  A draw costs several
+    With seed None, the all-ones vector of m floats.  Else a normal draw of
+    m floats from default_rng(seed), plus i times a second draw for a
+    complex dtype: the float64 start is the real part of the complex one,
+    up to the scale.  Either is scaled to unit length.  A draw costs several
     times the solver's copy of the cached start (CHANGES.md, BENCH_*.json).
     """
-    rng = np.random.default_rng(seed)
-    v = rng.normal(size=m)
-    if dtype == complex:
-        v = v + 1j * rng.normal(size=m)
+    if seed is None:
+        v = np.ones(m)
+    else:
+        rng = np.random.default_rng(seed)
+        v = rng.normal(size=m)
+        if dtype == complex:
+            v = v + 1j * rng.normal(size=m)
     start = np.empty(m, dtype=dtype)
     _scale_into(start, v, _norm(v))
     start.setflags(write=False)
     return start
 
 
-@functools.lru_cache(maxsize=SEEDED_START_CACHE)
-def _positive_start(m: int) -> np.ndarray:
-    """The all-ones vector of m floats scaled to unit length, shared read-only."""
-    ones = np.ones(m)
-    start = np.empty(m)
-    _scale_into(start, ones, _norm(ones))
-    start.setflags(write=False)
-    return start
-
-
-def _power_iteration(
-    m: int, products, max_iters: int, tol: float, seed: int = 0, dtype=complex, positive: bool = False
-):
+def _power_iteration(m: int, products, max_iters: int, tol: float, seed: int | None = 0, dtype=complex):
     """Largest singular value of an m x m matrix A from below.
 
     ``products`` is the pair of callables v -> A v and u -> A^H u.  Power
     iteration on B = A^H A from a unit start, restarted every RITZ_BLOCK
     steps from the Rayleigh-Ritz vector of the block's iterates and the
-    previous block's start.  The start is the positive unit vector of
-    _positive_start where the caller says A is entrywise nonnegative
-    (``positive``), else the seeded random one of _seeded_start.  Each
-    step is one A product and yields the norm of A applied to an explicit
+    previous block's start.  The start is copied from the cache of _start:
+    the positive unit vector where the caller passes seed None for an
+    entrywise nonnegative A, else the seeded random one.  Each step is one
+    A product and yields the norm of A applied to an explicit
     unit vector, which never exceeds the true largest singular value; each
     step but a block's last also takes the A^H product that makes the next
     iterate.  The largest such value is returned together with the step
@@ -611,7 +602,6 @@ def _power_iteration(
     The iterates are written in place into one buffer of the given dtype,
     and the norms |A v| and |A^H A v| of the steps are kept for the
     restart, which forms its Ritz problem from them (see _ritz_vector).
-    The start is copied from a cache.
 
     A nonnegative A has a nonnegative B, whose top eigenvector can be taken
     nonnegative (Perron-Frobenius), so the positive start always overlaps
@@ -641,7 +631,7 @@ def _power_iteration(
     gains = [0.0] * (RITZ_BLOCK - 1)
     sigmas = [0.0] * RITZ_BLOCK
     carried = None
-    iterates[1] = _positive_start(m) if positive else _seeded_start(m, seed, iterates.dtype)
+    iterates[1] = _start(m, seed, iterates.dtype)
     v = iterates[1]
     best = sigma = rel = 0.0
     k = 0
@@ -753,15 +743,9 @@ def _ritz_vector(iterates: np.ndarray, gains, sigmas, carried):
 def opnorm_lower(g: Group, f: GroupRingElement, radius: int, cap: int = DEFAULT_BALL_CAP) -> float:
     """Certified lower bound for the convolution operator norm of f (default solver).
 
-    The lower end of opnorm_bracket without decay constants, computed
-    without the bracket: the same scaling into normal range and the same
-    downward scale-back, but no checks of default settings, no l1 norm for
-    a crossing that an infinite upper end cannot have, and no NormBracket.
+    The lower end of opnorm_bracket without decay constants.
     """
-    radius = check_integer(radius, "radius")
-    f, top = _normal_range(f)
-    lower = _opnorm_lower_info(g, f, radius, DEFAULT_MAX_ITERS, DEFAULT_POWER_TOL, cap, 0)[0]
-    return _ldexp_down(lower, top)
+    return opnorm_bracket(g, f, None, radius, cap=cap).lower
 
 
 def _opnorm_lower_info(g, f, radius, max_iters, tol, cap, seed):
@@ -801,10 +785,10 @@ def _opnorm_lower_info(g, f, radius, max_iters, tol, cap, seed):
         else:
             # the products keep what they need; free the table before iterating
             del targets
-            positive = coeffs.dtype == float and bool((coeffs >= 0).all())
-            sigma, iters, rel = _power_iteration(
-                m, products, max_iters, tol, seed, coeffs.dtype, positive=positive
-            )
+            # an entrywise nonnegative A starts from the positive unit vector
+            if coeffs.dtype == float and (coeffs >= 0).all():
+                seed = None
+            sigma, iters, rel = _power_iteration(m, products, max_iters, tol, seed, coeffs.dtype)
     return max(math.ldexp(sigma, e), l2_norm(f)), iters, rel
 
 
@@ -863,11 +847,7 @@ def opnorm_bracket(
     cap: int = DEFAULT_BALL_CAP,
     seed: int = 0,
 ) -> NormBracket:
-    """Bracket of the operator norm of f; without rd the upper end is inf.
-
-    opnorm_lower computes the lower end of the bracket without rd, through
-    the same subnormal scaling and the same outward rounding.
-    """
+    """Bracket of the operator norm of f; without rd the upper end is inf."""
     radius = check_integer(radius, "radius")
     max_iters = check_integer(max_iters, "max_iters", 1)
     check_positive_finite(tol, "tol")
@@ -904,12 +884,6 @@ def _normal_range(f: GroupRingElement) -> tuple[GroupRingElement, int]:
     return GroupRingElement(f.group, {x: _ldexp(c, -top) for x, c in f.terms.items()}), top
 
 
-def _ldexp_down(x: float, e: int) -> float:
-    """x * 2^e, one ulp down where ldexp rounded it up."""
-    y = math.ldexp(x, e)
-    return math.nextafter(y, 0.0) if math.ldexp(y, -e) > x else y
-
-
 def _scale_bracket(bracket: NormBracket, e: int) -> NormBracket:
     """The bracket times 2^e, each end one ulp outward where it rounded inward.
 
@@ -918,10 +892,12 @@ def _scale_bracket(bracket: NormBracket, e: int) -> NormBracket:
     norm of f even where that norm is subnormal, and loses no step of the
     subnormal grid that it need not; where no end rounds it is exact.
     """
-    upper = math.ldexp(bracket.upper, e)
+    lower, upper = math.ldexp(bracket.lower, e), math.ldexp(bracket.upper, e)
+    if math.ldexp(lower, -e) > bracket.lower:
+        lower = math.nextafter(lower, 0.0)
     if math.ldexp(upper, -e) < bracket.upper:
         upper = math.nextafter(upper, math.inf)
-    return replace(bracket, lower=_ldexp_down(bracket.lower, e), upper=upper)
+    return replace(bracket, lower=lower, upper=upper)
 
 
 def random_element(

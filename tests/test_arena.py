@@ -285,11 +285,14 @@ def test_arena_arrays_are_read_only(group):
 @pytest.mark.parametrize(
     "group, radius",
     [(F2, 0), (F2, 4), (FreeGroup(1), 5), (FreeGroup(3), 3), (Z2, 6), (FreeAbelianGroup(3), 3),
-     (CyclicGroup(7), 2), (CyclicGroup(7), 3), (CyclicGroup(8), 4), (CyclicGroup(5), 3), (CyclicGroup(6), 10**9)],
+     (FreeAbelianGroup(1), 0), (FreeAbelianGroup(1), 60), (CyclicGroup(7), 2), (CyclicGroup(7), 3),
+     (CyclicGroup(8), 4), (CyclicGroup(5), 3), (CyclicGroup(6), 10**9), (CyclicGroup(4001), 2000),
+     (CyclicGroup(4000), 2000), (CyclicGroup(10**12), 50)],
     ids=repr,
 )
 def test_arena_lengths_are_the_word_lengths_read_only(group, radius):
-    # Z/5 at radius 3, Z/8 at 4 and Z/6 at 10^9 cover the group: their last spheres are empty
+    # Z/5 at radius 3, Z/8 at 4, Z/6 at 10^9, Z/4001 and Z/4000 at 2000 cover
+    # the group: their last spheres are empty (Z/4000 ends on the one residue 2000)
     arena = group.arena(radius)
     assert arena.lengths.dtype == np.int64 and not arena.lengths.flags.writeable
     assert arena.lengths.tolist() == [group.length(x) for x in arena.elements]

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 from unittest import mock
 
 import numpy as np
@@ -14,12 +15,12 @@ import rdmap.multipliers
 from rdmap.groups import CyclicGroup, FreeAbelianGroup, FreeGroup
 from rdmap.harness import (
     CSV_HEADER,
+    L1_MARGIN,
     SAMPLE_CHUNK,
     ConvergenceRow,
     GridSchedule,
     RdSampleReport,
     _ceilings_and_bounds,
-    _l1_bound,
     default_schedule,
     rd_sample_report,
     rows_to_csv,
@@ -278,6 +279,14 @@ def test_counts_across_sample_chunks_give_the_same_report(g, radius, count, C):
     rd = builtin if C is None else RdParams(C=C, s=builtin.s)
     assert count > 2 * SAMPLE_CHUNK
     assert_report_solves_every_sample(g, rd, count, 5, radius, 1e-9)
+
+
+def _l1_bound(f: GroupRingElement) -> float:
+    """l1_norm(f) * (1 + L1_MARGIN), or inf where a coefficient part is
+    subnormal: the element form of the l1 bounds of _ceilings_and_bounds."""
+    if any(0.0 < abs(p) < sys.float_info.min for c in f.terms.values() for p in (c.real, c.imag)):
+        return math.inf
+    return l1_norm(f) * (1.0 + L1_MARGIN)
 
 
 def test_a_subnormal_part_leaves_the_sample_to_the_solver():

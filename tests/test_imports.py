@@ -8,8 +8,13 @@ elements that covers a cyclic group loads it.
 
 Every check runs in a fresh interpreter, since an earlier test in this
 process may already have imported scipy.
+
+The last check is import hygiene of the other direction: every module-level
+function and class of rdmap has a user outside the unit tests.
 """
 
+import ast
+import glob
 import json
 import os
 import subprocess
@@ -107,3 +112,37 @@ def test_covering_cyclic_ball_loads_fft_but_no_scipy():
     loaded = lazy_modules_after(["norm", "--element-json", cyclic, "--radius", "150"])
     assert ("numpy.fft" in loaded) == (int(np.__version__.split(".")[0]) >= 2)
     assert not any(m.split(".")[0] == "scipy" for m in loaded)
+
+
+def unused_definitions(root) -> list:
+    """Module-level functions and classes of root/src/rdmap that no code in
+    root's src/, bench/, demos/ or tests/test_acceptance.py refers to by
+    name, as a variable, an attribute or an import; a definition is not a
+    reference to itself."""
+    defined = set()
+    for path in glob.glob(os.path.join(root, "src", "rdmap", "*.py")):
+        with open(path) as source:
+            body = ast.parse(source.read()).body
+        kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        defined.update(node.name for node in body if isinstance(node, kinds))
+    users = [os.path.join(root, "tests", "test_acceptance.py")]
+    for folder in ("src", "bench", "demos"):
+        assert os.path.isdir(os.path.join(root, folder))
+        users += glob.glob(os.path.join(root, folder, "**", "*.py"), recursive=True)
+    used = set()
+    for path in users:
+        with open(path) as source:
+            for node in ast.walk(ast.parse(source.read())):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    used.add(node.name.rsplit(".", 1)[-1])
+    return sorted(defined - used)
+
+
+def test_every_module_level_definition_has_a_user_outside_the_unit_tests():
+    # no public API that only tests use: a helper that only a unit test
+    # calls belongs in that test's module
+    assert unused_definitions(os.path.dirname(SRC)) == []

@@ -614,6 +614,12 @@ def starts_positive(coeffs):
     return coeffs.dtype == float and bool((coeffs >= 0).all())
 
 
+def start_seed(coeffs, seed):
+    """The seed _opnorm_lower_info hands the power iteration on these iterated
+    coefficients: None, the positive start, where starts_positive, else seed."""
+    return None if starts_positive(coeffs) else seed
+
+
 def normal_range(f):
     """(f * 2^-top, top) where every coefficient part of f is subnormal, else
     (f, 0): the element whose lower bound opnorm_lower computes."""
@@ -687,7 +693,7 @@ def test_solver_never_exceeds_dense_svd(case):
     coeffs = iterated_coeffs(group, f, radius, coeffs)
     products = _csr_products(m, targets, coeffs)
     value, iters, _ = _power_iteration(
-        m, products, DEFAULT_MAX_ITERS, DEFAULT_POWER_TOL, 0, coeffs.dtype, positive=starts_positive(coeffs)
+        m, products, DEFAULT_MAX_ITERS, DEFAULT_POWER_TOL, start_seed(coeffs, 0), coeffs.dtype
     )
     value = math.ldexp(value, e)
     lower = opnorm_lower(group, f, radius)
@@ -862,7 +868,7 @@ def test_table_products_match_the_dense_compression(case):
     if not covering:
         iterated = iterated_element(group, f, radius, coeffs)
         coeffs = iterated_coeffs(group, f, radius, coeffs)
-    positive = starts_positive(coeffs)
+    seed = start_seed(coeffs, 0)
     A = translate_compression(group, iterated, group.ball(radius))
     rng = np.random.default_rng(0)
     v = rng.normal(size=m)
@@ -883,12 +889,12 @@ def test_table_products_match_the_dense_compression(case):
                 solved = _character_norm(residues, targets[:, 0], coeffs, apply)
             else:
                 solved = _power_iteration(
-                    m, products, DEFAULT_MAX_ITERS, DEFAULT_POWER_TOL, 0, coeffs.dtype, positive=positive
+                    m, products, DEFAULT_MAX_ITERS, DEFAULT_POWER_TOL, seed, coeffs.dtype
                 )[0]
             lower = opnorm_lower(group, element, radius)
             assert lower == scaled_back(max(solved * scale, l2_norm(f)), top)
         value, iters, _ = _power_iteration(
-            m, products, DEFAULT_MAX_ITERS, 1e-13, 0, coeffs.dtype, positive=positive
+            m, products, DEFAULT_MAX_ITERS, 1e-13, seed, coeffs.dtype
         )
         value *= scale
         assert value <= sigma[0] * (1 + 8 * EPS)
@@ -926,7 +932,7 @@ def test_balls_that_do_not_cover_keep_the_seeded_start(group, radius, f, seed):
     assert positive == (f in (KESTEN, Z2_GENSUM))
     build = _table_products if targets.size <= TABLE_PRODUCT_MAX else _csr_products
     run = _power_iteration(
-        m, build(m, targets, coeffs), 40, DEFAULT_POWER_TOL, seed, coeffs.dtype, positive=positive
+        m, build(m, targets, coeffs), 40, DEFAULT_POWER_TOL, start_seed(coeffs, seed), coeffs.dtype
     )
     lower = bracket_lower(group, f, radius, max_iters=40, seed=seed)
     assert lower == max(math.ldexp(run[0], e), l2_norm(f))
@@ -1022,9 +1028,9 @@ def iterated_run(group, f, radius, monkeypatch):
     seen = []
     real = rdmap.operators._power_iteration
 
-    def spy(m, products, max_iters, tol, seed, dtype, positive):
-        seen.append((np.dtype(dtype), positive))
-        return real(m, products, max_iters, tol, seed, dtype, positive=positive)
+    def spy(m, products, max_iters, tol, seed, dtype):
+        seen.append((np.dtype(dtype), seed is None))
+        return real(m, products, max_iters, tol, seed, dtype)
 
     monkeypatch.setattr(rdmap.operators, "_power_iteration", spy)
     opnorm_lower(group, f, radius)
@@ -1132,8 +1138,8 @@ def test_a_failing_support_changes_the_norm_under_moduli():
 
 
 def test_a_solve_never_writes_into_the_seeded_start():
-    # one start per ball size, seed and dtype, and one positive start per
-    # ball size, shared by every solve: each is read-only, and each solve
+    # one cached start per ball size, seed and dtype, seed None the positive
+    # one, shared by every solve: each is read-only, and each solve
     # copies it into its own iterate buffer.  Kesten's element and the
     # twisted FREE2_COMPLEX start from the positive one
     m = F2.ball_size(4)
@@ -1141,8 +1147,8 @@ def test_a_solve_never_writes_into_the_seeded_start():
     def cached(kind):
         """The cached start that a solve of this kind copies."""
         if kind == "positive":
-            return rdmap.operators._positive_start(m)
-        return rdmap.operators._seeded_start(m, 3, np.dtype(kind))
+            return rdmap.operators._start(m, None, np.dtype(float))
+        return rdmap.operators._start(m, 3, np.dtype(kind))
 
     cases = [
         (KESTEN, "positive"),
@@ -1786,7 +1792,7 @@ def test_power_iteration_matches_the_reference_loop(family, m):
     products = (A.__matmul__, A.conj().T.__matmul__)
     positive = family == "nonnegative"
     for seed, (max_iters, tol) in enumerate(RUN_SETTINGS):
-        got = _power_iteration(m, products, max_iters, tol, seed, A.dtype, positive=positive)
+        got = _power_iteration(m, products, max_iters, tol, None if positive else seed, A.dtype)
         assert got == reference_power_iteration(m, products, max_iters, tol, seed, A.dtype, positive)
 
 
@@ -1813,7 +1819,7 @@ def test_compression_runs_match_the_reference_loop(group, radius, f, build):
         products = build(m, targets, coeffs)
         positive = starts_positive(coeffs)
         for seed, (max_iters, tol) in enumerate(RUN_SETTINGS):
-            got = _power_iteration(m, products, max_iters, tol, seed, coeffs.dtype, positive=positive)
+            got = _power_iteration(m, products, max_iters, tol, start_seed(coeffs, seed), coeffs.dtype)
             want = reference_power_iteration(m, products, max_iters, tol, seed, coeffs.dtype, positive)
             assert got == want
 
