@@ -114,6 +114,10 @@ OPENBLAS_NUM_THREADS=1 run check-pd --group free:2 --radius 5
 # pruned one chunk at a time
 run rd-sample --group free:2 --count 600 --seed 7
 run rd-sample --group free-abelian:2 --count 300 --seed 3
+# grids whose later rows read the translation rows the first row left on the
+# ball: a free(2) ball of CSR products and a lattice ball
+run map-converge --element-json "$kesten" --epsilon 0.3 --radius 8 --format csv
+run map-converge --element-json "$z2" --epsilon 0.3 --radius 20 --format csv
 
 for demo in "$src"/../demos/*.py; do
     echo "== demo $(basename "$demo")"

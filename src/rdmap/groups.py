@@ -22,17 +22,19 @@ into an explicit :class:`BallCapError` instead of silent truncation.
 
 Bulk work runs on integers, not on per-pair word arithmetic: each ball is
 built once per ``(group, radius)`` into a cached :class:`BallArena`, its
-elements, lengths and translation table, in which position ``m = len(arena)``
-stands for every element outside the ball.  :meth:`Group.length_matrix`
-parses each point once and computes all pairwise lengths ``l(x^-1 y)`` in
-closed form into one read-only int64 matrix, which every caller passing the
-same parsed points shares (cached up to ``LENGTH_CACHE_BYTES``).
+elements, lengths, translation table and the rows of words translated on it,
+in which position ``m = len(arena)`` stands for every element outside the
+ball.  :meth:`Group.length_matrix` parses each point once and computes all
+pairwise lengths ``l(x^-1 y)`` in closed form into one read-only int64
+matrix that callers passing the same points share (up to ``LENGTH_CACHE_BYTES``).
 """
 
 from __future__ import annotations
 
 import functools
 import numbers
+from collections import OrderedDict
+from contextlib import suppress
 from dataclasses import dataclass
 from math import comb, inf
 from typing import ClassVar, Optional
@@ -62,6 +64,9 @@ ARENA_CACHE_SIZE = 8
 LENGTH_CACHE_SIZE = 4
 LENGTH_CACHE_MAX_POINTS = 1024
 LENGTH_CACHE_BYTES = LENGTH_CACHE_SIZE * LENGTH_CACHE_MAX_POINTS**2 * 8
+
+# An arena keeps its ROW_CACHE_BYTES // (8 m) most recently used translation rows.
+ROW_CACHE_BYTES = 4 * 2**20
 
 _ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 # rank k reads the first 2k entries of each: the position of a letter in the
@@ -126,7 +131,9 @@ class BallArena:
     cyclic groups carry ``coords``,
     one row of integer coordinates (or the residue) per element, and
     :meth:`locate` maps coordinate rows back to positions.  Every array is
-    read-only, because the arena is shared by all callers.
+    read-only, because the arena is shared by all callers.  It also keeps
+    the rows of :meth:`Group.left_translate`: at most ``ROW_CACHE_BYTES``
+    (4 MiB) per arena, 32 MiB over the ``ARENA_CACHE_SIZE`` (8) arenas.
     """
 
     elements: tuple
@@ -136,6 +143,7 @@ class BallArena:
 
     def __post_init__(self):
         object.__setattr__(self, "lengths", _read_only(self.lengths))
+        object.__setattr__(self, "_rows", OrderedDict())
         if self.moves is not None:
             object.__setattr__(self, "moves", _read_only(self.moves))
         if self.coords is not None:
@@ -242,7 +250,23 @@ class Group:
         raise NotImplementedError
 
     def left_translate(self, arena: BallArena, s) -> np.ndarray:
-        """Position of ``s * y`` for each ``y`` in the arena's ball, m = len(arena) outside it."""
+        """Position of ``s * y`` for each ``y`` in the arena's ball, m = len(arena) outside it.
+
+        One shared read-only row per parsed ``s``; the arena keeps the
+        ``ROW_CACHE_BYTES // (8 m)`` most recently used.
+        """
+        rows = arena._rows
+        row = rows.pop(s, None)
+        if row is None:
+            row = self._left_translate(arena, s)
+            row.setflags(write=False)
+        rows[s] = row  # last is most recently used
+        with suppress(KeyError):  # no lock: concurrent callers at worst derive a row twice
+            while len(rows) > ROW_CACHE_BYTES // (8 * len(arena)):
+                rows.popitem(last=False)
+        return row
+
+    def _left_translate(self, arena: BallArena, s) -> np.ndarray:
         raise NotImplementedError
 
     def _enumerate_ball(self, n: int) -> list:
@@ -385,7 +409,7 @@ class FreeGroup(Group):
         lengths = np.repeat(np.arange(len(sizes)), np.diff(sizes, prepend=0))
         return {"lengths": lengths, "moves": moves}
 
-    def left_translate(self, arena: BallArena, s: str) -> np.ndarray:
+    def _left_translate(self, arena: BallArena, s: str) -> np.ndarray:
         # s * y is built letter by letter from the right of s.  s and y are
         # reduced, so the letters of s first cancel letters of y and then only
         # grow the word: no intermediate word is longer than max(|y|, |s y|).
@@ -483,7 +507,7 @@ class FreeAbelianGroup(Group):
         coords = np.array(elements, dtype=np.int64).reshape(len(elements), self.rank)
         return {"lengths": np.abs(coords).sum(axis=1), "coords": coords}
 
-    def left_translate(self, arena: BallArena, s: tuple) -> np.ndarray:
+    def _left_translate(self, arena: BallArena, s: tuple) -> np.ndarray:
         return arena.locate(arena.coords + np.array(s, dtype=np.int64))
 
     def _length_matrix(self, rows: tuple) -> np.ndarray:
@@ -546,7 +570,7 @@ class CyclicGroup(Group):
         residues = np.array(elements, dtype=np.int64)
         return {"lengths": np.minimum(residues, self.order - residues), "coords": residues[:, None]}
 
-    def left_translate(self, arena: BallArena, s: int) -> np.ndarray:
+    def _left_translate(self, arena: BallArena, s: int) -> np.ndarray:
         # shift by s - m in (-m, 0]: residue + s could pass 2^63 and wrap
         return arena.locate((arena.coords + (s - self.order)) % self.order)
 

@@ -381,7 +381,8 @@ def _scaled_tables(g: Group, f: GroupRingElement, radius: int, cap: int):
     """(m, targets, coeffs, e, support): ball size, translation table, coefficients * 2^-e.
 
     ``targets[i, y]`` is the position of ``s_i y`` in the ball, m outside it,
-    for the i-th element ``s_i`` of the retained ``support``.  A row holds
+    for the i-th element ``s_i`` of the retained ``support``: a fresh copy of
+    the arena's shared row, so no caller writes into the cache.  A row holds
     no position below m twice: ``y -> s_i y`` is injective.  The exact
     power-of-two scale puts the largest |coeffs[i]| in [0.5, 1), so no
     square of an entry overflows or underflows; e is clamped so that 2^-e

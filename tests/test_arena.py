@@ -8,6 +8,8 @@ reference implementations; the integer paths must reproduce them exactly
 import gc
 import json
 import math
+import sys
+import threading
 import weakref
 
 import numpy as np
@@ -15,12 +17,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import rdmap.groups
 from rdmap.cli import EXIT_USAGE, main
 from rdmap.groups import (
     DEFAULT_BALL_CAP,
     LENGTH_CACHE_BYTES,
     LENGTH_CACHE_MAX_POINTS,
     LENGTH_CACHE_SIZE,
+    ROW_CACHE_BYTES,
     BallCapError,
     CyclicGroup,
     FreeAbelianGroup,
@@ -53,6 +57,13 @@ def reference_pairwise(group, points, fn):
             out[i, j] = v
             out[j, i] = v
     return out
+
+
+def reference_row(group, radius, s):
+    """Position of s * y for each y of the ball, m outside it: one product per y."""
+    basis = group.ball(radius)
+    index = {x: i for i, x in enumerate(basis)}
+    return np.array([index.get(group.multiply(s, y), len(basis)) for y in basis], dtype=np.int64)
 
 
 def sorted_triplets(rows, cols, values):
@@ -298,6 +309,136 @@ def test_arena_lengths_are_the_word_lengths_read_only(group, radius):
     assert arena.lengths.tolist() == [group.length(x) for x in arena.elements]
     with pytest.raises(ValueError):
         arena.lengths[0] = 5
+
+
+# ---------------------------------------------------------------------------
+# translation rows kept on the arena
+
+# Z/7 at radius 3 covers the group, Z/11 at radius 3 does not
+ROW_CASES = [(FreeGroup(1), 3), (F2, 2), (FreeAbelianGroup(1), 4), (Z2, 3), (CyclicGroup(7), 3),
+             (CyclicGroup(11), 3)]
+
+
+def cold_arena(group, radius):
+    arena = group.arena(radius)
+    arena._rows.clear()
+    return arena
+
+
+@pytest.mark.parametrize("group, radius", ROW_CASES, ids=repr)
+def test_cached_rows_are_the_per_element_translations_shared_read_only(group, radius):
+    arena = cold_arena(group, radius)
+    # every word that a compression to this ball retains, and some it does not
+    words = group.ball(2 * radius + 1)
+    rows = [group.left_translate(arena, s) for s in words]
+    for s, row in zip(words, rows):
+        assert row.dtype == np.int64 and not row.flags.writeable
+        with pytest.raises(ValueError):
+            row[0] = 0
+        assert_same_bits(row, reference_row(group, radius, s))
+        assert group.left_translate(arena, s) is row
+    assert len(arena._rows) == len(words)
+
+
+@pytest.mark.parametrize("group, radius", ROW_CASES, ids=repr)
+def test_scaled_tables_are_the_same_on_a_cold_and_a_warm_arena(group, radius):
+    rng = np.random.default_rng(5)
+    pool = group.ball(2 * radius)
+    picks = rng.choice(len(pool), size=min(6, len(pool)), replace=False)
+    f = GroupRingElement(group, {pool[i]: complex(rng.normal(), rng.normal()) for i in picks})
+    arena = cold_arena(group, radius)
+    cold = _scaled_tables(group, f, radius, DEFAULT_BALL_CAP)
+    assert len(arena._rows) == len(cold[4])
+    warm = _scaled_tables(group, f, radius, DEFAULT_BALL_CAP)
+    assert cold[0] == warm[0] and cold[3] == warm[3] and cold[4] == warm[4]
+    for a, b in zip(cold[1:3], warm[1:3]):
+        assert_same_bits(a, b)
+    # the tables are fresh arrays: writing into one reaches no cached row
+    for row in arena._rows.values():
+        assert not np.shares_memory(warm[1], row)
+    assert warm[1].flags.writeable
+    warm[1][:] = -1
+    assert_same_bits(_scaled_tables(group, f, radius, DEFAULT_BALL_CAP)[1], cold[1])
+
+
+@pytest.mark.parametrize("group, radius", ROW_CASES, ids=repr)
+def test_a_full_arena_drops_its_least_recently_used_row(group, radius, monkeypatch):
+    arena = cold_arena(group, radius)
+    m = len(arena)
+    keep = 3
+    monkeypatch.setattr(rdmap.groups, "ROW_CACHE_BYTES", 8 * m * keep + 8 * m - 1)
+    words = group.ball(2 * radius)[: keep + 2]
+    rows = {s: group.left_translate(arena, s) for s in words[:keep]}
+    # the first word is used again, so the second is now the least recent
+    assert group.left_translate(arena, words[0]) is rows[words[0]]
+    for s in words[keep:]:
+        rows[s] = group.left_translate(arena, s)
+        assert len(arena._rows) <= rdmap.groups.ROW_CACHE_BYTES // (8 * m) == keep
+    assert list(arena._rows) == [words[0], words[keep], words[keep + 1]]
+    again = group.left_translate(arena, words[1])
+    assert again is not rows[words[1]] and not again.flags.writeable
+    assert_same_bits(again, rows[words[1]])
+    assert_same_bits(again, reference_row(group, radius, words[1]))
+    assert list(arena._rows) == [words[keep], words[keep + 1], words[1]]
+
+
+def test_threads_sharing_an_arena_get_correct_rows_and_keep_the_bound(monkeypatch):
+    # more threads than cores and a short switch interval, so the unlocked
+    # pop, insert and evict of concurrent callers interleave
+    arena = cold_arena(F2, 2)
+    keep = 3
+    monkeypatch.setattr(rdmap.groups, "ROW_CACHE_BYTES", 8 * len(arena) * keep)
+    words = F2.ball(3)
+    want = {s: reference_row(F2, 2, s) for s in words}
+    errors = []
+
+    def work(seed):
+        order = np.random.default_rng(seed).permutation(len(words))
+        try:
+            for i in np.tile(order, 20):
+                row = F2.left_translate(arena, words[i])
+                if not np.array_equal(row, want[words[i]]) or row.flags.writeable:
+                    errors.append(words[i])
+        except Exception as exc:  # a thread's failure must reach the test
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(arena._rows) <= keep
+    for s, row in arena._rows.items():
+        assert_same_bits(row, want[s])
+
+
+def test_a_ball_too_large_for_one_row_keeps_none(monkeypatch):
+    arena = cold_arena(F2, 2)
+    monkeypatch.setattr(rdmap.groups, "ROW_CACHE_BYTES", 8 * len(arena) - 1)
+    row = F2.left_translate(arena, "ab")
+    assert not row.flags.writeable and len(arena._rows) == 0
+    assert_same_bits(row, reference_row(F2, 2, "ab"))
+
+
+def test_a_large_ball_keeps_at_most_its_stated_rows():
+    # m = 131,073 positions: the bound lets 4 MiB of rows stay, three rows
+    group, radius = CyclicGroup(10**6), 2**16
+    arena = cold_arena(group, radius)
+    keep = ROW_CACHE_BYTES // (8 * len(arena))
+    assert keep == 3
+    for s in range(1, 2 * keep + 1):
+        group.left_translate(arena, s)
+        assert len(arena._rows) == min(s, keep)
+        assert sum(row.nbytes for row in arena._rows.values()) <= ROW_CACHE_BYTES
+    assert list(arena._rows) == [keep + 1, keep + 2, 2 * keep]
+    arena._rows.clear()
 
 
 # ---------------------------------------------------------------------------
