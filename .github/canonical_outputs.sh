@@ -70,6 +70,14 @@ sphere2='{"group": {"kind": "free", "rank": 2}, "terms": [
   {"elem": "ba", "re": 1.0}, {"elem": "bA", "re": 1.0}, {"elem": "bb", "re": 1.0},
   {"elem": "Ba", "re": 1.0}, {"elem": "BA", "re": 1.0}, {"elem": "BB", "re": 1.0}]}'
 counterexample='{"entries": [[0, 10, 1], [10, 0, 1], [1, 1, 0]]}'
+# lattice elements whose translation rows are located by whole-row byte keys:
+# a complex one on Z^3, and one on Z^40, whose rows are 320 bytes long
+z3complex='{"group": {"kind": "free-abelian", "rank": 3}, "terms": [
+  {"elem": [1, 0, 0], "re": 1.0}, {"elem": [0, -1, 0], "im": 0.5},
+  {"elem": [0, 1, -1], "re": -0.25, "im": 0.75}]}'
+z40='{"group": {"kind": "free-abelian", "rank": 40}, "terms": [
+  {"elem": [1'"$(printf ', 0%.0s' {1..39})"'], "re": 1.0},
+  {"elem": ['"$(printf '0, %.0s' {1..39})"'-1], "re": 0.5, "im": -0.5}]}'
 
 run() {
     echo "== rdmap $*"
@@ -118,6 +126,10 @@ run rd-sample --group free-abelian:2 --count 300 --seed 3
 # ball: a free(2) ball of CSR products and a lattice ball
 run map-converge --element-json "$kesten" --epsilon 0.3 --radius 8 --format csv
 run map-converge --element-json "$z2" --epsilon 0.3 --radius 20 --format csv
+# table-regime compressions on Z^3 at radius 6 (m = 377) and Z^40 at radius 1
+# (m = 81)
+run norm --element-json "$z3complex" --radius 6
+run norm --element-json "$z40" --radius 1
 
 for demo in "$src"/../demos/*.py; do
     echo "== demo $(basename "$demo")"

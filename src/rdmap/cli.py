@@ -28,7 +28,7 @@ from .harness import (
     run_grid,
     select_epsilon,
 )
-from .kernels import DEFAULT_TOL, cn_check_matrix, length_kernel, psd_check, schoenberg_kernel
+from .kernels import DEFAULT_TOL, cn_check, cn_check_matrix, psd_check, schoenberg_kernel
 from .operators import (
     DEFAULT_MAX_ITERS,
     DEFAULT_POWER_TOL,
@@ -149,18 +149,18 @@ def cmd_check_cn(args: argparse.Namespace):
     if args.kernel is not None or args.kernel_json is not None:
         kernel = kernel_from_json(_load_json_source(args.kernel, args.kernel_json, "kernel"))
         context = {"source": "imported", "size": kernel.size}
+        verdict = cn_check_matrix(kernel, args.tol)
     else:
         if args.group is None or args.radius is None:
             raise UsageError("check-cn needs --group and --radius, or a kernel")
         points = args.group.ball(args.radius, cap=args.ball_cap)
-        kernel = length_kernel(args.group, points)
         context = {
             "source": "length",
             "group": group_to_json(args.group),
             "radius": args.radius,
-            "size": kernel.size,
+            "size": len(points),
         }
-    verdict = cn_check_matrix(kernel, tol=args.tol)
+        verdict = cn_check(args.group, points, args.tol)
     payload = dict(context)
     payload["tol"] = args.tol
     payload["verdict"] = cn_verdict_to_json(verdict)

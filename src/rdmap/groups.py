@@ -26,7 +26,19 @@ elements, lengths, translation table and the rows of words translated on it,
 in which position ``m = len(arena)`` stands for every element outside the
 ball.  :meth:`Group.length_matrix` parses each point once and computes all
 pairwise lengths ``l(x^-1 y)`` in closed form into one read-only int64
-matrix that callers passing the same points share (up to ``LENGTH_CACHE_BYTES``).
+matrix that callers passing the same points share.
+
+Four caches keep what repeated calls share, each with a fixed bound, the
+least recently used entry dropped first.  At most ``ARENA_CACHE_SIZE`` (8)
+arenas are kept.  Each arena of ``m`` elements keeps at most
+``ROW_CACHE_BYTES // (8 m)`` of the translation rows derived on it: 4 MiB of
+row data per arena, 32 MiB over all arenas, plus a few hundred bytes of
+Python objects per row; the rows go with their arena.  At most
+``LENGTH_CACHE_SIZE`` (4) length matrices of at most
+``LENGTH_CACHE_MAX_POINTS`` (1,024) points are kept, 32 MiB; a longer point
+list is computed on each call and not kept.  The solver keeps
+``rdmap.operators.START_CACHE`` (8) unit start vectors, one per ball size,
+seed and dtype.  A ball too large for one row keeps no row.
 """
 
 from __future__ import annotations
@@ -54,18 +66,12 @@ __all__ = [
 
 DEFAULT_BALL_CAP = 200_000
 
-# Distinct (group, radius) arenas kept alive at once.  A pipeline touches a
-# handful (the bracket ball, the sampling ball, the sweep's balls); the bound
+# The cache bounds of the module docstring.  A pipeline touches a handful of
+# arenas (the bracket ball, the sampling ball, the sweep's balls); the bound
 # keeps a long session from holding every ball it ever built.
 ARENA_CACHE_SIZE = 8
-
-# Pairwise length matrices kept alive at once, and the most points a kept one
-# may have (m^2 int64 entries); a longer point list is computed on each call.
 LENGTH_CACHE_SIZE = 4
 LENGTH_CACHE_MAX_POINTS = 1024
-LENGTH_CACHE_BYTES = LENGTH_CACHE_SIZE * LENGTH_CACHE_MAX_POINTS**2 * 8
-
-# An arena keeps its ROW_CACHE_BYTES // (8 m) most recently used translation rows.
 ROW_CACHE_BYTES = 4 * 2**20
 
 _ALPHABET = "abcdefghijklmnopqrstuvwxyz"
@@ -118,6 +124,17 @@ def _read_only(values) -> np.ndarray:
     return array
 
 
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One sortable key per int64 row: its value at rank 1, else its 8 d bytes.
+
+    Only equal rows have equal keys; the bytes sort in an order of their own,
+    not the coordinates', which :meth:`BallArena.locate` does not need.
+    """
+    if rows.shape[1] == 1:
+        return rows[:, 0]
+    return np.ascontiguousarray(rows).view(np.dtype((np.void, 8 * rows.shape[1])))[:, 0]
+
+
 @dataclass(frozen=True, eq=False)
 class BallArena:
     """A ball and its translation table, built once per (group, radius) and shared.
@@ -132,8 +149,8 @@ class BallArena:
     one row of integer coordinates (or the residue) per element, and
     :meth:`locate` maps coordinate rows back to positions.  Every array is
     read-only, because the arena is shared by all callers.  It also keeps
-    the rows of :meth:`Group.left_translate`: at most ``ROW_CACHE_BYTES``
-    (4 MiB) per arena, 32 MiB over the ``ARENA_CACHE_SIZE`` (8) arenas.
+    the rows of :meth:`Group.left_translate`, within the bound of the
+    module docstring.
     """
 
     elements: tuple
@@ -153,35 +170,21 @@ class BallArena:
         return len(self.elements)
 
     def _build_locator(self) -> None:
-        # Level k numbers the distinct coordinate prefixes (x_1..x_k) in sorted
-        # order.  A key ``prefix * base + (x_k - low)`` stays below
-        # ``len(self) * base``, so no key of a whole row is formed: a
-        # mixed-radix one overflows int64 already for Z^40 at radius 1.
         coords = _read_only(self.coords)
-        low = int(coords.min())
-        base = int(coords.max()) - low + 1
-        prefix = np.zeros(len(coords), dtype=np.int64)
-        levels = []
-        for column in coords.T:
-            keys, prefix = np.unique(prefix * base + (column - low), return_inverse=True)
-            keys.setflags(write=False)
-            levels.append(keys)
-        position = np.empty(len(coords), dtype=np.int64)
-        position[prefix] = np.arange(len(coords))
+        keys = _row_keys(coords)
+        position = np.argsort(keys)
+        keys = keys[position]
+        keys.setflags(write=False)
         position.setflags(write=False)
         object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "_locator", (low, base, tuple(levels), position))
+        object.__setattr__(self, "_locator", (keys, position))
 
     def locate(self, rows: np.ndarray) -> np.ndarray:
-        """Positions of the coordinate ``rows`` in the ball, ``len(self)`` for rows outside."""
-        low, base, levels, position = self._locator
-        found = ((rows >= low) & (rows < low + base)).all(axis=1)
-        prefix = np.zeros(len(rows), dtype=np.int64)
-        for column, keys in zip(rows.T, levels):
-            key = prefix * base + (column - low)
-            prefix = np.searchsorted(keys, key).clip(max=len(keys) - 1)
-            found &= keys[prefix] == key
-        return np.where(found, position[prefix], len(self))
+        """Positions of the int64 coordinate ``rows`` in the ball, ``len(self)`` for rows outside."""
+        keys, position = self._locator
+        wanted = _row_keys(rows)
+        index = np.searchsorted(keys, wanted).clip(max=len(keys) - 1)
+        return np.where(keys[index] == wanted, position[index], len(self))
 
 
 class Group:
@@ -252,8 +255,7 @@ class Group:
     def left_translate(self, arena: BallArena, s) -> np.ndarray:
         """Position of ``s * y`` for each ``y`` in the arena's ball, m = len(arena) outside it.
 
-        One shared read-only row per parsed ``s``; the arena keeps the
-        ``ROW_CACHE_BYTES // (8 m)`` most recently used.
+        One shared read-only row per parsed ``s``, kept on the arena.
         """
         rows = arena._rows
         row = rows.pop(s, None)

@@ -165,9 +165,9 @@ class GroupRingElement:
         return not self.terms
 
 
-def delta(g: Group, elem, coeff: complex = 1.0) -> GroupRingElement:
-    """The coefficient-`coeff` point mass at `elem`."""
-    return GroupRingElement(g, {g.parse(elem): coeff})
+def delta(g: Group, elem) -> GroupRingElement:
+    """The unit point mass at `elem`."""
+    return GroupRingElement(g, {g.parse(elem): 1.0})
 
 
 def convolve(g: Group, f: GroupRingElement, h: GroupRingElement) -> GroupRingElement:
@@ -901,14 +901,9 @@ def _scale_bracket(bracket: NormBracket, e: int) -> NormBracket:
     return replace(bracket, lower=lower, upper=upper)
 
 
-def random_element(
-    g: Group,
-    radius: int,
-    rng: np.random.Generator,
-    cap: int = DEFAULT_BALL_CAP,
-) -> GroupRingElement:
+def random_element(g: Group, radius: int, rng: np.random.Generator) -> GroupRingElement:
     """Seeded random nonzero element of 1 to 6 terms supported in the given ball."""
-    arena = g.arena(radius, cap=cap)
+    arena = g.arena(radius)
     return _element_at(g, arena, *_draw_terms(arena, rng))
 
 

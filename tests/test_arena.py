@@ -21,7 +21,6 @@ import rdmap.groups
 from rdmap.cli import EXIT_USAGE, main
 from rdmap.groups import (
     DEFAULT_BALL_CAP,
-    LENGTH_CACHE_BYTES,
     LENGTH_CACHE_MAX_POINTS,
     LENGTH_CACHE_SIZE,
     ROW_CACHE_BYTES,
@@ -311,6 +310,32 @@ def test_arena_lengths_are_the_word_lengths_read_only(group, radius):
         arena.lengths[0] = 5
 
 
+# Z/7 at radius 3 covers the group; Z^40 at radius 1 has rows of 320 bytes
+LOCATE_CASES = [(FreeAbelianGroup(1), 4), (Z2, 10), (FreeAbelianGroup(3), 6),
+                (FreeAbelianGroup(40), 1), (CyclicGroup(7), 3), (CyclicGroup(10**12), 50)]
+
+
+@pytest.mark.parametrize("group, radius", LOCATE_CASES, ids=repr)
+def test_locate_matches_a_dict_of_the_ball(group, radius):
+    arena = group.arena(radius)
+    m, d = arena.coords.shape
+    want = {row: i for i, row in enumerate(map(tuple, arena.coords.tolist()))}
+    rng = np.random.default_rng(d * 1000 + radius)
+    inside = arena.coords[rng.permutation(m)]
+    # one coordinate of each ball row moved by 1 or 2: inside, or just outside
+    near = inside.copy()
+    near[np.arange(m), rng.integers(0, d, m)] += rng.choice([-2, -1, 1, 2], m)
+    # one coordinate, or every one, drawn up to 2^62 in size
+    far = inside.copy()
+    far[np.arange(m), rng.integers(0, d, m)] = rng.integers(-(2**62), 2**62, m, endpoint=True)
+    far = np.concatenate([far, rng.integers(-(2**62), 2**62, (m, d), endpoint=True)])
+    rows = np.concatenate([inside, near, far])
+    expected = [want.get(row, m) for row in map(tuple, rows.tolist())]
+    assert arena.locate(rows).tolist() == expected
+    assert expected[:m] == [want[row] for row in map(tuple, inside.tolist())]
+    assert expected[m:].count(m) not in (0, len(expected) - m)
+
+
 # ---------------------------------------------------------------------------
 # translation rows kept on the arena
 
@@ -502,7 +527,6 @@ def test_equal_point_lists_share_one_read_only_matrix():
 
 
 def test_length_cache_holds_at_most_its_stated_bytes():
-    assert LENGTH_CACHE_BYTES == LENGTH_CACHE_SIZE * LENGTH_CACHE_MAX_POINTS**2 * 8
     group = CyclicGroup(10 * LENGTH_CACHE_MAX_POINTS)
     # one list more than the cache keeps, each of the most points it keeps
     kept = []
@@ -513,7 +537,7 @@ def test_length_cache_holds_at_most_its_stated_bytes():
     gc.collect()
     alive = [ref() for ref in kept if ref() is not None]
     assert len(alive) == LENGTH_CACHE_SIZE
-    assert sum(a.nbytes for a in alive) <= LENGTH_CACHE_BYTES
+    assert sum(a.nbytes for a in alive) <= LENGTH_CACHE_SIZE * LENGTH_CACHE_MAX_POINTS**2 * 8
     del alive
     # a list over the bound is computed on each call and not retained
     points = range(LENGTH_CACHE_MAX_POINTS + 1)

@@ -10,7 +10,8 @@ Every check runs in a fresh interpreter, since an earlier test in this
 process may already have imported scipy.
 
 The last check is import hygiene of the other direction: every module-level
-function and class of rdmap has a user outside the unit tests.
+function, class and constant of rdmap, and every defaulted parameter of its
+functions, has a user outside the unit tests.
 """
 
 import ast
@@ -114,32 +115,81 @@ def test_covering_cyclic_ball_loads_fft_but_no_scipy():
     assert not any(m.split(".")[0] == "scipy" for m in loaded)
 
 
+def _defaulted_parameters(tree) -> set:
+    """(def name, parameter, call position or None) of each defaulted parameter
+    in tree; a method's call positions skip its self or cls."""
+    methods = {
+        id(item)
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for item in cls.body
+        if isinstance(item, ast.FunctionDef)
+        and not any(getattr(d, "id", None) == "staticmethod" for d in item.decorator_list)
+    }
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            shift = 1 if id(node) in methods else 0
+            for index in range(len(positional) - len(args.defaults), len(positional)):
+                out.add((node.name, positional[index].arg, index - shift))
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    out.add((node.name, arg.arg, None))
+    return out
+
+
 def unused_definitions(root) -> list:
-    """Module-level functions and classes of root/src/rdmap that no code in
-    root's src/, bench/, demos/ or tests/test_acceptance.py refers to by
-    name, as a variable, an attribute or an import; a definition is not a
-    reference to itself."""
-    defined = set()
+    """What of root/src/rdmap no code in root's src/, bench/, demos/ or
+    tests/test_acceptance.py uses.
+
+    A module-level function, class or constant (dunders exempt) is used when
+    that code reads its name, as a variable, an attribute or an import; a
+    definition or an assignment is not a reference to itself.  A defaulted
+    parameter of any def, listed as "name(parameter)", is used when some call
+    to that name passes it, by keyword or by position; ``*args`` passes every
+    later position and ``**kwargs`` every keyword.
+    """
+    defined, parameters = set(), set()
     for path in glob.glob(os.path.join(root, "src", "rdmap", "*.py")):
         with open(path) as source:
-            body = ast.parse(source.read()).body
-        kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-        defined.update(node.name for node in body if isinstance(node, kinds))
+            tree = ast.parse(source.read())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(t.id for t in targets if isinstance(t, ast.Name))
+        parameters |= _defaulted_parameters(tree)
     users = [os.path.join(root, "tests", "test_acceptance.py")]
     for folder in ("src", "bench", "demos"):
         assert os.path.isdir(os.path.join(root, folder))
         users += glob.glob(os.path.join(root, folder, "**", "*.py"), recursive=True)
-    used = set()
+    used, calls = set(), []
     for path in users:
         with open(path) as source:
             for node in ast.walk(ast.parse(source.read())):
-                if isinstance(node, ast.Name):
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                     used.add(node.id)
                 elif isinstance(node, ast.Attribute):
                     used.add(node.attr)
                 elif isinstance(node, ast.alias):
                     used.add(node.name.rsplit(".", 1)[-1])
-    return sorted(defined - used)
+                elif isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    starred = any(isinstance(a, ast.Starred) for a in node.args)
+                    count = sys.maxsize if starred else len(node.args)
+                    calls.append((name, count, {k.arg for k in node.keywords}))
+    unused = sorted(name for name in defined - used if not name.startswith("__"))
+    for name, parameter, index in sorted(parameters, key=str):
+        if not any(
+            called == name
+            and ((index is not None and count > index) or {None, parameter} & keywords)
+            for called, count, keywords in calls
+        ):
+            unused.append(f"{name}({parameter})")
+    return unused
 
 
 def test_every_module_level_definition_has_a_user_outside_the_unit_tests():

@@ -272,7 +272,8 @@ def test_map_defect_point_mass_rows_stay_sound(group, coeff):
     rd = builtin_rd_params(group)
     for r in default_schedule(rd).r_values:
         rho = default_grid_multiplier(group, r)
-        bracket = map_defect(group, delta(group, group.identity(), coeff), rho, rd, 3)
+        point = GroupRingElement(group, {group.identity(): coeff})
+        bracket = map_defect(group, point, rho, rd, 3)
         with mpmath.workdps(40):
             exact = float(abs(mpmath.mpf(rho.eval(group.identity())) - 1) * abs(mpmath.mpc(coeff)))
         assert bracket.lower <= bracket.upper

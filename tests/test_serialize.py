@@ -106,7 +106,7 @@ def _ring_from_outside(group, elem, coeff=1.5):
 def test_every_entry_point_applies_the_same_element_rule(group, outside, element):
     want = {element: 1.5 + 0j}
     assert GroupRingElement(group, {outside: 1.5}).terms == want
-    assert delta(group, outside, 1.5).terms == want
+    assert delta(group, outside).terms == {element: 1 + 0j}
     assert _ring_from_outside(group, outside).terms == want
     assert delta(group, element).coeff(outside) == 1.0
     assert table_multiplier(group, {outside: 2.0}).table == {element: 2 + 0j}
