@@ -23,6 +23,7 @@ from rdmap import (
     lemma_norm_bound,
     map_defect,
     scaled_multiplier,
+    table_multiplier,
 )
 
 F2 = FreeGroup(2)
@@ -40,6 +41,13 @@ print("lemma bound for heat(1):", bound.upper, " rank bound:", bound.rank_bound)
 trunc = lemma_norm_bound(HeatMultiplier(F2, 1.0, n=5), rd)
 print("truncated at n=5: same K, finite rank:", trunc.rank_bound)
 
+# A finitely supported multiplier is a group-ring element: its values on
+# the support, zero elsewhere, and rank at most the support size.
+phi = table_multiplier(F2, {"": 1.0, "a": 0.5, "ab": -0.25j})
+table = lemma_norm_bound(phi, rd)
+print("table bound:", table.upper, " rank bound:", table.rank_bound)
+print("table on a + ab:", apply(phi, f).terms)
+
 # Tail bounds decay fast once n passes the envelope peak s/r - 1.
 print("\nn      C*K_n          U = 1 + C*K_n")
 for n in (0, 1, 2, 5, 10, 20, 40):
@@ -50,8 +58,8 @@ for n in (0, 1, 2, 5, 10, 20, 40):
 # identity is 1/U < 1, and a point mass measures the defect exactly.
 rho = scaled_multiplier(F2, 1.0, rd.s, 5, rd.C)
 print("\nU =", rho.U)
-print("rho(e) =", rho.eval(""), " rho(a) =", rho.eval("a"))
-print("rho vanishes past the ball:", rho.eval("ababab"))
+print("rho(e) =", rho.coeff(""), " rho(a) =", rho.coeff("a"))
+print("rho vanishes past the ball:", rho.coeff("ababab"))
 
 bracket = map_defect(F2, delta(F2, ""), rho, rd, radius=3)
 print("defect on the point mass:", (bracket.lower, bracket.upper))

@@ -43,7 +43,6 @@ from .kernels import (
 from .multipliers import (
     HeatMultiplier,
     MultiplierNormBound,
-    TableMultiplier,
     apply,
     lemma_norm_bound,
     map_defect,
@@ -89,7 +88,6 @@ __all__ = [
     "PsdVerdict",
     "RdParams",
     "RdSampleReport",
-    "TableMultiplier",
     "UnsoundBoundError",
     "apply",
     "builtin_rd_params",

@@ -113,7 +113,10 @@ def is_number(value) -> bool:
 
 
 def check_positive_finite(value, name: str) -> None:
-    """Raise a ValueError that names ``value`` unless ``0 < value < inf``."""
+    """Raise a ValueError naming ``name`` unless ``value`` is a real number (not a bool) in (0, inf)."""
+    # a float first spares the slower abstract-class check, as in is_number
+    if type(value) is not float and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
     if not 0 < value < inf:
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
 

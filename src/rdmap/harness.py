@@ -47,12 +47,13 @@ class GridSchedule:
     rd: RdParams
 
     def __post_init__(self):
-        values = tuple(float(r) for r in self.r_values)
-        object.__setattr__(self, "r_values", values)
+        values = tuple(self.r_values)
         if not values:
             raise ValueError("schedule needs at least one rate")
         for r in values:
             check_positive_finite(r, "rate r")
+        values = tuple(map(float, values))
+        object.__setattr__(self, "r_values", values)
         if any(b >= a for a, b in zip(values, values[1:])):
             raise ValueError("rates must be strictly decreasing")
 

@@ -9,6 +9,10 @@ Dividing by U = 1 + C * K_n therefore yields a finite-rank contraction,
 and U -> 1 as n grows, so nothing is lost in the limit.  That certified
 rescaling, in place of division by the exact (uncomputable) operator
 norm, is the central design choice of this module.
+
+A multiplier is a HeatMultiplier or, when phi has finite support, the
+GroupRingElement of its values (table_multiplier); either gives its value
+at x as phi.coeff(x).
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ class HeatMultiplier:
         if self.U is not None and not self.U >= 1.0:
             raise ValueError("scale U must satisfy U >= 1")
 
-    def eval(self, elem):
+    def coeff(self, elem):
         """Pointwise value at a group element."""
         length = self.group.length(elem)
         if self.n is not None and length > self.n:
@@ -53,36 +57,18 @@ class HeatMultiplier:
         return value if self.U is None else value / self.U
 
 
-@dataclass(frozen=True)
-class TableMultiplier:
-    """Finitely supported multiplier: explicit values, zero elsewhere.
-
-    The table is normalized as the terms of a GroupRingElement are: keys
-    are parsed, values of equal elements add, and zeros are dropped.
-    """
-
-    group: Group
-    table: dict
-
-    def __post_init__(self):
-        object.__setattr__(self, "table", GroupRingElement(self.group, self.table).terms)
-
-    def eval(self, elem):
-        """Pointwise value at a group element."""
-        return self.table.get(self.group.parse(elem), 0j)
-
-
-def table_multiplier(g: Group, table: dict) -> TableMultiplier:
-    return TableMultiplier(g, table)
+def table_multiplier(g: Group, table: dict) -> GroupRingElement:
+    """The finitely supported multiplier with the given values, zero elsewhere."""
+    return GroupRingElement(g, table)
 
 
 def apply(
-    phi: HeatMultiplier | TableMultiplier, f: GroupRingElement
+    phi: HeatMultiplier | GroupRingElement, f: GroupRingElement
 ) -> GroupRingElement:
     """The multiplier action: coordinatewise product phi * f."""
     _require_same_group(phi.group, f)
     return GroupRingElement(
-        f.group, {x: phi.eval(x) * c for x, c in f.terms.items()}
+        f.group, {x: phi.coeff(x) * c for x, c in f.terms.items()}
     )
 
 
@@ -110,24 +96,25 @@ def _decay_sup(cert: DecayCertificate, n: Optional[int]) -> float:
 
 
 def lemma_norm_bound(
-    phi: HeatMultiplier | TableMultiplier, rd: RdParams
+    phi: HeatMultiplier | GroupRingElement, rd: RdParams
 ) -> MultiplierNormBound:
     """Upper bound C * K with K = sup |phi| * (1 + length)^s.
 
     For heat multipliers K comes from the closed-form decay certificate,
-    over the ball of radius n when truncated; for tables it is a finite
-    maximum over the support.  A rescaled heat multiplier gets that bound
-    divided by U, capped at 1 since U is itself a certified norm bound.
+    over the ball of radius n when truncated; for a group-ring element it
+    is a finite maximum over the support.  A rescaled heat multiplier gets
+    that bound divided by U, capped at 1 since U is itself a certified norm
+    bound.
     """
-    if isinstance(phi, TableMultiplier):
+    if isinstance(phi, GroupRingElement):
         K = max(
             (
                 abs(v) * (1.0 + phi.group.length(x)) ** rd.s
-                for x, v in phi.table.items()
+                for x, v in phi.terms.items()
             ),
             default=0.0,
         )
-        return MultiplierNormBound(upper=rd.C * K, rank_bound=len(phi.table))
+        return MultiplierNormBound(upper=rd.C * K, rank_bound=len(phi.terms))
     upper = rd.C * _decay_sup(decay_certificate(phi.r, rd.s), phi.n)
     if phi.U is not None:
         upper = min(1.0, upper / phi.U)
@@ -165,7 +152,7 @@ def _split(z: complex) -> tuple[complex, int]:
 def map_defect(
     g: Group,
     f: GroupRingElement,
-    phi: HeatMultiplier | TableMultiplier,
+    phi: HeatMultiplier | GroupRingElement,
     rd: RdParams,
     radius: int,
     cap: int = DEFAULT_BALL_CAP,
@@ -184,7 +171,7 @@ def map_defect(
     _require_same_group(phi.group, f)
     scaled = {}
     for x, c in f.terms.items():
-        a = complex(phi.eval(x) - 1.0)
+        a = complex(phi.coeff(x) - 1.0)
         if a:
             (a, ea), (c, ec) = _split(a), _split(c)
             scaled[x] = (a * c, ea + ec)

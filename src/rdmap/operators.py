@@ -204,8 +204,7 @@ def l1_norm(f: GroupRingElement) -> float:
 
 def sobolev_norm(g: Group, f: GroupRingElement, s: float) -> float:
     """Weighted l2 norm with weight (1 + length)^s on each coefficient."""
-    if not s > 0:
-        raise ValueError("Sobolev exponent s must be positive")
+    check_positive_finite(s, "Sobolev exponent s")
     _require_same_group(g, f)
     weights = _sobolev_weights(map(g.length, f.terms), s)
     return _weighted_l2([abs(c) for c in f.terms.values()], weights)
@@ -378,25 +377,24 @@ def _phases_absorbable(g: Group, support: list) -> bool:
 
 
 def _scaled_tables(g: Group, f: GroupRingElement, radius: int, cap: int):
-    """(m, targets, coeffs, e, support): ball size, translation table, coefficients * 2^-e.
+    """(arena, targets, coeffs, e, support): ball, translation table, coefficients * 2^-e.
 
-    ``targets[i, y]`` is the position of ``s_i y`` in the ball, m outside it,
-    for the i-th element ``s_i`` of the retained ``support``: a fresh copy of
-    the arena's shared row, so no caller writes into the cache.  A row holds
-    no position below m twice: ``y -> s_i y`` is injective.  The exact
-    power-of-two scale puts the largest |coeffs[i]| in [0.5, 1), so no
-    square of an entry overflows or underflows; e is clamped so that 2^-e
-    stays finite for subnormal coefficients.
+    ``targets[i, y]`` is the position of ``s_i y`` in the ball, m = len(arena)
+    outside it, for the i-th element ``s_i`` of the retained ``support``: a
+    fresh copy of the arena's shared row, so no caller writes into the
+    cache.  A row holds no position below m twice: ``y -> s_i y`` is
+    injective.  The exact power-of-two scale puts the largest |coeffs[i]| in
+    [0.5, 1), so no square of an entry overflows or underflows; e is clamped
+    so that 2^-e stays finite for subnormal coefficients.
     """
     arena = g.arena(radius, cap=cap)
-    m = len(arena)
     support = _compressed_support(g, f, radius)
     targets = np.array(
         [g.left_translate(arena, s) for s in support], dtype=np.int64
-    ).reshape(len(support), m)
+    ).reshape(len(support), len(arena))
     coeffs = np.array([f.terms[s] for s in support], dtype=complex)
     e = max(math.frexp(float(np.abs(coeffs).max(initial=0.0)))[1], -1023)
-    return m, targets, coeffs * math.ldexp(1.0, -e), e, support
+    return arena, targets, coeffs * math.ldexp(1.0, -e), e, support
 
 
 def _triplets(targets: np.ndarray, coeffs: np.ndarray):
@@ -753,7 +751,8 @@ def _opnorm_lower_info(g, f, radius, max_iters, tol, cap, seed):
     _require_same_group(g, f)
     if f.is_zero():
         return 0.0, 0, 0.0
-    m, targets, coeffs, e, support = _scaled_tables(g, f, radius, cap)
+    arena, targets, coeffs, e, support = _scaled_tables(g, f, radius, cap)
+    m = len(arena)
     # the product regime depends on the ball size m and the table size k m alone
     if targets.size == 0:
         # no support element maps a ball element back into the ball: A = 0
@@ -780,7 +779,7 @@ def _opnorm_lower_info(g, f, radius, max_iters, tol, cap, seed):
         if covering:
             # the ball covers Z/m; it starts at the identity, so column 0 of
             # the table holds the position of each support element
-            residues = g.arena(radius, cap=cap).coords[:, 0]
+            residues = arena.coords[:, 0]
             sigma = _character_norm(residues, targets[:, 0], coeffs, products[0])
             iters, rel = 0, 0.0
         else:
@@ -853,18 +852,17 @@ def opnorm_bracket(
     max_iters = check_integer(max_iters, "max_iters", 1)
     check_positive_finite(tol, "tol")
     seed = check_integer(seed, "seed")
-    normal, top = _normal_range(f)
-    if top:
-        return _scale_bracket(opnorm_bracket(g, normal, rd, radius, max_iters, tol, cap, seed), top)
+    f, top = _normal_range(f)
     lower, iters, rel = _opnorm_lower_info(g, f, radius, max_iters, tol, cap, seed)
     upper = math.inf if rd is None else opnorm_upper(g, f, rd)
-    return NormBracket(
+    bracket = NormBracket(
         lower=_clamp_crossing(lower, upper, l1_norm(f)),
         upper=upper,
         lower_ball_radius=radius,
         iterations=iters,
         achieved_tol=rel,
     )
+    return _scale_bracket(bracket, top)
 
 
 def _ldexp(z: complex, e: int) -> complex:
@@ -893,6 +891,8 @@ def _scale_bracket(bracket: NormBracket, e: int) -> NormBracket:
     norm of f even where that norm is subnormal, and loses no step of the
     subnormal grid that it need not; where no end rounds it is exact.
     """
+    if not e:
+        return bracket
     lower, upper = math.ldexp(bracket.lower, e), math.ldexp(bracket.upper, e)
     if math.ldexp(lower, -e) > bracket.lower:
         lower = math.nextafter(lower, 0.0)

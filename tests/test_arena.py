@@ -97,7 +97,8 @@ def reference_compression(g, f, radius):
 
 def table_compression(g, f, radius):
     """Ball size, sorted triplets and scale e of the table that every solver reads."""
-    m, targets, coeffs, e, _ = _scaled_tables(g, f, radius, DEFAULT_BALL_CAP)
+    arena, targets, coeffs, e, _ = _scaled_tables(g, f, radius, DEFAULT_BALL_CAP)
+    m = len(arena)
     return m, sorted_triplets(*_triplets(targets, coeffs)), e
 
 
@@ -375,7 +376,7 @@ def test_scaled_tables_are_the_same_on_a_cold_and_a_warm_arena(group, radius):
     cold = _scaled_tables(group, f, radius, DEFAULT_BALL_CAP)
     assert len(arena._rows) == len(cold[4])
     warm = _scaled_tables(group, f, radius, DEFAULT_BALL_CAP)
-    assert cold[0] == warm[0] and cold[3] == warm[3] and cold[4] == warm[4]
+    assert cold[0] is warm[0] is arena and cold[3] == warm[3] and cold[4] == warm[4]
     for a, b in zip(cold[1:3], warm[1:3]):
         assert_same_bits(a, b)
     # the tables are fresh arrays: writing into one reaches no cached row

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,10 @@ from rdmap.groups import (
     FreeGroup,
     GroupMismatchError,
 )
+from rdmap.harness import GridSchedule
+from rdmap.kernels import cn_check_matrix, decay_certificate, length_kernel, psd_check, schoenberg_kernel
+from rdmap.multipliers import HeatMultiplier, scaled_multiplier
+from rdmap.operators import GroupRingElement, RdParams, opnorm_bracket, sobolev_norm
 
 F2 = FreeGroup(2)
 Z1 = FreeAbelianGroup(1)
@@ -455,6 +460,46 @@ def test_ball_radii_must_be_nonnegative_integers(radius):
     for call in (F2.ball_size, F2.ball, F2.arena, Z3.ball_size, C5.ball_size):
         with pytest.raises(ValueError, match="radius"):
             call(radius)
+
+
+# ---------------------------------------------------------------------------
+# one positive-real rule for C, s, every rate r and every tolerance
+
+
+RD = RdParams(C=1.0, s=2.0)
+KERNEL = length_kernel(F2, F2.ball(1))
+KESTEN = GroupRingElement(F2, {w: 1.0 for w in "aAbB"})
+
+# each parameter that check_positive_finite reads, by its name in the error
+POSITIVE_REAL_SITES = {
+    "heat parameter r": lambda v: schoenberg_kernel(F2, F2.ball(1), r=v),
+    "tolerance (cn_check_matrix)": lambda v: cn_check_matrix(KERNEL, tol=v),
+    "tolerance (psd_check)": lambda v: psd_check(KERNEL, tol=v),
+    "rate r (decay_certificate)": lambda v: decay_certificate(v, 2.0),
+    "exponent s (decay_certificate)": lambda v: decay_certificate(1.0, v),
+    "rate r (GridSchedule)": lambda v: GridSchedule(r_values=(v,), rd=RD),
+    "constant C (RdParams)": lambda v: RdParams(C=v, s=2.0),
+    "exponent s (RdParams)": lambda v: RdParams(C=1.0, s=v),
+    "Sobolev exponent s": lambda v: sobolev_norm(F2, KESTEN, v),
+    "tol (opnorm_bracket)": lambda v: opnorm_bracket(F2, KESTEN, RD, 1, tol=v),
+    "rate r (HeatMultiplier)": lambda v: HeatMultiplier(F2, v),
+    "constant C (scaled_multiplier)": lambda v: scaled_multiplier(F2, 1.0, 2.0, 3, v),
+}
+
+
+@pytest.mark.parametrize("site", POSITIVE_REAL_SITES)
+@pytest.mark.parametrize("value", [True, np.True_, "0.5", 0.5 + 0j, 1j, None, 0.0, -1.0, np.nan, np.inf], ids=repr)
+def test_positive_real_parameters_refuse_what_is_not_a_positive_real(site, value):
+    # a bool ran as 1 and a numeric string was read by float() in GridSchedule;
+    # "0.5" and complex values raised a bare TypeError elsewhere
+    with pytest.raises(ValueError, match=site.split(" (")[0]):
+        POSITIVE_REAL_SITES[site](value)
+
+
+@pytest.mark.parametrize("site", POSITIVE_REAL_SITES)
+@pytest.mark.parametrize("value", [0.5, 1, np.float64(0.5), np.float32(0.5), np.int64(2), Fraction(1, 2)], ids=repr)
+def test_positive_real_parameters_take_any_positive_real(site, value):
+    POSITIVE_REAL_SITES[site](value)
 
 
 def test_integral_radii_are_read_as_int():

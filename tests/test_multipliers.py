@@ -49,20 +49,20 @@ def grid_sup(r, s, lo, hi, n=1_000_001):
 
 def test_eval_examples():
     heat = HeatMultiplier(F2, 1.0)
-    assert heat.eval("") == 1.0
-    assert heat.eval("aA") == 1.0
-    assert HeatMultiplier(F2, 0.5).eval("ab") == pytest.approx(math.exp(-1.0))
+    assert heat.coeff("") == 1.0
+    assert heat.coeff("aA") == 1.0
+    assert HeatMultiplier(F2, 0.5).coeff("ab") == pytest.approx(math.exp(-1.0))
 
     trunc = HeatMultiplier(F2, 1.0, 2)
-    assert trunc.eval("aba") == 0.0
-    assert trunc.eval("ab") == pytest.approx(math.exp(-2.0))
+    assert trunc.coeff("aba") == 0.0
+    assert trunc.coeff("ab") == pytest.approx(math.exp(-2.0))
 
 
 def test_table_eval_and_normalization():
     phi = table_multiplier(F2, {"aAb": 2.0, "a": 0.0})
-    assert phi.table == {"b": 2 + 0j}
-    assert phi.eval("b") == 2 + 0j
-    assert phi.eval("a") == 0j
+    assert phi.terms == {"b": 2 + 0j}
+    assert phi.coeff("b") == 2 + 0j
+    assert phi.coeff("a") == 0j
 
 
 def test_multiplier_validation():
@@ -124,6 +124,29 @@ def test_truncation_consistency():
     assert cut.terms == full.terms
     shallow = apply(HeatMultiplier(F2, 0.4, 1), f)
     assert all(F2.length(x) <= 1 for x in shallow.terms)
+
+
+def bits(z):
+    return z.real.hex(), z.imag.hex()
+
+
+@pytest.mark.parametrize("group", [F2, FreeAbelianGroup(2), CyclicGroup(9)], ids=repr)
+@pytest.mark.parametrize("seed", range(4))
+def test_a_ring_element_acts_as_the_heat_multiplier_with_its_values(group, seed):
+    # both kinds give their values through coeff: a ring element that holds a
+    # heat multiplier's values on supp f acts on f bit for bit as it does
+    rd = builtin_rd_params(group)
+    rho = scaled_multiplier(group, 0.5, rd.s, 3, rd.C)
+    f = random_element(group, 3, np.random.default_rng(seed))
+    values = {x: rho.coeff(x) for x in f.terms}
+    phi = table_multiplier(group, values)
+    assert type(phi) is GroupRingElement and phi == GroupRingElement(group, values)
+    heat, ring = apply(rho, f).terms, apply(phi, f).terms
+    assert list(ring) == list(heat)
+    assert [bits(c) for c in ring.values()] == [bits(c) for c in heat.values()]
+    by_heat, by_ring = (map_defect(group, f, m, rd, 2, seed=seed) for m in (rho, phi))
+    assert by_ring.lower.hex() == by_heat.lower.hex() and by_ring.upper.hex() == by_heat.upper.hex()
+    assert by_ring == by_heat
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +219,7 @@ def test_lemma_bound_when_certified_scale_is_exactly_one():
     assert lemma_norm_bound(rho, RD).upper == 1.0
     unscaled = lemma_norm_bound(HeatMultiplier(F2, 0.02, 4000), RD)
     assert unscaled.upper == pytest.approx(1770.8, abs=0.05)
-    assert rho.eval("ab") == HeatMultiplier(F2, 0.02, 4000).eval("ab")
+    assert rho.coeff("ab") == HeatMultiplier(F2, 0.02, 4000).coeff("ab")
 
 
 def test_norm_bound_validation():
@@ -236,11 +259,11 @@ def test_scaled_multiplier_values():
     rho = scaled_multiplier(F2, 1.0, 2.0, 5, RD.C)
     U = 1.0 + RD.C * decay_certificate(1.0, 2.0).tail(5)
     assert rho.U == U
-    assert rho.eval("") == pytest.approx(1.0 / U)
-    assert rho.eval("") <= 1.0
-    assert rho.eval("ababab") == 0.0
-    assert rho.eval("a") == pytest.approx(math.exp(-1.0) / U, abs=1e-15)
-    assert rho.eval("a") == pytest.approx(0.2805877288795194, abs=1e-15)
+    assert rho.coeff("") == pytest.approx(1.0 / U)
+    assert rho.coeff("") <= 1.0
+    assert rho.coeff("ababab") == 0.0
+    assert rho.coeff("a") == pytest.approx(math.exp(-1.0) / U, abs=1e-15)
+    assert rho.coeff("a") == pytest.approx(0.2805877288795194, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +298,7 @@ def test_map_defect_point_mass_rows_stay_sound(group, coeff):
         point = GroupRingElement(group, {group.identity(): coeff})
         bracket = map_defect(group, point, rho, rd, 3)
         with mpmath.workdps(40):
-            exact = float(abs(mpmath.mpf(rho.eval(group.identity())) - 1) * abs(mpmath.mpc(coeff)))
+            exact = float(abs(mpmath.mpf(rho.coeff(group.identity())) - 1) * abs(mpmath.mpc(coeff)))
         assert bracket.lower <= bracket.upper
         assert abs(bracket.upper - exact) <= 4 * math.ulp(exact), r
         assert abs(bracket.lower - exact) <= 4 * math.ulp(exact), r
@@ -312,7 +335,7 @@ def test_map_defect_brackets_the_exact_defect(case):
     bracket = map_defect(group, GroupRingElement(group, terms), rho, rd, 3)
     eps = 2.0**-52
     with mpmath.workdps(40):
-        d = {x: (mpmath.mpf(rho.eval(x)) - 1) * mpmath.mpc(c) for x, c in terms.items()}
+        d = {x: (mpmath.mpf(rho.coeff(x)) - 1) * mpmath.mpc(c) for x, c in terms.items()}
         l1 = mpmath.fsum(abs(c) for c in d.values())
         l2 = mpmath.sqrt(mpmath.fsum(abs(c) ** 2 for c in d.values()))
         sob = mpmath.sqrt(
@@ -338,7 +361,7 @@ def test_map_defect_contains_subnormal_defects_exactly(terms, r):
     rho = default_grid_multiplier(F2, r)
     bracket = map_defect(F2, GroupRingElement(F2, terms), rho, RD, 3)
     with mpmath.workdps(60):
-        d = {x: (mpmath.mpf(rho.eval(x)) - 1) * mpmath.mpc(c) for x, c in terms.items()}
+        d = {x: (mpmath.mpf(rho.coeff(x)) - 1) * mpmath.mpc(c) for x, c in terms.items()}
         l1 = mpmath.fsum(abs(c) for c in d.values())
         l2 = mpmath.sqrt(mpmath.fsum(abs(c) ** 2 for c in d.values()))
         weights = {x: (1 + F2.length(x)) ** (2 * mpmath.mpf(RD.s)) for x in d}
@@ -360,7 +383,7 @@ def test_map_defect_scales_by_powers_of_two_exactly(f, k):
     rho = scaled_multiplier(F2, 0.5, 2.0, 6, RD.C)
     base = map_defect(F2, f, rho, RD, 4)
     # in normal range the bracket is opnorm_bracket's of (phi - 1) f, bit for bit
-    direct = {x: (rho.eval(x) - 1.0) * c for x, c in f.terms.items()}
+    direct = {x: (rho.coeff(x) - 1.0) * c for x, c in f.terms.items()}
     assert base == opnorm_bracket(F2, GroupRingElement(F2, direct), RD, 4)
     scaled = GroupRingElement(F2, {x: math.ldexp(1.0, k) * c for x, c in f.terms.items()})
     got = map_defect(F2, scaled, rho, RD, 4)
@@ -384,7 +407,7 @@ def test_map_defect_zero_element():
 def test_map_defect_cheap_bound_controls_upper():
     rho = scaled_multiplier(F2, 0.1, 2.0, 40, RD.C)
     bracket = map_defect(F2, KESTEN, rho, RD, 4)
-    pointwise = max(abs(rho.eval(x) - 1.0) for x in KESTEN.terms) * l1_norm(KESTEN)
+    pointwise = max(abs(rho.coeff(x) - 1.0) for x in KESTEN.terms) * l1_norm(KESTEN)
     assert bracket.upper <= pointwise + 1e-12
     assert bracket.lower <= bracket.upper
 
@@ -444,7 +467,7 @@ def test_lemma_shadow(seed):
 def test_scaled_multiplier_other_groups(group):
     rd = builtin_rd_params(group)
     rho = scaled_multiplier(group, 0.5, rd.s, 6, rd.C)
-    assert rho.eval(group.identity()) <= 1.0
+    assert rho.coeff(group.identity()) <= 1.0
     rng = np.random.default_rng(5)
     f = random_element(group, 2, rng)
     bracket = map_defect(group, f, rho, rd, 4)

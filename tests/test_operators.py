@@ -122,7 +122,8 @@ def top_singular_value(A):
 
 def assert_table_holds(g, f, radius, A):
     """The translation table the solvers read holds exactly the nonzero entries of A."""
-    m, targets, coeffs, e, _ = _scaled_tables(g, f, radius, DEFAULT_BALL_CAP)
+    arena, targets, coeffs, e, _ = _scaled_tables(g, f, radius, DEFAULT_BALL_CAP)
+    m = len(arena)
     rows, cols, values = _triplets(targets, coeffs * math.ldexp(1.0, e))
     assert A.shape == (m, m)
     assert len(values) <= len(f.terms) * m
@@ -686,7 +687,8 @@ def decided_top_singular_value(A, claimed):
 def test_solver_never_exceeds_dense_svd(case):
     group, radius, f = case
     A = dense_compression(group, f, group.ball(radius))
-    m, targets, coeffs, e, _ = _scaled_tables(group, f, radius, DEFAULT_BALL_CAP)
+    arena, targets, coeffs, e, _ = _scaled_tables(group, f, radius, DEFAULT_BALL_CAP)
+    m = len(arena)
     coeffs = iterated_coeffs(group, f, radius, coeffs)
     products = _csr_products(m, targets, coeffs)
     value, iters, _ = _power_iteration(
@@ -771,7 +773,8 @@ def directly_solved_compressions(draw):
 def test_direct_solve_matches_dense_svd(case):
     group, radius, f = case
     assert group.ball_size(radius) <= DIRECT_SOLVE_MAX
-    m, targets, coeffs, e, _ = _scaled_tables(group, f, radius, DIRECT_SOLVE_MAX)
+    arena, targets, coeffs, e, _ = _scaled_tables(group, f, radius, DIRECT_SOLVE_MAX)
+    m = len(arena)
     value = math.ldexp(_dense_top_singular(m, targets, coeffs), e)
     exact = decided_top_singular_value(dense_compression(group, f, group.ball(radius)), value)
     assert value <= exact * (1 + 8 * EPS)
@@ -842,7 +845,8 @@ def test_table_products_match_the_dense_compression(case):
     # the checks run on the element whose lower bound opnorm_lower computes:
     # an element whose parts are all subnormal is solved scaled by 2^-top
     f, top = normal_range(element)
-    m, targets, coeffs, e, _ = _scaled_tables(group, f, radius, DEFAULT_BALL_CAP)
+    arena, targets, coeffs, e, _ = _scaled_tables(group, f, radius, DEFAULT_BALL_CAP)
+    m = len(arena)
     assert m > DIRECT_SOLVE_MAX and targets.size <= TABLE_PRODUCT_MAX
     scale = 2.0**e
     # the solver values are checked against the singular values of f's own
@@ -922,7 +926,8 @@ def test_balls_that_do_not_cover_keep_the_seeded_start(group, radius, f, seed):
     # a ball that does not cover Z/m is iterated from a start: the positive
     # unit vector where the iterated compression is entrywise nonnegative
     # (Kesten's element, the Z^2 generator sum), else the seeded one
-    m, targets, coeffs, e, _ = _scaled_tables(group, f, radius, DEFAULT_BALL_CAP)
+    arena, targets, coeffs, e, _ = _scaled_tables(group, f, radius, DEFAULT_BALL_CAP)
+    m = len(arena)
     assert m > DIRECT_SOLVE_MAX and m < getattr(group, "order", math.inf)
     coeffs = iterated_coeffs(group, f, radius, coeffs)
     positive = starts_positive(coeffs)
@@ -1208,7 +1213,8 @@ def nonnegative_compressions(draw):
 @example((Z2, 8, CLUSTERED_Z2))
 def test_nonnegative_compressions_start_from_the_positive_vector(case):
     group, radius, f = case
-    m, targets, coeffs, _, _ = _scaled_tables(group, f, radius, DEFAULT_BALL_CAP)
+    arena, targets, coeffs, _, _ = _scaled_tables(group, f, radius, DEFAULT_BALL_CAP)
+    m = len(arena)
     assert m > DIRECT_SOLVE_MAX
     assert starts_positive(iterated_coeffs(group, f, radius, coeffs))
     bracket = opnorm_bracket(group, f, None, radius)
@@ -1249,7 +1255,8 @@ def test_a_hermitian_element_shares_one_csr_matrix(group, radius, f, monkeypatch
     assert self_adjoint and apply_adjoint.__self__ is apply.__self__
     # the transposed copy the products would otherwise build holds the same
     # arrays, and gives the same products bit for bit
-    m, targets, coeffs, _, _ = _scaled_tables(group, f, radius, DEFAULT_BALL_CAP)
+    arena, targets, coeffs, _, _ = _scaled_tables(group, f, radius, DEFAULT_BALL_CAP)
+    m = len(arena)
     A, AH = (p.__self__ for p in _csr_products(m, targets, coeffs.real))
     assert AH is not A
     for name in ("indptr", "indices", "data"):
@@ -1305,7 +1312,8 @@ def test_small_cyclic_groups_match_fourier(order):
     # the top eigenvector up to rounding
     group = CyclicGroup(order)
     f = GroupRingElement(group, {1: 1.0, 0: 0.5j})
-    m, targets, coeffs, e, _ = _scaled_tables(group, f, order // 2, DEFAULT_BALL_CAP)
+    arena, targets, coeffs, e, _ = _scaled_tables(group, f, order // 2, DEFAULT_BALL_CAP)
+    m = len(arena)
     products = _csr_products(m, targets, coeffs)
     lower, _, _ = _power_iteration(m, products, DEFAULT_MAX_ITERS, DEFAULT_POWER_TOL)
     lower = math.ldexp(lower, e)
@@ -1615,7 +1623,8 @@ def test_clustered_spectra_converge_within_the_step_budget(f, radius, steps):
     # norm; keeping the previous block's start, 42, 75 and 463
     group = f.group
     bracket = opnorm_bracket(group, f, builtin_rd_params(group), radius)
-    m, targets, coeffs, e, _ = _scaled_tables(group, f, radius, DEFAULT_BALL_CAP)
+    arena, targets, coeffs, e, _ = _scaled_tables(group, f, radius, DEFAULT_BALL_CAP)
+    m = len(arena)
     assert m > DIRECT_SOLVE_MAX and not (isinstance(group, CyclicGroup) and m == group.order)
     rows, cols, values = _triplets(targets, coeffs * math.ldexp(1.0, e))
     A = np.zeros((m, m), dtype=complex)
@@ -1836,7 +1845,8 @@ def test_compression_runs_match_the_reference_loop(group, radius, f, build):
     # free(2) and Z^2 ones as |f| in float64, these three from the positive
     # start, the cyclic one complex) and in complex arithmetic on its own
     # coefficients from the seeded start
-    m, targets, raw, _, _ = _scaled_tables(group, f, radius, DEFAULT_BALL_CAP)
+    arena, targets, raw, _, _ = _scaled_tables(group, f, radius, DEFAULT_BALL_CAP)
+    m = len(arena)
     for coeffs in (iterated_coeffs(group, f, radius, raw), raw):
         products = build(m, targets, coeffs)
         positive = starts_positive(coeffs)

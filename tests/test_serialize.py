@@ -109,9 +109,9 @@ def test_every_entry_point_applies_the_same_element_rule(group, outside, element
     assert delta(group, outside).terms == {element: 1 + 0j}
     assert _ring_from_outside(group, outside).terms == want
     assert delta(group, element).coeff(outside) == 1.0
-    assert table_multiplier(group, {outside: 2.0}).table == {element: 2 + 0j}
-    assert table_multiplier(group, {element: 2.0}).eval(outside) == 2.0
-    assert HeatMultiplier(group, 1.0).eval(outside) == math.exp(-group.length(element))
+    assert table_multiplier(group, {outside: 2.0}).terms == {element: 2 + 0j}
+    assert table_multiplier(group, {element: 2.0}).coeff(outside) == 2.0
+    assert HeatMultiplier(group, 1.0).coeff(outside) == math.exp(-group.length(element))
 
 
 @pytest.mark.parametrize(
