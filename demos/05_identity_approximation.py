@@ -46,6 +46,12 @@ print("\nr        defect_upper   4(1-exp(-r))")
 for row in run_grid(F2, kesten, fine):
     print(f"{row.r:<7}  {row.defect_upper:.6f}      {4 * (1 - np.exp(-row.r)):.6f}")
 
+# Every rate brackets a defect (phi - 1) f on the support of f.  On the ball
+# of radius 7 (4,373 elements) that compression is a sparse matrix, whose
+# sparsity pattern the ball keeps: the rates after the first only refill it.
+warm = run_grid(F2, kesten, default_schedule(rd), radius=7)
+print("\nradius-7 defect lower ends:", [row.defect_lower for row in warm])
+
 # The same machinery runs on the lattice with its own constants.
 Z1 = FreeAbelianGroup(1)
 rd1 = builtin_rd_params(Z1)

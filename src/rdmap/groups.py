@@ -22,23 +22,30 @@ into an explicit :class:`BallCapError` instead of silent truncation.
 
 Bulk work runs on integers, not on per-pair word arithmetic: each ball is
 built once per ``(group, radius)`` into a cached :class:`BallArena`, its
-elements, lengths, translation table and the rows of words translated on it,
-in which position ``m = len(arena)`` stands for every element outside the
-ball.  :meth:`Group.length_matrix` parses each point once and computes all
-pairwise lengths ``l(x^-1 y)`` in closed form into one read-only int64
-matrix that callers passing the same points share.
+elements, lengths and translation table, in which position ``m = len(arena)``
+stands for every element outside the ball.  :meth:`Group.length_matrix`
+parses each point once and computes all pairwise lengths ``l(x^-1 y)`` in
+closed form into one read-only int64 matrix that callers passing the same
+points share.
+
+Each arena also keeps, read-only, what compressions on its ball derive again
+and again: the translation row of each word translated on it, keyed by the
+parsed word, and the CSR sparsity pattern of each compression too large for
+the table products (``rdmap.operators``), keyed by its retained support.
+Patterns are built in the CSR regime only, so a ball below it keeps rows
+alone.
 
 Four caches keep what repeated calls share, each with a fixed bound, the
 least recently used entry dropped first.  At most ``ARENA_CACHE_SIZE`` (8)
-arenas are kept.  Each arena of ``m`` elements keeps at most
-``ROW_CACHE_BYTES // (8 m)`` of the translation rows derived on it: 4 MiB of
-row data per arena, 32 MiB over all arenas, plus a few hundred bytes of
-Python objects per row; the rows go with their arena.  At most
-``LENGTH_CACHE_SIZE`` (4) length matrices of at most
+arenas are kept.  Each arena keeps at most ``ROW_CACHE_BYTES`` (4 MiB) of
+rows and patterns together, counted by the bytes of their arrays: 32 MiB
+over all arenas, plus a few hundred bytes of Python objects per entry; the
+entries go with their arena, and an entry larger than the bound is not
+kept.  At most ``LENGTH_CACHE_SIZE`` (4) length matrices of at most
 ``LENGTH_CACHE_MAX_POINTS`` (1,024) points are kept, 32 MiB; a longer point
 list is computed on each call and not kept.  The solver keeps
 ``rdmap.operators.START_CACHE`` (8) unit start vectors, one per ball size,
-seed and dtype.  A ball too large for one row keeps no row.
+seed and dtype.
 """
 
 from __future__ import annotations
@@ -152,8 +159,9 @@ class BallArena:
     one row of integer coordinates (or the residue) per element, and
     :meth:`locate` maps coordinate rows back to positions.  Every array is
     read-only, because the arena is shared by all callers.  It also keeps
-    the rows of :meth:`Group.left_translate`, within the bound of the
-    module docstring.
+    the rows of :meth:`Group.left_translate` and the compression patterns
+    of ``rdmap.operators`` (:meth:`kept`, :meth:`keep`), within the bound of
+    the module docstring.
     """
 
     elements: tuple
@@ -163,7 +171,7 @@ class BallArena:
 
     def __post_init__(self):
         object.__setattr__(self, "lengths", _read_only(self.lengths))
-        object.__setattr__(self, "_rows", OrderedDict())
+        object.__setattr__(self, "_kept", OrderedDict())
         if self.moves is not None:
             object.__setattr__(self, "moves", _read_only(self.moves))
         if self.coords is not None:
@@ -188,6 +196,30 @@ class BallArena:
         wanted = _row_keys(rows)
         index = np.searchsorted(keys, wanted).clip(max=len(keys) - 1)
         return np.where(keys[index] == wanted, position[index], len(self))
+
+    def kept(self, key):
+        """The entry kept under ``key``, now the most recently used, or None."""
+        kept = self._kept
+        value = kept.pop(key, None)
+        if value is not None:
+            kept[key] = value  # last is most recently used
+        return value
+
+    def keep(self, key, value):
+        """Keep ``value``, whose arrays hold ``value.nbytes``, under ``key`` and return it.
+
+        The least recently used entries are dropped while the arena keeps
+        more than ROW_CACHE_BYTES; a value larger than that is not kept.
+        No lock: concurrent callers at worst derive an entry twice.
+        """
+        kept = self._kept
+        kept[key] = value
+        # summed over a copy: another caller may insert while this one counts
+        total = sum([entry.nbytes for entry in list(kept.values())])
+        with suppress(KeyError):  # another caller may have emptied the arena
+            while total > ROW_CACHE_BYTES:
+                total -= kept.popitem(last=False)[1].nbytes
+        return value
 
 
 class Group:
@@ -260,15 +292,11 @@ class Group:
 
         One shared read-only row per parsed ``s``, kept on the arena.
         """
-        rows = arena._rows
-        row = rows.pop(s, None)
+        row = arena.kept(s)
         if row is None:
             row = self._left_translate(arena, s)
             row.setflags(write=False)
-        rows[s] = row  # last is most recently used
-        with suppress(KeyError):  # no lock: concurrent callers at worst derive a row twice
-            while len(rows) > ROW_CACHE_BYTES // (8 * len(arena)):
-                rows.popitem(last=False)
+            arena.keep(s, row)
         return row
 
     def _left_translate(self, arena: BallArena, s) -> np.ndarray:

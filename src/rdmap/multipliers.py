@@ -45,8 +45,10 @@ class HeatMultiplier:
         check_positive_finite(self.r, "rate r")
         if self.n is not None:
             object.__setattr__(self, "n", check_integer(self.n, "truncation radius n"))
-        if self.U is not None and not self.U >= 1.0:
-            raise ValueError("scale U must satisfy U >= 1")
+        if self.U is not None:
+            check_positive_finite(self.U, "scale U")
+            if not self.U >= 1.0:
+                raise ValueError("scale U must satisfy U >= 1")
 
     def coeff(self, elem):
         """Pointwise value at a group element."""

@@ -15,6 +15,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -376,25 +377,29 @@ def _phases_absorbable(g: Group, support: list) -> bool:
     return _independent([[1, *v] for v in vectors])
 
 
-def _scaled_tables(g: Group, f: GroupRingElement, radius: int, cap: int):
-    """(arena, targets, coeffs, e, support): ball, translation table, coefficients * 2^-e.
+def _scaled_coeffs(f: GroupRingElement, support: list):
+    """(coeffs, e): the coefficients of the retained ``support``, times 2^-e.
 
-    ``targets[i, y]`` is the position of ``s_i y`` in the ball, m = len(arena)
-    outside it, for the i-th element ``s_i`` of the retained ``support``: a
-    fresh copy of the arena's shared row, so no caller writes into the
-    cache.  A row holds no position below m twice: ``y -> s_i y`` is
-    injective.  The exact power-of-two scale puts the largest |coeffs[i]| in
-    [0.5, 1), so no square of an entry overflows or underflows; e is clamped
-    so that 2^-e stays finite for subnormal coefficients.
+    The exact power-of-two scale puts the largest |coeffs[i]| in [0.5, 1),
+    so no square of an entry overflows or underflows; e is clamped so that
+    2^-e stays finite for subnormal coefficients.
     """
-    arena = g.arena(radius, cap=cap)
-    support = _compressed_support(g, f, radius)
-    targets = np.array(
-        [g.left_translate(arena, s) for s in support], dtype=np.int64
-    ).reshape(len(support), len(arena))
     coeffs = np.array([f.terms[s] for s in support], dtype=complex)
     e = max(math.frexp(float(np.abs(coeffs).max(initial=0.0)))[1], -1023)
-    return arena, targets, coeffs * math.ldexp(1.0, -e), e, support
+    return coeffs * math.ldexp(1.0, -e), e
+
+
+def _translation_table(g: Group, arena: BallArena, support: list) -> np.ndarray:
+    """``targets[i, y]``, the position of ``s_i y`` in the ball, m = len(arena) outside it.
+
+    One row for the i-th element ``s_i`` of the retained ``support``: a
+    fresh copy of the arena's shared row, so no caller writes into the
+    cache.  A row holds no position below m twice: ``y -> s_i y`` is
+    injective.
+    """
+    return np.array(
+        [g.left_translate(arena, s) for s in support], dtype=np.int64
+    ).reshape(len(support), len(arena))
 
 
 def _triplets(targets: np.ndarray, coeffs: np.ndarray):
@@ -496,27 +501,114 @@ def _self_adjoint(g: Group, support: list, coeffs: np.ndarray) -> bool:
     return None not in partners and bool((coeffs[partners] == coeffs.conj()).all())
 
 
-def _csr_products(m: int, targets: np.ndarray, coeffs: np.ndarray, self_adjoint: bool = False):
-    """Products v -> A v and u -> A^H u by scipy CSR matrices, nnz entries each.
+class _CsrPattern(NamedTuple):
+    """The sparsity pattern of a CSR compression, shared read-only on its arena.
 
-    A ``self_adjoint`` A (see _self_adjoint) is its own A^H and takes both
-    products from its one matrix: A's transpose would hold the same indptr,
-    indices and data, both are summed in the order of the sorted indices,
-    and so the products agree up to the sign of an exactly zero entry.
+    ``csr`` holds A's ``(indptr, indices, terms)``: ``terms[j]`` is the
+    index in the retained support of the term whose coefficient the j-th
+    stored entry holds, in the smallest unsigned dtype that holds k - 1.
+    ``adjoint`` holds the same three arrays for A^H, or None until a solve
+    first needs them.  ``positions[i]`` is the position of the i-th support
+    element in the ball, m outside it (column 0 of the translation table).
+    ``nbytes`` counts its arrays against the arena's bound.
+    """
+
+    positions: np.ndarray
+    csr: tuple
+    adjoint: tuple | None = None
+
+    @property
+    def nbytes(self) -> int:
+        halves = self.csr + (self.adjoint or ())
+        return self.positions.nbytes + sum(a.nbytes for a in halves)
+
+
+def _frozen(matrix) -> tuple:
+    """(indptr, indices, data) of a scipy CSR matrix, made read-only."""
+    arrays = (matrix.indptr, matrix.indices, matrix.data)
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+def _build_csr_pattern(targets: np.ndarray) -> _CsrPattern:
+    """The pattern of the compression with translation table ``targets``, without A^H's half.
+
+    It runs the COO -> CSR build of scipy (coo_tocsr, then the sort of each
+    row's indices) on the term index of each entry in place of its value.
+    That build moves each entry by its row and column alone, so
+    ``indices`` and the order of the entries, and so every product, are
+    bit for bit those of the matrix built from the values.
     """
     # scipy.sparse is imported here, not at module scope, so commands whose
     # compressions all stay within TABLE_PRODUCT_MAX entries never load it
     import scipy.sparse as sp
 
-    rows, cols, values = _triplets(targets, coeffs)
-    A = sp.csr_matrix((values, (rows, cols)), shape=(m, m))
+    k, m = targets.shape
+    rows, cols, terms = _triplets(targets, np.arange(k, dtype=np.min_scalar_type(k - 1)))
+    A = sp.csr_matrix((terms, (rows, cols)), shape=(m, m))
+    positions = targets[:, 0].copy()
+    positions.setflags(write=False)
+    return _CsrPattern(positions, _frozen(A))
+
+
+def _with_adjoint(pattern: _CsrPattern) -> _CsrPattern:
+    """The pattern with A^H's half: A's, transposed by scipy (transpose, then tocsr).
+
+    Each entry's term moves with it, so ``coeffs.conj()[terms]`` fills A^H.
+    """
+    import scipy.sparse as sp
+
+    indptr, indices, terms = pattern.csr
+    m = len(indptr) - 1
+    AH = sp.csr_matrix((terms, indices, indptr), shape=(m, m)).transpose().tocsr()
+    return pattern._replace(adjoint=_frozen(AH))
+
+
+def _csr_pattern(g: Group, arena: BallArena, support: list, adjoint: bool) -> _CsrPattern:
+    """The arena's pattern for the retained ``support``, with A^H's half if ``adjoint``.
+
+    Kept under the support tuple, which no word's row key equals.  The
+    rows are fetched, and the table stacked, only where the arena keeps no
+    pattern; a pattern that gains its A^H half is kept again, so that the
+    arena counts its new size.
+    """
+    key = tuple(support)
+    pattern = arena.kept(key)
+    if pattern is None:
+        pattern = arena.keep(key, _build_csr_pattern(_translation_table(g, arena, support)))
+    if adjoint and pattern.adjoint is None:
+        pattern = arena.keep(key, _with_adjoint(pattern))
+    return pattern
+
+
+def _csr_products(pattern: _CsrPattern, coeffs: np.ndarray, self_adjoint: bool = False):
+    """Products v -> A v and u -> A^H u by scipy CSR matrices, nnz entries each.
+
+    Each matrix shares the pattern's read-only indptr and indices, and its
+    values are one gather, ``coeffs[terms]`` for A and
+    ``coeffs.conj()[terms]`` through A^H's half.  So they hold the arrays
+    that a build from the triplets gives, and their products the same bits.
+    A ``self_adjoint`` A (see _self_adjoint) is its own A^H and takes both
+    products from its one matrix: A's transpose would hold the same indptr,
+    indices and data, both are summed in the order of the sorted indices,
+    and so the products agree up to the sign of an exactly zero entry.
+    Else a pattern without A^H's half (a covering ball, which applies A
+    alone) gives None for the A^H product.
+    """
+    import scipy.sparse as sp
+
+    def matrix(half, values):
+        indptr, indices, terms = half
+        m = len(indptr) - 1
+        return sp.csr_matrix((values[terms], indices, indptr), shape=(m, m))
+
+    apply = matrix(pattern.csr, coeffs).__matmul__
     if self_adjoint:
-        return A.__matmul__, A.__matmul__
-    # A^H as A's transpose: triplets of its own would sit next to the table
-    # and A (1 MB more at free(2) radius 8)
-    AH = A.transpose().tocsr()
-    np.conjugate(AH.data, out=AH.data)
-    return A.__matmul__, AH.__matmul__
+        return apply, apply
+    if pattern.adjoint is None:
+        return apply, None
+    return apply, matrix(pattern.adjoint, coeffs.conj()).__matmul__
 
 
 def _table_products(m: int, targets: np.ndarray, coeffs: np.ndarray):
@@ -751,13 +843,16 @@ def _opnorm_lower_info(g, f, radius, max_iters, tol, cap, seed):
     _require_same_group(g, f)
     if f.is_zero():
         return 0.0, 0, 0.0
-    arena, targets, coeffs, e, support = _scaled_tables(g, f, radius, cap)
+    arena = g.arena(radius, cap=cap)
+    support = _compressed_support(g, f, radius)
+    coeffs, e = _scaled_coeffs(f, support)
     m = len(arena)
     # the product regime depends on the ball size m and the table size k m alone
-    if targets.size == 0:
+    if not support:
         # no support element maps a ball element back into the ball: A = 0
         sigma, iters, rel = 0.0, 0, 0.0
     elif m <= DIRECT_SOLVE_MAX:
+        targets = _translation_table(g, arena, support)
         sigma, iters, rel = _dense_top_singular(m, targets, coeffs), 0, 0.0
     else:
         covering = isinstance(g, CyclicGroup) and m == g.order
@@ -772,19 +867,22 @@ def _opnorm_lower_info(g, f, radius, max_iters, tol, cap, seed):
         # iterated as its twist, the real A of |f|, which has its singular values
         elif _phases_absorbable(g, support):
             coeffs = np.abs(coeffs)
-        if targets.size <= TABLE_PRODUCT_MAX:
-            products = _table_products(m, targets, coeffs)
+        if len(support) * m <= TABLE_PRODUCT_MAX:
+            targets = _translation_table(g, arena, support)
+            positions, products = targets[:, 0], _table_products(m, targets, coeffs)
         else:
-            products = _csr_products(m, targets, coeffs, _self_adjoint(g, support, coeffs))
+            # a covering ball applies A alone, and a self-adjoint A is its
+            # own A^H: neither needs the pattern's A^H half
+            self_adjoint = _self_adjoint(g, support, coeffs)
+            pattern = _csr_pattern(g, arena, support, not (covering or self_adjoint))
+            positions, products = pattern.positions, _csr_products(pattern, coeffs, self_adjoint)
         if covering:
             # the ball covers Z/m; it starts at the identity, so column 0 of
             # the table holds the position of each support element
             residues = arena.coords[:, 0]
-            sigma = _character_norm(residues, targets[:, 0], coeffs, products[0])
+            sigma = _character_norm(residues, positions, coeffs, products[0])
             iters, rel = 0, 0.0
         else:
-            # the products keep what they need; free the table before iterating
-            del targets
             # an entrywise nonnegative A starts from the positive unit vector
             if coeffs.dtype == float and (coeffs >= 0).all():
                 seed = None
@@ -819,7 +917,10 @@ class NormBracket:
     positive unit vector, which the seed does not reach.  The products are
     gathered through the translation table up to TABLE_PRODUCT_MAX entries
     (_table_products) and taken from scipy CSR matrices beyond
-    (_csr_products).  An element whose coefficient parts are all subnormal
+    (_csr_products), whose sparsity pattern the ball keeps per retained
+    support (_csr_pattern): a support bracketed again on a kept ball only
+    gathers its coefficients into the pattern, with no row fetched and no
+    COO -> CSR build.  An element whose coefficient parts are all subnormal
     is bracketed scaled into normal range by a power of two, and both ends
     are scaled back, each one ulp outward where the scaling rounded inward.
     """

@@ -31,7 +31,14 @@ from rdmap.groups import (
     GroupMismatchError,
 )
 from rdmap.kernels import KernelMatrix, cn_check, length_kernel, schoenberg_kernel
-from rdmap.operators import GroupRingElement, _scaled_tables, _triplets, opnorm_lower
+from rdmap.operators import (
+    GroupRingElement,
+    _compressed_support,
+    _scaled_coeffs,
+    _translation_table,
+    _triplets,
+    opnorm_lower,
+)
 from rdmap.serialize import ring_from_json
 
 F2 = FreeGroup(2)
@@ -95,9 +102,17 @@ def reference_compression(g, f, radius):
     return len(basis), sorted_triplets(*triplets), e
 
 
+def scaled_tables(g, f, radius, cap):
+    """(arena, targets, coeffs, e, support) as the solvers read them."""
+    arena = g.arena(radius, cap=cap)
+    support = _compressed_support(g, f, radius)
+    coeffs, e = _scaled_coeffs(f, support)
+    return arena, _translation_table(g, arena, support), coeffs, e, support
+
+
 def table_compression(g, f, radius):
     """Ball size, sorted triplets and scale e of the table that every solver reads."""
-    arena, targets, coeffs, e, _ = _scaled_tables(g, f, radius, DEFAULT_BALL_CAP)
+    arena, targets, coeffs, e, _ = scaled_tables(g, f, radius, DEFAULT_BALL_CAP)
     m = len(arena)
     return m, sorted_triplets(*_triplets(targets, coeffs)), e
 
@@ -347,7 +362,7 @@ ROW_CASES = [(FreeGroup(1), 3), (F2, 2), (FreeAbelianGroup(1), 4), (Z2, 3), (Cyc
 
 def cold_arena(group, radius):
     arena = group.arena(radius)
-    arena._rows.clear()
+    arena._kept.clear()
     return arena
 
 
@@ -363,7 +378,7 @@ def test_cached_rows_are_the_per_element_translations_shared_read_only(group, ra
             row[0] = 0
         assert_same_bits(row, reference_row(group, radius, s))
         assert group.left_translate(arena, s) is row
-    assert len(arena._rows) == len(words)
+    assert len(arena._kept) == len(words)
 
 
 @pytest.mark.parametrize("group, radius", ROW_CASES, ids=repr)
@@ -373,18 +388,18 @@ def test_scaled_tables_are_the_same_on_a_cold_and_a_warm_arena(group, radius):
     picks = rng.choice(len(pool), size=min(6, len(pool)), replace=False)
     f = GroupRingElement(group, {pool[i]: complex(rng.normal(), rng.normal()) for i in picks})
     arena = cold_arena(group, radius)
-    cold = _scaled_tables(group, f, radius, DEFAULT_BALL_CAP)
-    assert len(arena._rows) == len(cold[4])
-    warm = _scaled_tables(group, f, radius, DEFAULT_BALL_CAP)
+    cold = scaled_tables(group, f, radius, DEFAULT_BALL_CAP)
+    assert len(arena._kept) == len(cold[4])
+    warm = scaled_tables(group, f, radius, DEFAULT_BALL_CAP)
     assert cold[0] is warm[0] is arena and cold[3] == warm[3] and cold[4] == warm[4]
     for a, b in zip(cold[1:3], warm[1:3]):
         assert_same_bits(a, b)
     # the tables are fresh arrays: writing into one reaches no cached row
-    for row in arena._rows.values():
+    for row in arena._kept.values():
         assert not np.shares_memory(warm[1], row)
     assert warm[1].flags.writeable
     warm[1][:] = -1
-    assert_same_bits(_scaled_tables(group, f, radius, DEFAULT_BALL_CAP)[1], cold[1])
+    assert_same_bits(scaled_tables(group, f, radius, DEFAULT_BALL_CAP)[1], cold[1])
 
 
 @pytest.mark.parametrize("group, radius", ROW_CASES, ids=repr)
@@ -399,13 +414,13 @@ def test_a_full_arena_drops_its_least_recently_used_row(group, radius, monkeypat
     assert group.left_translate(arena, words[0]) is rows[words[0]]
     for s in words[keep:]:
         rows[s] = group.left_translate(arena, s)
-        assert len(arena._rows) <= rdmap.groups.ROW_CACHE_BYTES // (8 * m) == keep
-    assert list(arena._rows) == [words[0], words[keep], words[keep + 1]]
+        assert len(arena._kept) <= rdmap.groups.ROW_CACHE_BYTES // (8 * m) == keep
+    assert list(arena._kept) == [words[0], words[keep], words[keep + 1]]
     again = group.left_translate(arena, words[1])
     assert again is not rows[words[1]] and not again.flags.writeable
     assert_same_bits(again, rows[words[1]])
     assert_same_bits(again, reference_row(group, radius, words[1]))
-    assert list(arena._rows) == [words[keep], words[keep + 1], words[1]]
+    assert list(arena._kept) == [words[keep], words[keep + 1], words[1]]
 
 
 def test_threads_sharing_an_arena_get_correct_rows_and_keep_the_bound(monkeypatch):
@@ -440,16 +455,91 @@ def test_threads_sharing_an_arena_get_correct_rows_and_keep_the_bound(monkeypatc
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
-    assert len(arena._rows) <= keep
-    for s, row in arena._rows.items():
+    assert len(arena._kept) <= keep
+    for s, row in arena._kept.items():
         assert_same_bits(row, want[s])
+
+
+def kept_bytes(arena):
+    return sum(entry.nbytes for entry in arena._kept.values())
+
+
+# free(2) at radius 7 (4,373 elements): supports of two or more words from
+# the sphere of radius 2 take the CSR regime, whose patterns the arena keeps
+CSR_SUPPORTS = [tuple(w) for w in (("aa", "ab"), ("aa", "bA", "BB"), ("ab", "Ba"), ("AA", "bb", "aB"),
+                                   ("ba", "BA"), ("Ab", "AB", "bb"), ("aB", "Ab"))]
+
+
+def csr_element(support, scale=1.0):
+    return GroupRingElement(F2, {w: scale * complex(i + 1, 1 - i) for i, w in enumerate(support)})
+
+
+def test_a_full_arena_drops_its_least_recently_used_pattern(monkeypatch):
+    arena = cold_arena(F2, 7)
+    sizes = {}
+    for support in CSR_SUPPORTS[:3]:
+        opnorm_lower(F2, csr_element(support), 7)
+        (sizes[support],) = (v.nbytes for k, v in arena._kept.items() if k == support)
+    # room for the three patterns and none of their rows
+    bound = sum(sizes.values())
+    monkeypatch.setattr(rdmap.groups, "ROW_CACHE_BYTES", bound)
+    arena._kept.clear()
+    lowers = {}
+    for support in CSR_SUPPORTS:
+        lowers[support] = opnorm_lower(F2, csr_element(support), 7)
+        assert kept_bytes(arena) <= bound
+    # rows and patterns leave in the order they were last used: the newest
+    # pattern, kept after its rows, is the most recent entry
+    assert list(arena._kept)[-1] == CSR_SUPPORTS[-1] and CSR_SUPPORTS[0] not in arena._kept
+    # a support whose pattern was dropped is built again, to the same bracket
+    monkeypatch.setattr(rdmap.groups, "ROW_CACHE_BYTES", ROW_CACHE_BYTES)
+    arena._kept.clear()
+    for support in CSR_SUPPORTS:
+        assert opnorm_lower(F2, csr_element(support), 7) == lowers[support]
+    arena._kept.clear()
+
+
+def test_threads_bracketing_on_an_arena_get_correct_brackets_and_keep_the_bound(monkeypatch):
+    # as for rows: concurrent brackets fetch, build and drop rows and
+    # patterns, unlocked, under a bound that holds about three patterns
+    arena = cold_arena(F2, 7)
+    want = {s: opnorm_lower(F2, csr_element(s, 0.5), 7) for s in CSR_SUPPORTS}
+    bound = 3 * max(v.nbytes for v in arena._kept.values())
+    monkeypatch.setattr(rdmap.groups, "ROW_CACHE_BYTES", bound)
+    arena._kept.clear()
+    errors = []
+
+    def work(seed):
+        order = np.random.default_rng(seed).permutation(len(CSR_SUPPORTS))
+        try:
+            for i in np.tile(order, 3):
+                s = CSR_SUPPORTS[i]
+                if opnorm_lower(F2, csr_element(s, 0.5), 7) != want[s]:
+                    errors.append(s)
+        except Exception as exc:  # a thread's failure must reach the test
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert kept_bytes(arena) <= bound
+    arena._kept.clear()
 
 
 def test_a_ball_too_large_for_one_row_keeps_none(monkeypatch):
     arena = cold_arena(F2, 2)
     monkeypatch.setattr(rdmap.groups, "ROW_CACHE_BYTES", 8 * len(arena) - 1)
     row = F2.left_translate(arena, "ab")
-    assert not row.flags.writeable and len(arena._rows) == 0
+    assert not row.flags.writeable and len(arena._kept) == 0
     assert_same_bits(row, reference_row(F2, 2, "ab"))
 
 
@@ -461,10 +551,10 @@ def test_a_large_ball_keeps_at_most_its_stated_rows():
     assert keep == 3
     for s in range(1, 2 * keep + 1):
         group.left_translate(arena, s)
-        assert len(arena._rows) == min(s, keep)
-        assert sum(row.nbytes for row in arena._rows.values()) <= ROW_CACHE_BYTES
-    assert list(arena._rows) == [keep + 1, keep + 2, 2 * keep]
-    arena._rows.clear()
+        assert len(arena._kept) == min(s, keep)
+        assert sum(row.nbytes for row in arena._kept.values()) <= ROW_CACHE_BYTES
+    assert list(arena._kept) == [keep + 1, keep + 2, 2 * keep]
+    arena._kept.clear()
 
 
 # ---------------------------------------------------------------------------

@@ -82,6 +82,24 @@ def test_multiplier_validation():
         HeatMultiplier(F2, 1.0, U=math.nan)
 
 
+@pytest.mark.parametrize(
+    "U, message",
+    [
+        (True, "scale U must be a real number, got True"),
+        ("2", "scale U must be a real number, got '2'"),
+        (math.inf, "scale U must be positive and finite, got inf"),
+        (math.nan, "scale U must be positive and finite, got nan"),
+        (0.5, "scale U must satisfy U >= 1"),
+    ],
+)
+def test_heat_scale_follows_the_positive_real_rule(U, message):
+    # before, True divided by 1, inf gave the zero multiplier with a lemma
+    # bound of 0, and "2" raised a bare TypeError
+    with pytest.raises(ValueError, match=message):
+        HeatMultiplier(F2, 1.0, 3, U=U)
+    assert HeatMultiplier(F2, 1.0, 3, U=2).coeff("") == 0.5
+
+
 # ---------------------------------------------------------------------------
 # action on ring elements
 

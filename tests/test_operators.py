@@ -47,6 +47,9 @@ from rdmap.operators import (
     sobolev_norm,
     _character_norm,
     _clamp_crossing,
+    _build_csr_pattern,
+    _compressed_support,
+    _csr_pattern,
     _csr_products,
     _dense_top_singular,
     _free_abelian_constant,
@@ -54,9 +57,12 @@ from rdmap.operators import (
     _norm,
     _ritz_vector,
     _scale_into,
-    _scaled_tables,
+    _self_adjoint,
+    _scaled_coeffs,
     _table_products,
+    _translation_table,
     _triplets,
+    _with_adjoint,
     _zeta_minus_one,
 )
 
@@ -120,9 +126,23 @@ def top_singular_value(A):
     return float(np.linalg.svd(A, compute_uv=False)[0])
 
 
+def scaled_tables(g, f, radius, cap):
+    """(arena, targets, coeffs, e, support): the ball, the translation table of
+    the retained support and its coefficients times 2^-e, as the solvers read them."""
+    arena = g.arena(radius, cap=cap)
+    support = _compressed_support(g, f, radius)
+    coeffs, e = _scaled_coeffs(f, support)
+    return arena, _translation_table(g, arena, support), coeffs, e, support
+
+
+def csr_products(m, targets, coeffs, self_adjoint=False):
+    """The CSR products of an m-element table, through a pattern built fresh with A^H's half."""
+    return _csr_products(_with_adjoint(_build_csr_pattern(targets)), coeffs, self_adjoint)
+
+
 def assert_table_holds(g, f, radius, A):
     """The translation table the solvers read holds exactly the nonzero entries of A."""
-    arena, targets, coeffs, e, _ = _scaled_tables(g, f, radius, DEFAULT_BALL_CAP)
+    arena, targets, coeffs, e, _ = scaled_tables(g, f, radius, DEFAULT_BALL_CAP)
     m = len(arena)
     rows, cols, values = _triplets(targets, coeffs * math.ldexp(1.0, e))
     assert A.shape == (m, m)
@@ -687,10 +707,10 @@ def decided_top_singular_value(A, claimed):
 def test_solver_never_exceeds_dense_svd(case):
     group, radius, f = case
     A = dense_compression(group, f, group.ball(radius))
-    arena, targets, coeffs, e, _ = _scaled_tables(group, f, radius, DEFAULT_BALL_CAP)
+    arena, targets, coeffs, e, _ = scaled_tables(group, f, radius, DEFAULT_BALL_CAP)
     m = len(arena)
     coeffs = iterated_coeffs(group, f, radius, coeffs)
-    products = _csr_products(m, targets, coeffs)
+    products = csr_products(m, targets, coeffs)
     value, iters, _ = _power_iteration(
         m, products, DEFAULT_MAX_ITERS, DEFAULT_POWER_TOL, start_seed(coeffs, 0), coeffs.dtype
     )
@@ -773,7 +793,7 @@ def directly_solved_compressions(draw):
 def test_direct_solve_matches_dense_svd(case):
     group, radius, f = case
     assert group.ball_size(radius) <= DIRECT_SOLVE_MAX
-    arena, targets, coeffs, e, _ = _scaled_tables(group, f, radius, DIRECT_SOLVE_MAX)
+    arena, targets, coeffs, e, _ = scaled_tables(group, f, radius, DIRECT_SOLVE_MAX)
     m = len(arena)
     value = math.ldexp(_dense_top_singular(m, targets, coeffs), e)
     exact = decided_top_singular_value(dense_compression(group, f, group.ball(radius)), value)
@@ -845,7 +865,7 @@ def test_table_products_match_the_dense_compression(case):
     # the checks run on the element whose lower bound opnorm_lower computes:
     # an element whose parts are all subnormal is solved scaled by 2^-top
     f, top = normal_range(element)
-    arena, targets, coeffs, e, _ = _scaled_tables(group, f, radius, DEFAULT_BALL_CAP)
+    arena, targets, coeffs, e, _ = scaled_tables(group, f, radius, DEFAULT_BALL_CAP)
     m = len(arena)
     assert m > DIRECT_SOLVE_MAX and targets.size <= TABLE_PRODUCT_MAX
     scale = 2.0**e
@@ -876,7 +896,7 @@ def test_table_products_match_the_dense_compression(case):
     if coeffs.dtype == complex:
         v = v + 1j * rng.normal(size=m)
     # the CSR products take the same tables and must pass the same checks
-    for build in (_table_products, _csr_products):
+    for build in (_table_products, csr_products):
         products = apply, apply_adjoint = build(m, targets, coeffs)
         # relative to |A| |v|, the size of the rounding of each entry's sum
         for got, want, size in (
@@ -926,13 +946,13 @@ def test_balls_that_do_not_cover_keep_the_seeded_start(group, radius, f, seed):
     # a ball that does not cover Z/m is iterated from a start: the positive
     # unit vector where the iterated compression is entrywise nonnegative
     # (Kesten's element, the Z^2 generator sum), else the seeded one
-    arena, targets, coeffs, e, _ = _scaled_tables(group, f, radius, DEFAULT_BALL_CAP)
+    arena, targets, coeffs, e, _ = scaled_tables(group, f, radius, DEFAULT_BALL_CAP)
     m = len(arena)
     assert m > DIRECT_SOLVE_MAX and m < getattr(group, "order", math.inf)
     coeffs = iterated_coeffs(group, f, radius, coeffs)
     positive = starts_positive(coeffs)
     assert positive == (f in (KESTEN, Z2_GENSUM))
-    build = _table_products if targets.size <= TABLE_PRODUCT_MAX else _csr_products
+    build = _table_products if targets.size <= TABLE_PRODUCT_MAX else csr_products
     run = _power_iteration(
         m, build(m, targets, coeffs), 40, DEFAULT_POWER_TOL, start_seed(coeffs, seed), coeffs.dtype
     )
@@ -1213,7 +1233,7 @@ def nonnegative_compressions(draw):
 @example((Z2, 8, CLUSTERED_Z2))
 def test_nonnegative_compressions_start_from_the_positive_vector(case):
     group, radius, f = case
-    arena, targets, coeffs, _, _ = _scaled_tables(group, f, radius, DEFAULT_BALL_CAP)
+    arena, targets, coeffs, _, _ = scaled_tables(group, f, radius, DEFAULT_BALL_CAP)
     m = len(arena)
     assert m > DIRECT_SOLVE_MAX
     assert starts_positive(iterated_coeffs(group, f, radius, coeffs))
@@ -1240,8 +1260,8 @@ def csr_products_of(group, f, radius, monkeypatch):
     seen = []
     real = rdmap.operators._csr_products
 
-    def spy(m, targets, coeffs, self_adjoint):
-        seen.append((real(m, targets, coeffs, self_adjoint), self_adjoint))
+    def spy(pattern, coeffs, self_adjoint):
+        seen.append((real(pattern, coeffs, self_adjoint), self_adjoint))
         return seen[-1][0]
 
     monkeypatch.setattr(rdmap.operators, "_csr_products", spy)
@@ -1255,9 +1275,9 @@ def test_a_hermitian_element_shares_one_csr_matrix(group, radius, f, monkeypatch
     assert self_adjoint and apply_adjoint.__self__ is apply.__self__
     # the transposed copy the products would otherwise build holds the same
     # arrays, and gives the same products bit for bit
-    arena, targets, coeffs, _, _ = _scaled_tables(group, f, radius, DEFAULT_BALL_CAP)
+    arena, targets, coeffs, _, _ = scaled_tables(group, f, radius, DEFAULT_BALL_CAP)
     m = len(arena)
-    A, AH = (p.__self__ for p in _csr_products(m, targets, coeffs.real))
+    A, AH = (p.__self__ for p in csr_products(m, targets, coeffs.real))
     assert AH is not A
     for name in ("indptr", "indices", "data"):
         assert getattr(AH, name).tobytes() == getattr(A, name).tobytes()
@@ -1292,6 +1312,118 @@ def test_only_a_hermitian_iterated_element_shares_its_matrix(terms, shared, monk
     assert np.linalg.norm(apply_adjoint(v) - want) <= 1e-14 * np.linalg.norm(want)
 
 
+# ---------------------------------------------------------------------------
+# CSR patterns kept on the arena
+
+# CSR-regime balls: free(2) at radius 6 (1,457 elements) and 7 (4,373), Z^2
+# at radius 40 (3,281), and Z/4001 at radius 1000 (2,001) and 2000, which
+# covers it; each pool holds words of length at most twice the radius
+CSR_BALLS = [
+    (F2, 6, F2.ball(2)),
+    (F2, 7, F2.ball(2)),
+    (Z2, 40, Z2.ball(3)),
+    (CyclicGroup(4001), 1000, list(range(-20, 21))),
+    (CyclicGroup(4001), 2000, list(range(-20, 21))),
+]
+
+
+def reference_csr_products(m, targets, coeffs):
+    """A v and A^H u by the CSR matrices built from the triplets, as the
+    solver built them before it kept patterns."""
+    import scipy.sparse as sp
+
+    rows, cols, values = _triplets(targets, coeffs)
+    A = sp.csr_matrix((values, (rows, cols)), shape=(m, m))
+    AH = A.transpose().tocsr()
+    np.conjugate(AH.data, out=AH.data)
+    return A.__matmul__, AH.__matmul__
+
+
+@st.composite
+def csr_pattern_cases(draw):
+    group, radius, pool = draw(st.sampled_from(CSR_BALLS))
+    m = len(group.arena(radius))
+    # the fewest terms whose table passes TABLE_PRODUCT_MAX, and up to three more
+    low = TABLE_PRODUCT_MAX // m + 1
+    words = draw(st.lists(st.sampled_from(pool), min_size=low, max_size=low + 3, unique_by=group.parse))
+    real = draw(st.booleans())
+    coeff = st.floats(-4.0, 4.0, allow_nan=False) if real else st.complex_numbers(
+        max_magnitude=4.0, allow_nan=False, allow_infinity=False
+    )
+    terms = {w: draw(coeff) for w in words}
+    if draw(st.booleans()):
+        # self-adjoint: c_{s^-1} = conj(c_s), the inverse's term last written
+        terms.update({group.inverse(w): complex(c).conjugate() for w, c in list(terms.items())})
+    f = GroupRingElement(group, terms)
+    assume(len(f.terms) * m > TABLE_PRODUCT_MAX)
+    return group, radius, f, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(csr_pattern_cases())
+def test_cached_pattern_products_are_the_fresh_csr_products(case):
+    group, radius, f, seed = case
+    arena, targets, coeffs, _, support = scaled_tables(group, f, radius, DEFAULT_BALL_CAP)
+    m = len(arena)
+    rng = np.random.default_rng(seed)
+    # the same support with new coefficients hits the kept pattern
+    redrawn = rng.normal(size=len(support)) + 1j * rng.normal(size=len(support))
+    pattern = None
+    for values in (coeffs, redrawn):
+        for c in (values, values.real.copy()) if values.imag.any() else (values.real.copy(),):
+            kept = _csr_pattern(group, arena, support, True)
+            assert pattern is None or kept is pattern
+            pattern = kept
+            v = rng.normal(size=m).astype(c.dtype)
+            if c.dtype == complex:
+                v += 1j * rng.normal(size=m)
+            want = reference_csr_products(m, targets, c)
+            for self_adjoint in (False, _self_adjoint(group, support, c)):
+                got = _csr_products(pattern, c, self_adjoint)
+                for product, expected in zip(got, want):
+                    assert np.array_equal(product(v), expected(v))
+    for array in pattern.csr + pattern.adjoint + (pattern.positions,):
+        assert not array.flags.writeable
+    assert np.array_equal(pattern.positions, targets[:, 0])
+
+
+def test_a_support_bracketed_again_builds_no_pattern_and_derives_no_row(monkeypatch):
+    # free(2) at radius 7: 3 x 4,373 table entries, the CSR regime; neither
+    # element is self-adjoint, so the first bracket also builds A^H's half
+    group, radius = F2, 7
+    first = GroupRingElement(F2, {"a": 1 + 0.5j, "bA": -0.25 + 1j, "ab": -0.75j})
+    second = GroupRingElement(F2, {"a": 2.0, "bA": -1.5j, "ab": 0.5 + 0.25j})
+    arena = group.arena(radius)
+    arena._kept.clear()
+    builds, derived = [], []
+    real_build, real_translate = rdmap.operators._build_csr_pattern, FreeGroup._left_translate
+
+    def build(targets):
+        builds.append(targets.shape)
+        return real_build(targets)
+
+    def translate(self, arena, s):
+        derived.append(s)
+        return real_translate(self, arena, s)
+
+    monkeypatch.setattr(rdmap.operators, "_build_csr_pattern", build)
+    monkeypatch.setattr(FreeGroup, "_left_translate", translate)
+    bracket_lower(group, first, radius)
+    assert builds == [(3, len(arena))] and sorted(derived) == sorted(first.terms)
+    (pattern,) = (v for v in arena._kept.values() if isinstance(v, rdmap.operators._CsrPattern))
+    assert pattern.adjoint is not None
+    builds.clear(), derived.clear()
+    warm = opnorm_bracket(group, second, builtin_rd_params(group), radius)
+    assert builds == [] and derived == []
+    assert arena.kept(tuple(second.terms)) is pattern
+    for array in pattern.csr + pattern.adjoint + (pattern.positions,):
+        assert not array.flags.writeable
+    arena._kept.clear()
+    cold = opnorm_bracket(group, second, builtin_rd_params(group), radius)
+    assert builds == [(3, len(arena))]
+    assert repr(warm) == repr(cold)
+
+
 @pytest.mark.parametrize(
     "m", sorted({1, 2, 3, RITZ_BLOCK - 1, RITZ_BLOCK, RITZ_BLOCK + 1, 2 * RITZ_BLOCK + 1})
 )
@@ -1312,9 +1444,9 @@ def test_small_cyclic_groups_match_fourier(order):
     # the top eigenvector up to rounding
     group = CyclicGroup(order)
     f = GroupRingElement(group, {1: 1.0, 0: 0.5j})
-    arena, targets, coeffs, e, _ = _scaled_tables(group, f, order // 2, DEFAULT_BALL_CAP)
+    arena, targets, coeffs, e, _ = scaled_tables(group, f, order // 2, DEFAULT_BALL_CAP)
     m = len(arena)
-    products = _csr_products(m, targets, coeffs)
+    products = csr_products(m, targets, coeffs)
     lower, _, _ = _power_iteration(m, products, DEFAULT_MAX_ITERS, DEFAULT_POWER_TOL)
     lower = math.ldexp(lower, e)
     assert lower <= cyclic_oracle(f) * (1 + 8 * EPS)
@@ -1623,7 +1755,7 @@ def test_clustered_spectra_converge_within_the_step_budget(f, radius, steps):
     # norm; keeping the previous block's start, 42, 75 and 463
     group = f.group
     bracket = opnorm_bracket(group, f, builtin_rd_params(group), radius)
-    arena, targets, coeffs, e, _ = _scaled_tables(group, f, radius, DEFAULT_BALL_CAP)
+    arena, targets, coeffs, e, _ = scaled_tables(group, f, radius, DEFAULT_BALL_CAP)
     m = len(arena)
     assert m > DIRECT_SOLVE_MAX and not (isinstance(group, CyclicGroup) and m == group.order)
     rows, cols, values = _triplets(targets, coeffs * math.ldexp(1.0, e))
@@ -1839,13 +1971,13 @@ def test_power_iteration_matches_the_reference_loop(family, m):
     ],
     ids=["kesten-r4", "free2-complex-r5", "z2-r12", "cyclic-501-r100", "free2-complex-r7"],
 )
-@pytest.mark.parametrize("build", [_table_products, _csr_products], ids=["table", "csr"])
+@pytest.mark.parametrize("build", [_table_products, csr_products], ids=["table", "csr"])
 def test_compression_runs_match_the_reference_loop(group, radius, f, build):
     # each element runs as the solver iterates it (Kesten's in float64, the
     # free(2) and Z^2 ones as |f| in float64, these three from the positive
     # start, the cyclic one complex) and in complex arithmetic on its own
     # coefficients from the seeded start
-    arena, targets, raw, _, _ = _scaled_tables(group, f, radius, DEFAULT_BALL_CAP)
+    arena, targets, raw, _, _ = scaled_tables(group, f, radius, DEFAULT_BALL_CAP)
     m = len(arena)
     for coeffs in (iterated_coeffs(group, f, radius, raw), raw):
         products = build(m, targets, coeffs)
